@@ -16,8 +16,9 @@ exact root counter.
 
 For B and C the segment polynomial disc(h_t) * h_t(0) is obtained by
 evaluation and interpolation: the leading coefficient of h_t is the
-constant class sign, so specialising t commutes with the resultant and
-sampling at 2*mu + 1 integer nodes determines the restriction exactly.
+constant class sign, so specialising t commutes with the resultant, and
+the product has degree at most 2*mu - 1 in t, so sampling at 2*mu
+integer nodes determines the restriction exactly.
 Paths between same-type parameters are constructed in root space:
 ascending real roots and complex pair constants (u, v) of the monic
 factorisation are moved linearly onto those of the integer-rooted
@@ -59,7 +60,6 @@ from .classify import (
 from .exactpoly import (
     Interval,
     UniPoly,
-    discriminant,
     isolate_real_roots,
     refine_root,
     restrict_to_segment,
@@ -76,6 +76,7 @@ from .models import (
     f4_seed_oval_side,
     f4_sigma0_eliminant,
     f4_sigma1_polynomial,
+    stratum_values,
 )
 
 
@@ -296,13 +297,11 @@ def _bc_segment_polynomial(sc: SingularityClass, a: Parameter, b: Parameter
     # deg_t disc(h_t) <= 2*mu - 2 over a linear segment, plus one for h_t(0);
     # the leading coefficient of h_t is constant, so pointwise evaluation of
     # the resultant agrees with the symbolic restriction
-    mu = sc.mu
-    nodes = [Fraction(k) for k in range(2 * mu + 1)]
+    nodes = [Fraction(k) for k in range(2 * sc.mu)]
     vals = []
     for t in nodes:
-        lam = _lerp(a, b, t)
-        h = boundary_polynomial(sc, lam)
-        vals.append(discriminant(h) * h.constant_term())
+        s0, s1 = stratum_values(sc, _lerp(a, b, t))
+        vals.append(s0 * s1)
     return _interpolate(nodes, vals)
 
 
@@ -345,14 +344,12 @@ def certify_segment(sc: SingularityClass, start, end
         return PathCertificate(
             sc.label(), (start, end),
             (SegmentProof(start, end, poly, 0),))
-    witness = None
     for iv in isolate_real_roots(poly, Fraction(1, 128)):
-        root_in_unit = _root_in_closed_unit(poly, iv)
-        if root_in_unit is not None:
-            witness = root_in_unit
-            break
-    assert witness is not None
-    return SegmentFailure(start, end, poly, witness)
+        witness = _root_in_closed_unit(poly, iv)
+        if witness is not None:
+            return SegmentFailure(start, end, poly, witness)
+    raise NotFound(f"{n} crossings in [0, 1] but none isolated there "
+                   "within the refinement budget")
 
 
 def _root_in_closed_unit(poly: UniPoly, iv: Interval) -> Interval | None:
@@ -558,7 +555,9 @@ def certify_path(sc: SingularityClass, start, end, rng_seed: int = 0,
             if a.values == b.values:
                 continue
             res = certify_segment(sc, a, b)
-            assert isinstance(res, PathCertificate)
+            if not isinstance(res, PathCertificate):
+                raise NotFound("a certified segment failed when replayed "
+                               "in reverse")
             proofs.append(res.segments[0])
             waypoints.append(b)
         return PathCertificate(sc.label(), tuple(waypoints), tuple(proofs))
@@ -657,11 +656,10 @@ def _atlas_task(args) -> tuple[int, str, tuple, tuple]:
     label, values, jitter_tag = args
     sc = SingularityClass.parse(label)
     lam = Parameter(values)
-    m = discriminant_membership(sc, lam)
-    if m is not Membership.NON_SINGULAR:
-        return (0, m.value, (), values)
     try:
         t = classify(sc, lam)
+    except DiscriminantParameter as e:
+        return (0, e.membership.value, (), values)
     except NonGenericConfiguration:
         # the label wall has measure zero; one deterministic nudge
         rng = random.Random(jitter_tag)
@@ -669,11 +667,9 @@ def _atlas_task(args) -> tuple[int, str, tuple, tuple]:
             v + Fraction(rng.randint(1, 64), 4096) * (1 if rng.random() < 0.5
                                                       else -1)
             for v in lam))
-        if discriminant_membership(sc, lam) is not Membership.NON_SINGULAR:
-            return (0, "NonGeneric", (), values)
         try:
             t = classify(sc, lam)
-        except NonGenericConfiguration:
+        except (DiscriminantParameter, NonGenericConfiguration):
             return (0, "NonGeneric", (), values)
     if isinstance(t, BCSignature):
         return (1, t.key(), (t.p, t.q), tuple(lam.values))

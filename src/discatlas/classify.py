@@ -78,7 +78,15 @@ from .models import (
 
 
 class DiscriminantParameter(ValueError):
-    """Raised when a parameter to classify lies on the discriminant."""
+    """Raised when a parameter to classify lies on the discriminant.
+
+    ``membership`` is the stratum found, so callers need not test
+    membership again.
+    """
+
+    def __init__(self, message: str, membership: Membership):
+        super().__init__(message)
+        self.membership = membership
 
 
 class NonGenericConfiguration(ValueError):
@@ -166,10 +174,6 @@ def type_key(t: LowerSetType) -> str:
     return f"type{canonical_type_id(t)}"
 
 
-def type_json(t: LowerSetType) -> dict:
-    return t.json_obj()
-
-
 def classify_bc(sc: SingularityClass, lam) -> BCSignature:
     """Signature (p, q) of a nonsingular B- or C-class parameter.
 
@@ -183,7 +187,7 @@ def classify_bc(sc: SingularityClass, lam) -> BCSignature:
     member = discriminant_membership(sc, lam)
     if member is not Membership.NON_SINGULAR:
         raise DiscriminantParameter(
-            f"{sc.label()} parameter lies on {member.value}")
+            f"{sc.label()} parameter lies on {member.value}", member)
     sig = root_signature(boundary_polynomial(sc, lam))
     return BCSignature(sig.neg, sig.pos)
 
@@ -264,7 +268,7 @@ def classify_f4(sc: SingularityClass, lam) -> F4Descriptor:
     member = discriminant_membership(sc, lam)
     if member is not Membership.NON_SINGULAR:
         raise DiscriminantParameter(
-            f"{sc.label()} parameter lies on {member.value}")
+            f"{sc.label()} parameter lies on {member.value}", member)
     if sc.sign < 0:
         lam = f4_reduce(lam)
     a, b, c, d = lam
@@ -280,7 +284,13 @@ def classify_f4(sc: SingularityClass, lam) -> F4Descriptor:
     g = UniPoly("y", [a * a - 4 * d, 2 * a * c - 4 * b, c * c, -4])
     p_roots = _isolated(P)
     g_roots = _isolated(g)
-    assert len(p_roots) in (1, 3) and len(g_roots) in (1, 3)
+    # a real cubic has 1 or 3 distinct real roots unless it has a
+    # multiple root: g on Sigma_0, P on Sigma_1
+    member = Membership.of(len(g_roots) not in (1, 3),
+                           len(p_roots) not in (1, 3))
+    if member is not Membership.NON_SINGULAR:
+        raise DiscriminantParameter(
+            f"{sc.label()} parameter lies on {member.value}", member)
 
     def fx_sign(root: _IsolatedRoot) -> str:
         if c == 0:
@@ -406,12 +416,3 @@ def realized_catalog() -> dict[F4Descriptor, int]:
     if sorted(cat.values()) != list(range(1, 9)):
         raise CatalogMissing("seeds did not realise eight distinct types")
     return dict(sorted(cat.items(), key=lambda kv: kv[1]))
-
-
-def catalog_id(d: F4Descriptor) -> int:
-    """Type id of a descriptor, checked against the catalogue."""
-    cat = realized_catalog()
-    tid = canonical_type_id(d)
-    if tid not in cat.values():
-        raise CatalogMissing(f"type {tid} not in the catalogue")
-    return tid

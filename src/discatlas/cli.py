@@ -36,7 +36,6 @@ from .models import (
     Membership,
     Parameter,
     SingularityClass,
-    discriminant_membership,
     f4_sigma0_eliminant,
     f4_sigma1_polynomial,
     table1_metadata,
@@ -162,16 +161,16 @@ def _cmd_classify(pos, flags):
         raise UsageError("classify takes a class and its parameters")
     sc = _parse_class(pos[0])
     lam = _parse_params(sc, pos[1:])
-    m = discriminant_membership(sc, lam)
-    if m is not Membership.NON_SINGULAR:
-        _emit({"membership": m.value})
-        return 2
+    m = Membership.NON_SINGULAR.value
     try:
         t = classify(sc, lam)
-    except NonGenericConfiguration as e:
-        _emit({"membership": m.value, "error": str(e)})
+    except DiscriminantParameter as e:
+        _emit({"membership": e.membership.value})
         return 2
-    out = {"membership": m.value, "type": t.json_obj()}
+    except NonGenericConfiguration as e:
+        _emit({"membership": m, "error": str(e)})
+        return 2
+    out = {"membership": m, "type": t.json_obj()}
     if sc.family == "F4":
         out["type_id"] = canonical_type_id(t)
     _emit(out)
@@ -182,13 +181,16 @@ def _cmd_atlas(pos, flags):
     if len(pos) != 1:
         raise UsageError("atlas takes exactly one class argument")
     sc = _parse_class(pos[0])
-    cfg = SamplingConfig(
-        box_radius=_rat_flag(flags, "--box", 5),
-        random_count=_int_flag(flags, "--samples", 2000),
-        grid_resolution=_int_flag(flags, "--grid", 0),
-        rng_seed=_int_flag(flags, "--seed", 0),
-        denominator_bound=_int_flag(flags, "--den", 64),
-    )
+    try:
+        cfg = SamplingConfig(
+            box_radius=_rat_flag(flags, "--box", 5),
+            random_count=_int_flag(flags, "--samples", 2000),
+            grid_resolution=_int_flag(flags, "--grid", 0),
+            rng_seed=_int_flag(flags, "--seed", 0),
+            denominator_bound=_int_flag(flags, "--den", 64),
+        )
+    except ValueError as e:
+        raise UsageError(str(e)) from e
     jobs = _int_flag(flags, "--jobs", 1)
     report = enumerate_components(sc, cfg, jobs=jobs)
     obj = report.json_obj()
@@ -234,15 +236,20 @@ def _cmd_certify(pos, flags):
     return 0
 
 
-def _parse_slice_assignment(text: str) -> dict:
+def _parse_slice_assignment(sc: SingularityClass, text: str) -> dict:
     fixed = {}
     if not text:
         return fixed
     for part in text.split(","):
         if "=" not in part:
             raise UsageError(f"bad slice assignment {part!r}")
-        name, lit = part.split("=", 1)
-        fixed[name.strip()] = parse_rational(lit)
+        name, lit = (s.strip() for s in part.split("=", 1))
+        if name not in sc.parameter_names:
+            raise UsageError(f"{sc.label()} has no parameter {name!r}")
+        try:
+            fixed[name] = parse_rational(lit)
+        except ValueError as e:
+            raise UsageError(str(e)) from e
     return fixed
 
 
@@ -256,13 +263,18 @@ def _cmd_render(pos, flags):
     px = _int_flag(flags, "--px", 480)
     vp = None
     if box:
-        vp = Viewport(-box, box, -box, box, width=px, height=px,
-                      samples=samples)
+        try:
+            vp = Viewport(-box, box, -box, box, width=px, height=px,
+                          samples=samples)
+        except EmptyViewport:
+            raise
+        except ValueError as e:
+            raise UsageError(str(e)) from e
     if "--axes" in flags:
         if len(pos) != 1:
             raise UsageError("slice rendering takes no parameter literals")
         axes = tuple(a.strip() for a in flags["--axes"].split(","))
-        fixed = _parse_slice_assignment(flags.get("--slice", ""))
+        fixed = _parse_slice_assignment(sc, flags.get("--slice", ""))
         path = write_slice(sc, fixed, axes, out_dir, vp)
     else:
         lam = _parse_params(sc, pos[1:])

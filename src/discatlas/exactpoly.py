@@ -24,9 +24,12 @@ exponential.  Interval endpoints may be infinite; openness flags are
 honoured exactly, and rational roots sitting on an endpoint are handled
 by exact deflation instead of epsilon nudging.
 
-Multivariate resultants use fraction-free Bareiss elimination on the
-Sylvester matrix after clearing denominators, so every intermediate
-division is exact integer (or integer-polynomial) division.
+``MultiPoly`` carries only ring operations, evaluation and restriction
+to a parameter segment: every stratum of the families is the
+discriminant or a value of a univariate polynomial, so no variable is
+ever eliminated symbolically at run time.  Resultants and
+discriminants are univariate, by fraction-free Bareiss elimination on
+the integer Sylvester matrix.
 
 Values are immutable and operations are pure: nothing here mutates an
 argument or caches behind the caller's back.
@@ -39,8 +42,6 @@ from fractions import Fraction
 from math import gcd as _igcd
 from math import lcm as _ilcm
 from typing import Iterable, Mapping, Sequence, Union
-
-Rational = Fraction
 
 RationalLike = Union[Fraction, int]
 
@@ -176,14 +177,6 @@ class UniPoly:
 
     def derivative(self) -> "UniPoly":
         return UniPoly(self.var, [i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def shift_argument(self, a: RationalLike) -> "UniPoly":
-        """Return p(x + a)."""
-        out = UniPoly(self.var, [])
-        lin = UniPoly(self.var, [a, 1])
-        for c in reversed(self.coeffs):
-            out = out * lin + UniPoly(self.var, [c])
-        return out
 
     def divide_exact(self, d: "UniPoly") -> "UniPoly":
         """Quotient self / d, requiring a zero remainder."""
@@ -830,33 +823,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in expo) for expo in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def degree_in(self, var: str) -> int:
-        i = self._var_index(var)
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
-
-    def _var_index(self, var: str) -> int:
-        try:
-            return self.vars.index(var)
-        except ValueError:
-            raise ArityMismatch(f"unknown variable {var!r} in {self.vars}")
-
     def _check_vars(self, other: "MultiPoly") -> None:
         if self.vars != other.vars:
             raise ArityMismatch(
@@ -904,17 +870,6 @@ class MultiPoly:
             out = out * self
         return out
 
-    def derivative(self, var: str) -> "MultiPoly":
-        i = self._var_index(var)
-        tm: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            tm[tuple(e2)] = c * e[i]
-        return MultiPoly(self.vars, tm)
-
     def eval(self, point: Sequence[RationalLike]) -> Fraction:
         if len(point) != len(self.vars):
             raise ArityMismatch(
@@ -929,83 +884,12 @@ class MultiPoly:
             acc += t
         return acc
 
-    def substitute(self, var: str, replacement: "MultiPoly") -> "MultiPoly":
-        """Substitute a polynomial (over the same variable tuple) for var."""
-        self._check_vars(replacement)
-        i = self._var_index(var)
-        powers: dict[int, MultiPoly] = {0: MultiPoly.constant(self.vars, 1)}
-        maxe = max((e[i] for e in self.terms), default=0)
-        for k in range(1, maxe + 1):
-            powers[k] = powers[k - 1] * replacement
-        acc = MultiPoly(self.vars, {})
-        for e, c in self.terms.items():
-            rest = list(e)
-            k = rest[i]
-            rest[i] = 0
-            acc = acc + powers[k] * MultiPoly(self.vars, {tuple(rest): c})
-        return acc
-
-    def drop_variable(self, var: str) -> "MultiPoly":
-        """Remove a variable that no longer occurs."""
-        i = self._var_index(var)
-        if any(e[i] != 0 for e in self.terms):
-            raise ArityMismatch(f"variable {var!r} still occurs")
-        names = self.vars[:i] + self.vars[i + 1:]
-        return MultiPoly(
-            names, {e[:i] + e[i + 1:]: c for e, c in self.terms.items()})
-
-    def coefficients_in(self, var: str) -> list["MultiPoly"]:
-        """Coefficient list in var (constant upward), over the same tuple."""
-        i = self._var_index(var)
-        d = self.degree_in(var)
-        if d < 0:
-            return []
-        out = [dict() for _ in range(d + 1)]
-        for e, c in self.terms.items():
-            e2 = list(e)
-            k = e2[i]
-            e2[i] = 0
-            out[k][tuple(e2)] = c
-        return [MultiPoly(self.vars, tm) for tm in out]
-
     def text(self) -> str:
         """Canonical ASCII sparse term list, sorted by exponent tuple."""
         return _terms_text(list(self.terms.items()), self.vars)
 
-    def term_list(self) -> list[tuple[tuple[int, ...], str]]:
-        """JSON-friendly sorted term list: (exponents, coefficient string)."""
-        return [(e, str(c))
-                for e, c in sorted(self.terms.items(), reverse=True)]
-
     def __repr__(self) -> str:
         return f"MultiPoly({self.vars!r}, {self.text()!r})"
-
-    def content(self) -> Fraction:
-        """Positive rational content (gcd of coefficients)."""
-        if not self.terms:
-            raise ZeroPolynomial("content of the zero polynomial")
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = _igcd(num, abs(c.numerator))
-            den = _ilcm(den, c.denominator)
-        return Fraction(num, den)
-
-    def primitive_part(self) -> "MultiPoly":
-        c = self.content()
-        return self * (1 / c)
-
-    def leading_sign(self) -> int:
-        """Sign of the coefficient of the lexicographically largest term."""
-        if not self.terms:
-            return 0
-        e = max(self.terms)
-        return _sign(self.terms[e])
-
-
-def eval_poly(F: MultiPoly, point: Sequence[RationalLike]) -> Fraction:
-    """Module-level alias for :meth:`MultiPoly.eval`."""
-    return F.eval(point)
 
 
 def restrict_to_segment(F: MultiPoly, start: Sequence[RationalLike],
@@ -1033,260 +917,6 @@ def restrict_to_segment(F: MultiPoly, start: Sequence[RationalLike],
                 term = term * pows[i][k]
         acc = acc + term
     return acc
-
-
-# -- multivariate division, gcd, resultant
-
-
-def _mp_divide_exact(A: MultiPoly, B: MultiPoly) -> MultiPoly:
-    """Exact division A / B in the polynomial ring; raises if inexact."""
-    A._check_vars(B)
-    if B.is_zero():
-        raise ZeroPolynomial("division by zero polynomial")
-    rem = dict(A.terms)
-    out: dict[tuple[int, ...], Fraction] = {}
-    b_lead = max(B.terms)
-    b_lc = B.terms[b_lead]
-    while rem:
-        a_lead = max(rem)
-        q = tuple(x - y for x, y in zip(a_lead, b_lead))
-        if any(k < 0 for k in q):
-            raise ValueError("inexact multivariate division")
-        f = rem[a_lead] / b_lc
-        out[q] = out.get(q, Fraction(0)) + f
-        for e, c in B.terms.items():
-            e2 = tuple(x + y for x, y in zip(q, e))
-            v = rem.get(e2, Fraction(0)) - f * c
-            if v == 0:
-                rem.pop(e2, None)
-            else:
-                rem[e2] = v
-    return MultiPoly(A.vars, out)
-
-
-def _specialized_gcd_is_constant(A: MultiPoly, B: MultiPoly,
-                                 main: str) -> bool:
-    """Certify deg(gcd(A, B)) = 0 in main by one good specialization.
-
-    Substituting small integers for the other variables can only raise
-    the gcd degree in main, provided the leading coefficient of A in
-    main survives the substitution.  A constant specialized gcd is
-    therefore a proof; a nonconstant one proves nothing.
-    """
-    i = A._var_index(main)
-    others = [j for j in range(len(A.vars)) if j != i]
-    lead = A.coefficients_in(main)[A.degree_in(main)]
-
-    def specialize(P: MultiPoly, pt: dict[int, int]) -> list[int]:
-        cs: dict[int, Fraction] = {}
-        for e, c in P.terms.items():
-            v = c
-            for j in others:
-                v *= Fraction(pt[j]) ** e[j]
-            cs[e[i]] = cs.get(e[i], Fraction(0)) + v
-        den = _ilcm(*[x.denominator for x in cs.values()]) if cs else 1
-        out = [0] * (max(cs, default=-1) + 1)
-        for k, v in cs.items():
-            out[k] = int(v * den)
-        return _int_trim(out)
-
-    for trial in range(8):
-        pt = {j: (trial + 1) * (2 + (j * 3) % 5) - trial for j in others}
-        if lead.eval(tuple(
-                Fraction(pt[j]) if j in pt else Fraction(0)
-                for j in range(len(A.vars)))) == 0:
-            continue
-        ga = specialize(A, pt)
-        gb = specialize(B, pt)
-        if not ga or not gb:
-            continue
-        return len(_int_gcd_poly(ga, gb)) == 1
-    return False
-
-
-def gcd_multi(A: MultiPoly, B: MultiPoly) -> MultiPoly:
-    """Primitive multivariate gcd by a recursive primitive PRS.
-
-    Normalised so the lexicographically leading coefficient is
-    positive.  A specialization certificate short-circuits the common
-    coprime case before the remainder sequence is attempted; no
-    modular heuristics beyond that.
-    """
-    A._check_vars(B)
-    if A.is_zero() and B.is_zero():
-        raise ZeroPolynomial("gcd of two zero polynomials")
-    if A.is_zero():
-        g = B.primitive_part()
-        return g if g.leading_sign() >= 0 else -g
-    if B.is_zero():
-        g = A.primitive_part()
-        return g if g.leading_sign() >= 0 else -g
-    if A.is_constant() or B.is_constant():
-        return MultiPoly.constant(A.vars, 1)
-    # choose the first variable that actually occurs in both
-    main = None
-    for v in A.vars:
-        if A.degree_in(v) > 0 and B.degree_in(v) > 0:
-            main = v
-            break
-    if main is None:
-        # no shared variable: gcd is the gcd of contents, i.e. constant
-        return MultiPoly.constant(A.vars, 1)
-    if _specialized_gcd_is_constant(A, B, main):
-        # gcd has degree 0 in main, so it divides both contents
-        ca = _content_wrt(A, main)
-        cb = _content_wrt(B, main)
-        if ca.is_constant() or cb.is_constant():
-            return MultiPoly.constant(A.vars, 1)
-        return gcd_multi(ca, cb)
-
-    ca, cb = _content_wrt(A, main), _content_wrt(B, main)
-    pa = _mp_divide_exact(A, ca)
-    pb = _mp_divide_exact(B, cb)
-    cont_gcd = gcd_multi(ca, cb)
-
-    # primitive PRS in the main variable
-    def deg(P: MultiPoly) -> int:
-        return P.degree_in(main)
-
-    if deg(pa) < deg(pb):
-        pa, pb = pb, pa
-    while not pb.is_zero():
-        r = _pseudo_rem_multi(pa, pb, main)
-        if r.is_zero():
-            pa, pb = pb, r
-            break
-        rc = _content_wrt(r, main) if deg(r) > 0 else r
-        r = _mp_divide_exact(r, rc)
-        pa, pb = pb, r
-        if deg(pa) == 0:
-            pa = MultiPoly.constant(A.vars, 1)
-            break
-    g = pa.primitive_part() * cont_gcd
-    return g if g.leading_sign() >= 0 else -g
-
-
-def _content_wrt(P: MultiPoly, main: str) -> MultiPoly:
-    """gcd of the coefficients of P viewed as a polynomial in main."""
-    cs = [c for c in P.coefficients_in(main) if not c.is_zero()]
-    g = cs[0]
-    for c in cs[1:]:
-        g = gcd_multi(g, c)
-        if g.is_constant():
-            break
-    if g.leading_sign() < 0:
-        g = -g
-    return g
-
-
-def _pseudo_rem_multi(A: MultiPoly, B: MultiPoly, var: str) -> MultiPoly:
-    """Pseudo-remainder of A by B with respect to var."""
-    da, db = A.degree_in(var), B.degree_in(var)
-    if db < 0:
-        raise ZeroPolynomial("pseudo-remainder by zero")
-    bl = B.coefficients_in(var)[db]
-    i = A._var_index(var)
-    r = A * (bl ** (da - db + 1))
-    while not r.is_zero() and r.degree_in(var) >= db:
-        dr = r.degree_in(var)
-        rl = r.coefficients_in(var)[dr]
-        q = _mp_divide_exact(rl, bl)
-        shift = MultiPoly(A.vars, {
-            tuple(dr - db if j == i else 0
-                  for j in range(len(A.vars))): 1})
-        r = r - q * shift * B
-    return r
-
-
-def squarefree_part_multi(P: MultiPoly) -> MultiPoly:
-    """Squarefree part: P divided by the gcd of P and all its partials."""
-    if P.is_zero():
-        raise ZeroPolynomial("squarefree part of the zero polynomial")
-    if P.is_constant():
-        return MultiPoly.constant(P.vars, 1)
-    g = P
-    for v in P.vars:
-        d = P.derivative(v)
-        if d.is_zero():
-            continue
-        g = gcd_multi(g, d)
-        if g.is_constant():
-            break
-    if g.is_constant():
-        out = P.primitive_part()
-    else:
-        out = _mp_divide_exact(P, g).primitive_part()
-    return out if out.leading_sign() >= 0 else -out
-
-
-def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """Sylvester resultant of f and g eliminating var.
-
-    Both inputs must have positive degree in var.  Computed by
-    fraction-free Bareiss elimination over integer-coefficient
-    polynomials after clearing denominators, then rescaled to the exact
-    resultant of the original inputs.  The result vanishes at a point
-    iff the instantiated polynomials share a root or both leading
-    coefficients vanish there.
-    """
-    f._check_vars(g)
-    m, n = f.degree_in(var), g.degree_in(var)
-    if m < 0 or n < 0:
-        raise ZeroPolynomial("resultant with zero polynomial")
-    if m == 0 or n == 0:
-        raise DegreeZero(f"resultant needs positive degree in {var!r}")
-    df = _ilcm(*[c.denominator for c in f.terms.values()])
-    dg = _ilcm(*[c.denominator for c in g.terms.values()])
-    fi = f * df
-    gi = g * dg
-    fc = fi.coefficients_in(var)
-    gc = gi.coefficients_in(var)
-    fc = [c.drop_variable(var) for c in fc]
-    gc = [c.drop_variable(var) for c in gc]
-    size = m + n
-    zero = MultiPoly(fc[0].vars, {})
-    rows: list[list[MultiPoly]] = []
-    fr = list(reversed(fc))
-    gr = list(reversed(gc))
-    for i in range(n):
-        rows.append([zero] * i + fr + [zero] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([zero] * i + gr + [zero] * (size - n - 1 - i))
-    det = _bareiss_multi(rows)
-    det = det * Fraction(1, df ** n * dg ** m)
-    # reinstate the eliminated variable slot with exponent zero
-    names = f.vars
-    i = f._var_index(var)
-    return MultiPoly(names, {
-        e[:i] + (0,) + e[i:]: c for e, c in det.terms.items()})
-
-
-def _bareiss_multi(m: list[list[MultiPoly]]) -> MultiPoly:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    vars_ = m[0][0].vars
-    one = MultiPoly.constant(vars_, 1)
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero():
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return MultiPoly(vars_, {})
-        pk = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = pk * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num if k == 0 else _mp_divide_exact(num, prev)
-            m[i][k] = MultiPoly(vars_, {})
-        prev = pk
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
 
 
 def parse_rational(s: str) -> Fraction:

@@ -23,12 +23,15 @@ cut out by "h has a real multiple root" and "h(0) = 0"; for C the same
 two conditions swap roles, since f(0, y) = h(y) there and the interior
 critical point sits at (-h'(0)/sxy, 0) with critical value h(0).
 
-For F4 the interior stratum is carried by an eliminant Delta_0(a,b,c,d)
-obtained by solving f_x = 0 for x, substituting into f = 0 and
-f_y = 0, and eliminating y by a resultant.  Delta_0 is irreducible of
-degree 7, quasi-homogeneous of weight 12 for weights (3, 4, 1, 6).
-The boundary stratum is the cubic discriminant condition
-4*b^3 + 27*d^2 = 0.  The minus class reduces to the plus class by
+For F4 the interior stratum is carried by an eliminant Delta_0(a,b,c,d).
+Solving f_x = 0 for x leaves f = -g(y)/4 and f_y = -g'(y)/4 with the
+cubic g(y) = (a + c*y)^2 - 4*(y^3 + b*y + d), so Delta_0 = -disc_y(g)/16,
+in closed form.  Delta_0 is irreducible of degree 7, quasi-homogeneous
+of weight 12 for weights (3, 4, 1, 6).  The boundary stratum is the
+cubic discriminant condition 4*b^3 + 27*d^2 = 0.  Every stratum is
+thus the discriminant or a value of a univariate polynomial, and
+stratum_values evaluates both defining polynomials for every family.
+The minus class reduces to the plus class by
 -f(x, -y; a, b, c, d) = f(x, y; -a, b, c, -d).
 
 The cuspidal edge Xi_0 of Sigma_0 (parameters whose interior critical
@@ -55,8 +58,8 @@ from .exactpoly import (
     Interval,
     MultiPoly,
     UniPoly,
+    discriminant,
     gcd_uni,
-    squarefree_part_multi,
     sturm_count,
 )
 
@@ -75,6 +78,18 @@ class Membership(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+    @staticmethod
+    def of(sigma0: bool, sigma1: bool) -> "Membership":
+        """Membership of a point on Sigma_0 iff sigma0 and on Sigma_1 iff
+        sigma1."""
+        if sigma0 and sigma1:
+            return Membership.BOTH
+        if sigma0:
+            return Membership.SIGMA0
+        if sigma1:
+            return Membership.SIGMA1
+        return Membership.NON_SINGULAR
 
 
 _CLASS_RE = re.compile(r"^([+-]?)([BCF])([+-]?)(\d+)([+-]?)$")
@@ -326,6 +341,28 @@ def f4_reduce(lam) -> Parameter:
     return Parameter((-a, b, c, -d))
 
 
+def stratum_values(sc: SingularityClass, lam) -> tuple[Fraction, Fraction]:
+    """Values of the Sigma_0 and Sigma_1 defining polynomials at lam.
+
+    (disc h, h(0)) for B, (h(0), disc h) for C, and for F4 the pair
+    (Delta_0, 4*b^3 + 27*d^2), Delta_0 taken at the plus-class reduction
+    of a minus-class parameter.  For B and C, disc h also vanishes when
+    h has a complex double root, which is on neither stratum.
+
+    >>> stratum_values(SingularityClass.parse("C+2"), Parameter.of(0, -1))
+    (Fraction(-1, 1), Fraction(4, 1))
+    """
+    lam = _check_arity(sc, Parameter.coerce(lam))
+    if sc.family == "F4":
+        probe = f4_reduce(lam) if sc.sign < 0 else lam
+        _, b, _, d = lam
+        return (f4_sigma0_eliminant().eval(tuple(probe)),
+                4 * b ** 3 + 27 * d ** 2)
+    h = boundary_polynomial(sc, lam)
+    mult, at_zero = discriminant(h), h.constant_term()
+    return (mult, at_zero) if sc.family == "B" else (at_zero, mult)
+
+
 def discriminant_membership(sc: SingularityClass, lam) -> Membership:
     """Locate a parameter relative to the two discriminant strata.
 
@@ -337,58 +374,41 @@ def discriminant_membership(sc: SingularityClass, lam) -> Membership:
     """
     lam = _check_arity(sc, Parameter.coerce(lam))
     if sc.family == "F4":
-        a, b, c, d = lam
-        probe = f4_reduce(lam) if sc.sign < 0 else lam
-        s0 = f4_sigma0_eliminant().eval(tuple(probe)) == 0
-        s1 = 4 * b ** 3 + 27 * d ** 2 == 0
+        s0, s1 = (v == 0 for v in stratum_values(sc, lam))
     else:
+        # a real multiple root, not disc h = 0 (see stratum_values)
         h = boundary_polynomial(sc, lam)
         mult = _has_real_multiple_root(h)
         at_zero = h.constant_term() == 0
-        if sc.family == "B":
-            s0, s1 = mult, at_zero
-        else:
-            s0, s1 = at_zero, mult
-    if s0 and s1:
-        return Membership.BOTH
-    if s0:
-        return Membership.SIGMA0
-    if s1:
-        return Membership.SIGMA1
-    return Membership.NON_SINGULAR
+        s0, s1 = (mult, at_zero) if sc.family == "B" else (at_zero, mult)
+    return Membership.of(s0, s1)
 
 
 @lru_cache(maxsize=1)
 def f4_sigma0_eliminant() -> MultiPoly:
     """The interior discriminant Delta_0 of the F4 deformation.
 
-    Built from the plus-class critical point system: f_x = 0 gives
-    x = -(a + c*y)/2; substituting into f = 0 and f_y = 0 leaves two
-    polynomials in y whose resultant (normalised to be primitive and
-    squarefree with positive leading sign in lex order a > b > c > d)
-    is Delta_0.  Points with Delta_0 = 0 are exactly those whose
-    deformation has an interior critical point on the zero level, or a
-    degenerate critical point escaping the substitution.
+    Delta_0 = -disc_y(g)/16 for the plus-class cubic
+    g(y) = (a + c*y)^2 - 4*(y^3 + b*y + d) = A*y^3 + B*y^2 + C*y + D,
+    A = -4, B = c^2, C = 2*a*c - 4*b, D = a^2 - 4*d, by the cubic
+    discriminant B^2*C^2 - 4*A*C^3 - 4*B^3*D - 27*A^2*D^2 + 18*A*B*C*D.
+    It is primitive with positive leading sign in lex order
+    a > b > c > d.  Points with Delta_0 = 0 are exactly those whose
+    deformation has an interior critical point on the zero level.
 
     >>> f4_sigma0_eliminant().eval((-1, -3, 1, 2))
     Fraction(0, 1)
+    >>> f4_sigma0_eliminant().text()[:30]
+    '27*a^4 + a^3*c^3 + 30*a^2*b*c^'
     """
-    names = ("x", "y") + F4_PARAMS
-    f = deformation_generic(SingularityClass("F4", 4, 1))
-    fy = f.derivative("y")
-    x, y, a, b, c, d = MultiPoly.variables(names)
-    x_sol = (a + c * y) * Fraction(-1, 2)
-    e1 = f.substitute("x", x_sol) * 4
-    e2 = fy.substitute("x", x_sol) * 2
-    e1 = e1.drop_variable("x")
-    e2 = e2.drop_variable("x")
-    from .exactpoly import resultant
-
-    r = resultant(e1, e2, "y").drop_variable("y")
-    r = squarefree_part_multi(r.primitive_part())
-    if r.leading_sign() < 0:
-        r = -r
-    return r
+    a, b, c, d = MultiPoly.variables(F4_PARAMS)
+    A = -4
+    B = c * c
+    C = 2 * a * c - 4 * b
+    D = a * a - 4 * d
+    disc = (B * B * C * C - 4 * A * C ** 3 - 4 * B ** 3 * D
+            - 27 * A * A * D * D + 18 * A * B * C * D)
+    return disc * Fraction(-1, 16)
 
 
 @lru_cache(maxsize=1)

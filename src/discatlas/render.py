@@ -28,10 +28,9 @@ from .models import (
     SingularityClass,
     boundary_polynomial,
     deformation_polynomial,
-    f4_reduce,
-    f4_sigma0_eliminant,
+    stratum_values,
 )
-from .exactpoly import UniPoly, discriminant
+from .exactpoly import UniPoly
 
 RESIDUAL_BOUND = Fraction(1, 10 ** 6)
 _SQRT_BITS = 40
@@ -371,22 +370,6 @@ def write_figure(sc: SingularityClass, lam, out_dir,
 # parameter slices
 
 
-def _slice_stratum_values(sc: SingularityClass, lam: Parameter
-                          ) -> tuple[Fraction, Fraction]:
-    """Exact values of the (Sigma0, Sigma1) defining polynomials."""
-    if sc.family == "F4":
-        probe = f4_reduce(lam) if sc.sign < 0 else lam
-        _, b, _, d = lam
-        return (f4_sigma0_eliminant().eval(tuple(probe)),
-                4 * b ** 3 + 27 * d ** 2)
-    h = boundary_polynomial(sc, lam)
-    mult = discriminant(h)
-    at_zero = h.constant_term()
-    if sc.family == "B":
-        return (mult, at_zero)
-    return (at_zero, mult)
-
-
 _MS_EDGES = {1: (3, 0), 2: (0, 1), 3: (3, 1), 4: (1, 2), 6: (0, 2),
              7: (3, 2), 8: (2, 3), 9: (2, 0), 11: (2, 1), 12: (1, 3),
              13: (1, 0), 14: (0, 3)}
@@ -443,10 +426,9 @@ def render_parameter_slice(sc: SingularityClass, fixed: dict, axes,
     if (len(axes) != 2 or axes[0] == axes[1]
             or any(a not in names for a in axes)):
         raise BadAxes(f"axes must be two distinct of {names}")
-    free = [n for n in names if n not in fixed]
-    if sorted(free) != sorted(axes):
-        raise BadAxes(
-            f"fixed assignment must cover exactly {set(names) - set(axes)}")
+    rest = sorted(set(names) - set(axes))
+    if sorted(fixed) != rest:
+        raise BadAxes(f"fixed assignment must cover exactly {rest}")
     fixed = {k: Fraction(v) for k, v in fixed.items()}
     vp = vp or Viewport(-3, 3, -3, 3)
     xs, ys = vp.xs(), vp.ys()
@@ -456,7 +438,7 @@ def render_parameter_slice(sc: SingularityClass, fixed: dict, axes,
         for xv in xs:
             point = {**fixed, axes[0]: xv, axes[1]: yv}
             lam = Parameter(tuple(point[n] for n in names))
-            v0, v1 = _slice_stratum_values(sc, lam)
+            v0, v1 = stratum_values(sc, lam)
             row0.append(v0)
             row1.append(v1)
         grid0.append(row0)

@@ -25,9 +25,9 @@ from discatlas.exactpoly import (
     restrict_to_segment,
     resultant_uni,
     root_signature,
-    squarefree_part_multi,
     sturm_count,
 )
+from elimination_oracle import squarefree_part_multi
 from discatlas.models import (
     Membership,
     Parameter,

@@ -6,12 +6,13 @@ Sturm count on the closed unit interval, so every claim here reduces
 to integer arithmetic that the kernel tests already pin down.
 """
 
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from discatlas.exactpoly import Interval, UniPoly, sturm_count
+from discatlas.exactpoly import Interval, UniPoly, discriminant, sturm_count
 from discatlas.atlas import (
     AtlasReport,
     DiscriminantEndpoint,
@@ -41,8 +42,11 @@ from discatlas.models import (
     Membership,
     Parameter,
     SingularityClass,
+    boundary_polynomial,
     discriminant_membership,
 )
+
+atlas_mod = importlib.import_module("discatlas.atlas")
 
 F = Fraction
 B2 = SingularityClass("B", 2, 1)
@@ -124,6 +128,31 @@ def test_certify_segment_rejects_discriminant_endpoint():
         certify_segment(B2, (0, -1), (0, 0))
 
 
+def test_bc_segment_polynomial_degree_bound():
+    # 2*mu nodes suffice: interpolating disc(h_t) * h_t(0) at one node
+    # more gives the same polynomial on random segments up to mu = 7
+    rng = random.Random(19)
+    for label in ("B+2", "B-3", "C+5", "C-6", "B+7"):
+        sc = SingularityClass.parse(label)
+        for _ in range(3):
+            a, b = (Parameter.of(*[F(rng.randint(-9, 9), rng.randint(1, 4))
+                                   for _ in range(sc.mu)]) for _ in range(2))
+            nodes = [F(k) for k in range(2 * sc.mu + 1)]
+            vals = []
+            for t in nodes:
+                h = boundary_polynomial(sc, atlas_mod._lerp(a, b, t))
+                vals.append(discriminant(h) * h.constant_term())
+            assert atlas_mod._bc_segment_polynomial(sc, a, b) \
+                == atlas_mod._interpolate(nodes, vals)
+
+
+def test_certify_segment_unisolated_crossing_is_inconclusive(monkeypatch):
+    monkeypatch.setattr(atlas_mod, "_root_in_closed_unit",
+                        lambda poly, iv: None)
+    with pytest.raises(NotFound):
+        certify_segment(B2, (0, -1), (0, 1))
+
+
 def test_certify_segment_f4():
     # two type-1 points connected inside one component
     res = certify_segment(F4P, (1, 1, 0, 0), (2, 1, 0, 1))
@@ -184,6 +213,28 @@ def test_certify_path_with_complex_pairs():
     assert type_key(classify_bc(sc, b)) == sig.key()
     cert = certify_path(sc, a, b)
     _check_interior(sc, cert, sig.key())
+
+
+def test_certify_path_replay_refusal_is_inconclusive(monkeypatch):
+    # the second leg is replayed backwards; a replayed segment that no
+    # longer certifies ends the search as inconclusive
+    certify = atlas_mod.certify_segment
+    seen = set()
+
+    def refuse_replays(sc, a, b):
+        res = certify(sc, a, b)
+        if (tuple(b), tuple(a)) in seen:
+            return SegmentFailure(a, b, res.segments[0].polynomial,
+                                  Interval.point(0))
+        seen.add((tuple(a), tuple(b)))
+        return res
+
+    monkeypatch.setattr(atlas_mod, "certify_segment", refuse_replays)
+    sc = SingularityClass("B", 3, 1)
+    # p0q1 pair whose straight segment crosses the discriminant
+    with pytest.raises(NotFound):
+        certify_path(sc, (-4, 2, -1), (-2, 4, -1))
+    assert seen
 
 
 def test_certify_path_type_mismatch():

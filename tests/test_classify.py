@@ -6,6 +6,7 @@ descriptor is exercised on the spec'd slice points, on random samples
 Sturm count of the boundary cubic.
 """
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -21,13 +22,11 @@ from discatlas.classify import (
     NonGenericConfiguration,
     candidate_descriptors,
     canonical_type_id,
-    catalog_id,
     classify,
     classify_bc,
     classify_f4,
     f4_side_seeds,
     realized_catalog,
-    type_json,
     type_key,
 )
 from discatlas.models import (
@@ -59,11 +58,13 @@ def test_classify_bc_examples():
 
 
 def test_classify_bc_rejects_discriminant():
-    with pytest.raises(DiscriminantParameter):
+    with pytest.raises(DiscriminantParameter) as err:
         classify_bc(SingularityClass("B", 2, 1), Parameter.of(0, 0))
-    with pytest.raises(DiscriminantParameter):
+    assert err.value.membership is Membership.BOTH
+    with pytest.raises(DiscriminantParameter) as err:
         # h(0) = 0: Sigma1 for B
         classify_bc(SingularityClass("B", 3, 1), Parameter.of(1, -2, 0))
+    assert err.value.membership is Membership.SIGMA1
 
 
 def test_bc_signature_invariants_on_samples():
@@ -177,7 +178,7 @@ def test_realized_catalog():
         assert lam[2] != 0
         assert canonical_type_id(classify_f4(F4P, lam)) == tid
     for d, tid in cat.items():
-        assert catalog_id(d) == tid
+        assert canonical_type_id(d) == tid
 
 
 def test_integer_fixtures_reach_side_oval_types():
@@ -228,14 +229,31 @@ def test_f4_minus_classifies_through_reduction():
 
 def test_classify_dispatch_and_serialization():
     t = classify(SingularityClass("B", 2, 1), Parameter.of(0, -1))
-    assert type_json(t) == {"p": 1, "q": 1}
+    assert t.json_obj() == {"p": 1, "q": 1}
     t = classify(F4P, Parameter.of(1, 1, 0, 0))
-    assert type_json(t) == {"roots": [["B", "+"]], "oval": "A"}
+    assert t.json_obj() == {"roots": [["B", "+"]], "oval": "A"}
     assert type_key(t) == "type1"
 
 
 def test_catalog_id_unknown_type_guard():
-    # every canonical id is in the catalogue, so catalog_id agrees with
-    # canonical_type_id on arbitrary valid descriptors
+    # every candidate descriptor quotients to a type id the catalogue
+    # realizes
+    ids = set(realized_catalog().values())
     for d in candidate_descriptors():
-        assert catalog_id(d) == canonical_type_id(d)
+        assert canonical_type_id(d) in ids
+
+
+@pytest.mark.parametrize("lam, member", [
+    ((1, -3, 0, 2), Membership.SIGMA1),    # P = (y - 1)^2 (y + 2)
+    ((-2, -3, 0, 3), Membership.SIGMA0),   # g = -4 (y - 1)^2 (y + 2)
+])
+def test_classify_f4_root_count_names_the_stratum(monkeypatch, lam, member):
+    # with the membership test bypassed, a cubic with a double root is
+    # still caught, by its root count
+    assert discriminant_membership(F4P, lam) is member
+    mod = importlib.import_module("discatlas.classify")
+    monkeypatch.setattr(mod, "discriminant_membership",
+                        lambda sc, lam: Membership.NON_SINGULAR)
+    with pytest.raises(DiscriminantParameter) as err:
+        classify_f4(F4P, lam)
+    assert err.value.membership is member

@@ -193,6 +193,24 @@ def test_render_slice_writes_file(tmp_path, capsys):
     assert "slice" in path and path.endswith(".svg")
 
 
+@pytest.mark.parametrize("argv", [
+    ["render", "F4+", "--axes", "b,d", "--slice", "a=0.5,c=0"],
+    ["atlas", "B+2", "--samples", "-1"],
+    ["atlas", "B+2", "--den", "0"],
+    ["render", "B+2", "0", "-1", "--box", "2", "--px", "8"],
+    ["render", "F4+", "--axes", "b,d", "--slice", "a=0,c=0",
+     "--box", "3", "--samples", "10"],
+    ["render", "F4+", "--axes", "b,d", "--slice", "a=0,c=0,z=1"],
+], ids=["slice-float", "samples", "den", "px", "slice-samples",
+        "slice-name"])
+def test_bad_input_is_usage_error(tmp_path, capsys, argv):
+    out_path = tmp_path / "out"
+    code, out, err = invoke(capsys, *argv, "--out", str(out_path))
+    assert code == 1
+    assert out == "" and "usage:" in err
+    assert not out_path.exists()
+
+
 def test_render_bad_axes_domain_error(capsys):
     code, out, _ = invoke(capsys, "render", "F4+", "--axes", "b,d",
                           "--slice", "a=0")

@@ -14,7 +14,7 @@ import pytest
 from discatlas.exactpoly import (
     MultiPoly,
     UniPoly,
-    eval_poly,
+    discriminant,
     gcd_uni,
     poly_from_roots,
 )
@@ -31,9 +31,11 @@ from discatlas.models import (
     f4_seed_oval_side,
     f4_sigma0_eliminant,
     f4_sigma1_polynomial,
+    stratum_values,
     table1_metadata,
     xi0_point,
 )
+from elimination_oracle import derivative, derive_sigma0_eliminant, substitute
 
 F = Fraction
 
@@ -193,6 +195,27 @@ def test_eliminant_frozen_text():
     assert f4_sigma1_polynomial().text() == "4*b^3 + 27*d^2"
 
 
+def test_eliminant_closed_form_matches_resultant_derivation():
+    # the closed form -disc_y(g)/16 against the resultant of the
+    # critical-point system, made primitive and squarefree
+    assert derive_sigma0_eliminant() == f4_sigma0_eliminant()
+
+
+def test_stratum_values_f4_is_cubic_discriminant():
+    # Delta_0 = -disc(g)/16 pointwise, taken at the reduced parameter
+    # for the minus class; Sigma_1 is -disc(P)
+    rng = random.Random(71)
+    for _ in range(40):
+        lam = Parameter.of(*[F(rng.randint(-9, 9), rng.randint(1, 4))
+                             for _ in range(4)])
+        a, b, c, d = lam
+        g = UniPoly("y", [a * a - 4 * d, 2 * a * c - 4 * b, c * c, -4])
+        P = boundary_polynomial(F4P, lam)
+        assert stratum_values(F4P, lam) == (-discriminant(g) / 16,
+                                            -discriminant(P))
+        assert stratum_values(F4M, lam) == stratum_values(F4P, f4_reduce(lam))
+
+
 def test_eliminant_quasi_homogeneous_weight_12():
     # weights a:3 b:4 c:1 d:6; every term has total weight 12
     E = f4_sigma0_eliminant()
@@ -203,7 +226,7 @@ def test_eliminant_quasi_homogeneous_weight_12():
 
 def test_eliminant_nonzero_away_from_sigma0():
     # f = x^2 + y^3 + 1: unique critical point (0,0), value 1
-    assert eval_poly(f4_sigma0_eliminant(), (0, 0, 0, 1)) != 0
+    assert f4_sigma0_eliminant().eval((0, 0, 0, 1)) != 0
 
 
 def test_constructed_critical_point_annihilates_eliminant():
@@ -220,8 +243,8 @@ def test_constructed_critical_point_annihilates_eliminant():
         assert E.eval((a, b, c, d)) == 0
         f = deformation_polynomial(F4P, Parameter.of(a, b, c, d))
         assert f.eval((x0, y0)) == 0
-        assert f.derivative("x").eval((x0, y0)) == 0
-        assert f.derivative("y").eval((x0, y0)) == 0
+        assert derivative(f, "x").eval((x0, y0)) == 0
+        assert derivative(f, "y").eval((x0, y0)) == 0
 
 
 def test_slice_parametrization_lands_in_sigma0():
@@ -241,8 +264,8 @@ def test_slice_parametrization_lands_in_sigma0():
 def test_membership_f4_examples():
     # (0,-3,0,2): 27*4 + 4*(-27) = 0, and the eliminant vanishes too
     lam = Parameter.of(0, -3, 0, 2)
-    assert eval_poly(f4_sigma1_polynomial(), tuple(lam)) == 0
-    assert eval_poly(f4_sigma0_eliminant(), tuple(lam)) == 0
+    assert f4_sigma1_polynomial().eval(tuple(lam)) == 0
+    assert f4_sigma0_eliminant().eval(tuple(lam)) == 0
     assert discriminant_membership(F4P, lam) is Membership.BOTH
     # Xi_0 point with y0=1, c=1
     lam = xi0_point(1, 1)
@@ -263,7 +286,7 @@ def test_f4_sign_reduction_identity():
         fm = deformation_polynomial(F4M, lam)
         fp = deformation_polynomial(F4P, f4_reduce(lam))
         # substitute y -> -y in fm, then negate
-        fm_flip = fm.substitute("y", -y)
+        fm_flip = substitute(fm, "y", -y)
         assert -fm_flip == fp
 
 
@@ -289,7 +312,7 @@ def test_xi0_point_examples():
     assert xi0_point(1, 1).values == (F(-1), F(-3), F(1), F(2))
     lam = xi0_point(1, 0)
     assert lam.values == (F(0), F(-3), F(0), F(2))
-    assert eval_poly(f4_sigma1_polynomial(), tuple(lam)) == 0
+    assert f4_sigma1_polynomial().eval(tuple(lam)) == 0
     assert xi0_point(0, 5).values == (F(0), F(0), F(5), F(0))
 
 
@@ -301,8 +324,8 @@ def test_xi0_critical_point_identities():
         lam = xi0_point(y0, c)
         f = deformation_polynomial(F4P, lam)
         assert f.eval((0, y0)) == 0
-        assert f.derivative("x").eval((0, y0)) == 0
-        assert f.derivative("y").eval((0, y0)) == 0
+        assert derivative(f, "x").eval((0, y0)) == 0
+        assert derivative(f, "y").eval((0, y0)) == 0
         # boundary cubic factors as (y - y0)^2 (y + 2 y0)
         h = boundary_polynomial(F4P, lam)
         assert h == poly_from_roots("y", [y0, y0, -2 * y0])
