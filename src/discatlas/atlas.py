@@ -8,17 +8,24 @@ produces machine-checkable connectivity proofs between parameters.
 
 A path certificate is a polyline of rational waypoints together with,
 for every segment, the segment restriction of the product of the
-discriminant-defining polynomials and a Sturm count showing it has no
-root on the closed unit interval.  Since the two strata are exactly
-the zero sets of those polynomials, a zero count proves the segment
-stays off the discriminant; the certificate can be replayed by any
-exact root counter.
+discriminant-defining polynomials and an exact count showing it has no
+root on the closed unit interval.  The count is ``sturm_count``: the
+endpoint values, then Descartes' rule of signs on the Moebius transform
+onto (0, 1), and a Sturm chain only when that rule shows a sign
+variation.  Since the two strata are exactly the zero sets of those
+polynomials, a zero count proves the segment stays off the
+discriminant; the certificate can be replayed by any exact root
+counter.  A refused segment isolates roots only where the bisection
+meets [0, 1]; the intervals there are those of whole-line isolation,
+so the restriction leaves the witness unchanged.
 
 For B and C the segment polynomial disc(h_t) * h_t(0) is obtained by
 evaluation and interpolation: the leading coefficient of h_t is the
 constant class sign, so specialising t commutes with the resultant, and
 the product has degree at most 2*mu - 1 in t, so sampling at 2*mu
-integer nodes determines the restriction exactly.
+integer nodes determines the restriction exactly.  The interpolation
+runs in integers (forward differences, falling factorials) with one
+division at the end.
 Paths between same-type parameters are constructed in root space:
 ascending real roots and complex pair constants (u, v) of the monic
 factorisation are moved linearly onto those of the integer-rooted
@@ -42,6 +49,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial, lcm
 from typing import Callable, Sequence
 
 from .classify import (
@@ -278,18 +286,33 @@ def _lerp(a: Parameter, b: Parameter, t: Fraction) -> Parameter:
     return Parameter(tuple((1 - t) * x + t * y for x, y in zip(a, b)))
 
 
-def _interpolate(nodes: Sequence[Fraction], values: Sequence[Fraction]
-                 ) -> UniPoly:
-    """Newton interpolation through (nodes[i], values[i])."""
-    n = len(nodes)
-    coef = list(values)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (nodes[i] - nodes[i - j])
-    poly = UniPoly("t", [])
-    for i in range(n - 1, -1, -1):
-        poly = poly * UniPoly("t", [-nodes[i], 1]) + UniPoly("t", [coef[i]])
-    return poly
+def _interpolate(values: Sequence[Fraction]) -> UniPoly:
+    """Interpolant through (k, values[k]) for k = 0, 1, ..., n - 1.
+
+    Newton's forward form sum_j (Delta^j y_0 / j!) * t(t-1)...(t-j+1)
+    in integers: the values share one cleared denominator, the forward
+    differences and the falling-factorial Horner steps stay in int, and
+    the single division by (n-1)! times that denominator comes last.
+    """
+    n = len(values)
+    den = lcm(*(v.denominator for v in values))
+    ys = [v.numerator * (den // v.denominator) for v in values]
+    diffs = []
+    for _ in range(n):
+        diffs.append(ys[0])
+        ys = [b - a for a, b in zip(ys, ys[1:])]
+    # scale Delta^j y_0 by (n-1)!/j! so every Horner coefficient is integral
+    fact = factorial(n - 1)
+    acc = [diffs[-1]]
+    for j in range(n - 2, -1, -1):
+        # acc <- acc * (t - j) + diffs[j] * (n-1)!/j!
+        shifted = [0] + acc
+        for i, c in enumerate(acc):
+            shifted[i] -= j * c
+        shifted[0] += diffs[j] * (fact // factorial(j))
+        acc = shifted
+    scale = fact * den
+    return UniPoly("t", [Fraction(c, scale) for c in acc])
 
 
 def _bc_segment_polynomial(sc: SingularityClass, a: Parameter, b: Parameter
@@ -297,12 +320,11 @@ def _bc_segment_polynomial(sc: SingularityClass, a: Parameter, b: Parameter
     # deg_t disc(h_t) <= 2*mu - 2 over a linear segment, plus one for h_t(0);
     # the leading coefficient of h_t is constant, so pointwise evaluation of
     # the resultant agrees with the symbolic restriction
-    nodes = [Fraction(k) for k in range(2 * sc.mu)]
     vals = []
-    for t in nodes:
-        s0, s1 = stratum_values(sc, _lerp(a, b, t))
+    for t in range(2 * sc.mu):
+        s0, s1 = stratum_values(sc, _lerp(a, b, Fraction(t)))
         vals.append(s0 * s1)
-    return _interpolate(nodes, vals)
+    return _interpolate(vals)
 
 
 def _f4_segment_polynomial(sc: SingularityClass, a: Parameter, b: Parameter
@@ -344,7 +366,7 @@ def certify_segment(sc: SingularityClass, start, end
         return PathCertificate(
             sc.label(), (start, end),
             (SegmentProof(start, end, poly, 0),))
-    for iv in isolate_real_roots(poly, Fraction(1, 128)):
+    for iv in isolate_real_roots(poly, Fraction(1, 128), unit):
         witness = _root_in_closed_unit(poly, iv)
         if witness is not None:
             return SegmentFailure(start, end, poly, witness)

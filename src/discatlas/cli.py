@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .atlas import (
@@ -41,9 +42,11 @@ from .models import (
     table1_metadata,
 )
 from .render import (
+    SLICE_VIEWPORT,
     BadAxes,
     EmptyViewport,
     Viewport,
+    default_viewport,
     write_figure,
     write_slice,
 )
@@ -261,23 +264,29 @@ def _cmd_render(pos, flags):
     box = _rat_flag(flags, "--box", 0)
     samples = _int_flag(flags, "--samples", 129)
     px = _int_flag(flags, "--px", 480)
-    vp = None
-    if box:
-        try:
-            vp = Viewport(-box, box, -box, box, width=px, height=px,
-                          samples=samples)
-        except EmptyViewport:
-            raise
-        except ValueError as e:
-            raise UsageError(str(e)) from e
     if "--axes" in flags:
         if len(pos) != 1:
             raise UsageError("slice rendering takes no parameter literals")
         axes = tuple(a.strip() for a in flags["--axes"].split(","))
         fixed = _parse_slice_assignment(sc, flags.get("--slice", ""))
-        path = write_slice(sc, fixed, axes, out_dir, vp)
+        base = SLICE_VIEWPORT
     else:
         lam = _parse_params(sc, pos[1:])
+        base = default_viewport(sc, lam)
+    vp = None
+    if box or "--px" in flags or "--samples" in flags:
+        # --px and --samples without --box apply to the default box
+        try:
+            if box:
+                base = Viewport(-box, box, -box, box)
+            vp = replace(base, width=px, height=px, samples=samples)
+        except EmptyViewport:
+            raise
+        except ValueError as e:
+            raise UsageError(str(e)) from e
+    if "--axes" in flags:
+        path = write_slice(sc, fixed, axes, out_dir, vp)
+    else:
         path = write_figure(sc, lam, out_dir, vp)
     _emit({"written": str(path)})
     return 0

@@ -17,12 +17,19 @@ Two polynomial carriers:
     terms keyed by exponent tuples.  Stored terms have nonzero
     coefficients.
 
-Real root machinery is Sturm-based.  Chains are computed over the
-integers with a signed pseudo-remainder sequence, stripping integer
-content at every step so coefficient growth stays linear rather than
-exponential.  Interval endpoints may be infinite; openness flags are
-honoured exactly, and rational roots sitting on an endpoint are handled
-by exact deflation instead of epsilon nudging.
+Real root decisions are exact and integer-only.  A root count first
+divides out every rational root sitting on a finite endpoint, to its
+full multiplicity, instead of nudging by an epsilon.  On a bounded
+interval Descartes' rule of signs on the Moebius transform
+(1+x)^n p((lo + hi*x)/(1+x)), built by integer Taylor shifts, proves
+most zero counts without a chain (Vincent-Collins-Akritas).  Otherwise
+one Sturm chain of the primitive polynomial itself decides: a signed
+pseudo-remainder sequence that strips integer content at every step, so
+coefficient growth stays linear rather than exponential, and ends in
+gcd(p, p'); at non-roots its variations count distinct roots, so no
+squarefree part is formed.  Isolation bisects from the Cauchy bound with
+the same chain and skips every subtree outside a requested window.
+Interval endpoints may be infinite; openness flags are honoured exactly.
 
 ``MultiPoly`` carries only ring operations, evaluation and restriction
 to a parameter segment: every stratum of the families is the
@@ -490,6 +497,28 @@ class SquarefreeDecomposition:
     squarefree_part: UniPoly
 
 
+def _int_divide_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Quotient a / b of integer polynomials, b dividing a in Q[x].
+
+    By Gauss's lemma the quotient is integral when b is primitive, so
+    every step is an exact integer division.
+    """
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c, r = divmod(a[k + db], lb)
+        if r:
+            raise ValueError("inexact polynomial division")
+        q[k] = c
+        if c:
+            for i in range(db + 1):
+                a[k + i] -= c * b[i]
+    if any(a[:db]):
+        raise ValueError("inexact polynomial division")
+    return q
+
+
 def _squarefree_int(p: UniPoly) -> list[int]:
     """Integer coefficients of the squarefree part of p (primitive)."""
     cs, _ = p._int_coeffs()
@@ -499,19 +528,7 @@ def _squarefree_int(p: UniPoly) -> list[int]:
     if len(cs) == 1:
         return [1]
     g = _int_gcd_poly(cs, _int_derivative(cs))
-    if len(g) == 1:
-        return _int_primitive(cs)
-    q = _int_divide_exact_q(cs, g)
-    return _int_primitive(q)
-
-
-def _int_divide_exact_q(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Exact quotient a/b in Q[x], returned as primitive integer list."""
-    pa = UniPoly("_t", a)
-    pb = UniPoly("_t", b)
-    q = pa.divide_exact(pb)
-    qi, _ = q._int_coeffs()
-    return qi
+    return _int_primitive(_int_divide_exact(cs, g) if len(g) > 1 else cs)
 
 
 def squarefree_decomposition(p: UniPoly) -> SquarefreeDecomposition:
@@ -528,24 +545,67 @@ def squarefree_decomposition(p: UniPoly) -> SquarefreeDecomposition:
         one = UniPoly(p.var, [1])
         return SquarefreeDecomposition(one, one)
     g = _int_gcd_poly(cs, _int_derivative(cs))
-    sf = _int_primitive(_int_divide_exact_q(cs, g))
+    sf = _int_primitive(_int_divide_exact(cs, g))
     if sf[-1] < 0:
         sf = [-c for c in sf]
     return SquarefreeDecomposition(UniPoly(p.var, g), UniPoly(p.var, sf))
 
 
-def _deflate_rational_root(cs: list[int], r: Fraction) -> list[int]:
-    """Divide out (den*x - num) once; r must be a root."""
-    p = UniPoly("_t", cs)
-    q = p.divide_exact(UniPoly("_t", [-r, 1]))
-    qi, _ = q._int_coeffs()
-    return qi
+def _deflate_root(cs: list[int], r: Fraction) -> list[int]:
+    """Divide out (den*x - num) to its full multiplicity; r must be a root."""
+    lin = [-r.numerator, r.denominator]
+    while _int_sign_at(cs, r) == 0:
+        cs = _int_divide_exact(cs, lin)
+    return cs
+
+
+def _int_taylor_shift(cs: Sequence[int], s: int) -> list[int]:
+    """Coefficients of p(x + s), by repeated synthetic division."""
+    a = list(cs)
+    n = len(a) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] += s * a[j + 1]
+    return a
+
+
+def _descartes_no_root(cs: Sequence[int], lo: Fraction, hi: Fraction) -> bool:
+    """True when Descartes' rule proves p has no root in open (lo, hi).
+
+    The Moebius transform (1+x)^n p((lo + hi*x)/(1+x)) maps the positive
+    half-line onto (lo, hi); its count of coefficient sign variations
+    bounds the number of roots there, so zero variations prove none.
+    Any other outcome decides nothing.
+
+    >>> _descartes_no_root([-1, 0, 1], Fraction(-1, 2), Fraction(1, 2))
+    True
+    """
+    n = len(cs) - 1
+    ln, ld = lo.numerator, lo.denominator
+    # ld^n p(lo + u/ld), then u = ld*(hi - lo)*y: a positive multiple of
+    # q(y) = p(lo + (hi - lo)*y), which maps [0, 1] onto [lo, hi]
+    a = [c * ld ** (n - i) for i, c in enumerate(cs)] if ld != 1 else list(cs)
+    if ln:
+        a = _int_taylor_shift(a, ln)
+    s = ld * (hi - lo)
+    sn, sd = s.numerator, s.denominator
+    if s != 1:
+        a = [c * sn ** i * sd ** (n - i) for i, c in enumerate(a)]
+    # (1+x)^n q(1/(1+x)) is the reversed q shifted by one; reversal
+    # keeps the variation count of (1+x)^n q(x/(1+x))
+    return _variations(_sign(c) for c in _int_taylor_shift(a[::-1], 1)) == 0
 
 
 def sturm_count(p: UniPoly, interval: Interval) -> int:
     """Number of distinct real roots of p in the interval.
 
     Endpoint openness is honoured exactly.  Multiple roots count once.
+    A root on a finite endpoint is counted (when closed) and divided out
+    to its full multiplicity.  On a bounded interval Descartes' rule on
+    the Moebius transform answers first; when it shows a sign variation,
+    the Sturm chain of the primitive integer polynomial decides.  That
+    chain ends in gcd(p, p') and is evaluated only at non-roots, where
+    it counts distinct roots.
 
     >>> p = poly_from_roots("x", [0, 1, 1, 2])
     >>> sturm_count(p, Interval.closed(0, 2))
@@ -554,46 +614,35 @@ def sturm_count(p: UniPoly, interval: Interval) -> int:
     1
     >>> sturm_count(p, Interval.real_line())
     3
+    >>> sturm_count(p, Interval.closed(Fraction(1, 4), Fraction(3, 4)))  # Descartes
+    0
     """
     if p.is_zero():
         raise ZeroPolynomial("root counting on the zero polynomial")
-    if p.degree() == 0:
+    cs, _ = p._int_coeffs()
+    if len(cs) == 1:
         return 0
-    sf = _squarefree_int(p)
-    if len(sf) == 1:
-        return 0
+    lo, hi = interval.lo, interval.hi
     if interval.is_point():
-        return 1 if _int_sign_at(sf, interval.lo) == 0 else 0
-
-    count = _open_count_int(sf, interval.lo, interval.hi)
-    if interval.lo is not None and not interval.lo_open:
-        if _int_sign_at(sf, interval.lo) == 0:
-            count += 1
-    if interval.hi is not None and not interval.hi_open:
-        if _int_sign_at(sf, interval.hi) == 0:
-            count += 1
-    return count
-
-
-def _open_count_int(sf: list[int], lo: Fraction | None,
-                    hi: Fraction | None) -> int:
-    """Distinct roots of the squarefree integer polynomial in open (lo, hi)."""
-    # deflate rational roots sitting exactly on a finite endpoint so the
-    # Sturm difference below is evaluated at non-roots
-    if lo is not None and _int_sign_at(sf, lo) == 0:
-        sf = _deflate_rational_root(sf, lo)
-    if hi is not None and len(sf) > 1 and _int_sign_at(sf, hi) == 0:
-        sf = _deflate_rational_root(sf, hi)
-    if len(sf) <= 1:
-        return 0
-    chain = _sturm_chain_int(sf)
+        return 1 if _int_sign_at(cs, lo) == 0 else 0
+    count = 0
+    if lo is not None and _int_sign_at(cs, lo) == 0:
+        count += 0 if interval.lo_open else 1
+        cs = _deflate_root(cs, lo)
+    if hi is not None and _int_sign_at(cs, hi) == 0:
+        count += 0 if interval.hi_open else 1
+        cs = _deflate_root(cs, hi)
+    if len(cs) == 1:
+        return count
+    if lo is not None and hi is not None and _descartes_no_root(cs, lo, hi):
+        return count
+    chain = _sturm_chain_int(cs)
     va = (_chain_variations_inf(chain, False) if lo is None
           else _chain_variations(chain, lo))
     vb = (_chain_variations_inf(chain, True) if hi is None
           else _chain_variations(chain, hi))
-    n = va - vb
     # the difference counts roots in (lo, hi]; hi is not a root here
-    return n
+    return count + va - vb
 
 
 def root_signature(p: UniPoly) -> RootSignature:
@@ -621,7 +670,23 @@ def _cauchy_bound(cs: Sequence[int]) -> Fraction:
     return Fraction(m, lead) + 1
 
 
-def isolate_real_roots(p: UniPoly, max_width: RationalLike = Fraction(1, 16)
+def _meets(window: Interval, lo: Fraction, hi: Fraction) -> bool:
+    """Whether the open interval (lo, hi) meets the window."""
+    return ((window.lo is None or hi > window.lo)
+            and (window.hi is None or lo < window.hi))
+
+
+def _contains(window: Interval, x: Fraction) -> bool:
+    """Whether the point x lies in the window."""
+    if window.lo is not None and (x < window.lo
+                                  or (x == window.lo and window.lo_open)):
+        return False
+    return window.hi is None or x < window.hi or (
+        x == window.hi and not window.hi_open)
+
+
+def isolate_real_roots(p: UniPoly, max_width: RationalLike = Fraction(1, 16),
+                       interval: Interval = Interval.real_line()
                        ) -> list[Interval]:
     """Disjoint isolating intervals for the distinct real roots of p.
 
@@ -630,8 +695,16 @@ def isolate_real_roots(p: UniPoly, max_width: RationalLike = Fraction(1, 16)
     by an endpoint sign change.  A rational root found exactly is
     reported as a point interval.
 
+    Bisection starts from the Cauchy bound of the squarefree part and
+    skips every subtree that misses ``interval``, so the result is
+    exactly the whole-line result restricted to the intervals that meet
+    ``interval``.
+
     >>> [iv.text() for iv in isolate_real_roots(UniPoly("x", [-2, 0, 1]), 1)]
     ['(-3/2, -3/4)', '(3/4, 3/2)']
+    >>> [iv.text() for iv in isolate_real_roots(
+    ...     UniPoly("x", [-2, 0, 1]), 1, Interval.closed(0, 1))]
+    ['(3/4, 3/2)']
     >>> isolate_real_roots(UniPoly("x", [0, 0, 1]))[0].text()
     '[0, 0]'
     """
@@ -640,45 +713,42 @@ def isolate_real_roots(p: UniPoly, max_width: RationalLike = Fraction(1, 16)
         raise ValueError("max_width must be positive")
     if p.is_zero():
         raise ZeroPolynomial("isolating roots of the zero polynomial")
-    sf = _squarefree_int(p)
-    if len(sf) <= 1:
+    cs, _ = p._int_coeffs()
+    if len(cs) <= 1:
         return []
     out: list[Interval] = []
 
-    def split(sf: list[int], chain: list[list[int]],
-              lo: Fraction, hi: Fraction, n: int) -> None:
-        # n roots strictly inside (lo, hi); lo and hi are non-roots of sf
-        if n == 0:
+    def split(cs: list[int], chain: list[list[int]], lo: Fraction,
+              hi: Fraction, vlo: int, vhi: int) -> None:
+        # lo and hi are non-roots of cs, with chain variations vlo, vhi
+        n = vlo - vhi
+        if n == 0 or not _meets(interval, lo, hi):
             return
         if n == 1 and hi - lo <= max_width:
             out.append(Interval.open(lo, hi))
             return
         mid = (lo + hi) / 2
-        if _int_sign_at(sf, mid) == 0:
+        if _int_sign_at(cs, mid) == 0:
             # rational root hit exactly: emit it, deflate, recurse with a
             # fresh chain so the endpoint invariant is restored
-            out.append(Interval.point(mid))
-            sf2 = _deflate_rational_root(sf, mid)
-            if len(sf2) <= 1:
+            if _contains(interval, mid):
+                out.append(Interval.point(mid))
+            cs = _deflate_root(cs, mid)
+            if len(cs) <= 1:
                 return
-            chain2 = _sturm_chain_int(sf2)
-            left = (_chain_variations(chain2, lo)
-                    - _chain_variations(chain2, mid))
-            split(sf2, chain2, lo, mid, left)
-            split(sf2, chain2, mid, hi, n - 1 - left)
-        else:
-            left = (_chain_variations(chain, lo)
-                    - _chain_variations(chain, mid))
-            split(sf, chain, lo, mid, left)
-            split(sf, chain, mid, hi, n - left)
+            chain = _sturm_chain_int(cs)
+            vlo, vhi = _chain_variations(chain, lo), _chain_variations(chain, hi)
+        vmid = _chain_variations(chain, mid)
+        split(cs, chain, lo, mid, vlo, vmid)
+        split(cs, chain, mid, hi, vmid, vhi)
 
-    chain = _sturm_chain_int(sf)
-    total = (_chain_variations_inf(chain, False)
-             - _chain_variations_inf(chain, True))
-    bound = _cauchy_bound(sf)
-    lo, hi = -bound, bound
-    # cauchy bound is strict, so the endpoints are never roots
-    split(sf, chain, lo, hi, total)
+    chain = _sturm_chain_int(cs)
+    g = chain[-1]
+    bound = _cauchy_bound(chain[0] if len(g) == 1
+                          else _int_divide_exact(chain[0], g))
+    # the Cauchy bound is strict, so -bound and bound are never roots
+    split(chain[0], chain, -bound, bound, _chain_variations(chain, -bound),
+          _chain_variations(chain, bound))
     out.sort(key=lambda iv: (iv.lo, iv.hi))
     return out
 

@@ -80,6 +80,10 @@ class Viewport:
         return (float(fx) * self.width, float(fy) * self.height)
 
 
+# parameter slices default to this box in both swept parameters
+SLICE_VIEWPORT = Viewport(-3, 3, -3, 3)
+
+
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
@@ -430,7 +434,7 @@ def render_parameter_slice(sc: SingularityClass, fixed: dict, axes,
     if sorted(fixed) != rest:
         raise BadAxes(f"fixed assignment must cover exactly {rest}")
     fixed = {k: Fraction(v) for k, v in fixed.items()}
-    vp = vp or Viewport(-3, 3, -3, 3)
+    vp = vp or SLICE_VIEWPORT
     xs, ys = vp.xs(), vp.ys()
     grid0, grid1 = [], []
     for yv in ys:

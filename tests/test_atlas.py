@@ -2,8 +2,9 @@
 
 Certificates are the load-bearing artifact: a segment proof is the
 restricted product of the stratum polynomials together with a zero
-Sturm count on the closed unit interval, so every claim here reduces
-to integer arithmetic that the kernel tests already pin down.
+root count (Descartes, else Sturm) on the closed unit interval, so
+every claim here reduces to integer arithmetic that the kernel tests
+already pin down.
 """
 
 import importlib
@@ -128,6 +129,31 @@ def test_certify_segment_rejects_discriminant_endpoint():
         certify_segment(B2, (0, -1), (0, 0))
 
 
+def newton_interpolate(nodes, values) -> UniPoly:
+    """Newton divided-difference interpolation in Fraction arithmetic.
+
+    The oracle for atlas._interpolate, which works in integers on the
+    nodes 0, 1, ..., n - 1.
+    """
+    n = len(nodes)
+    coef = list(values)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (nodes[i] - nodes[i - j])
+    poly = UniPoly("t", [])
+    for i in range(n - 1, -1, -1):
+        poly = poly * UniPoly("t", [-nodes[i], 1]) + UniPoly("t", [coef[i]])
+    return poly
+
+
+def test_integer_interpolation_matches_newton():
+    rng = random.Random(23)
+    for n in range(1, 16):
+        vals = [F(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(n)]
+        assert atlas_mod._interpolate(vals) \
+            == newton_interpolate([F(k) for k in range(n)], vals)
+
+
 def test_bc_segment_polynomial_degree_bound():
     # 2*mu nodes suffice: interpolating disc(h_t) * h_t(0) at one node
     # more gives the same polynomial on random segments up to mu = 7
@@ -143,7 +169,7 @@ def test_bc_segment_polynomial_degree_bound():
                 h = boundary_polynomial(sc, atlas_mod._lerp(a, b, t))
                 vals.append(discriminant(h) * h.constant_term())
             assert atlas_mod._bc_segment_polynomial(sc, a, b) \
-                == atlas_mod._interpolate(nodes, vals)
+                == newton_interpolate(nodes, vals)
 
 
 def test_certify_segment_unisolated_crossing_is_inconclusive(monkeypatch):

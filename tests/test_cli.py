@@ -1,14 +1,16 @@
 """Command-line surface: JSON payloads, exit codes, file emission.
 
-Everything runs in-process through run() except one subprocess smoke
-test of the installed console script.
+Everything runs in-process through run() except the subprocess tests
+of ``python -m discatlas`` and of the installed console script.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +112,21 @@ def test_certify_segment_failure_witness(capsys):
     assert lo <= Fraction(1, 2) <= hi
 
 
+# full certify --segment output of the known-defect pair (its witness is
+# the exact root t = 0) and of one refused cross-type segment each for
+# B, C and F4-, recorded before the root decisions were reworked
+SEGMENT_PINS = json.loads(
+    (Path(__file__).parent / "certify_segment_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pin", SEGMENT_PINS,
+                         ids=[p["argv"].split()[1] for p in SEGMENT_PINS])
+def test_certify_segment_output_pinned(capsys, pin):
+    code, out, err = invoke(capsys, *pin["argv"].split())
+    assert code == 0 and err == ""
+    assert out == pin["stdout"]
+
+
 def test_certify_path_type_mismatch_domain_error(capsys):
     code, out, _ = invoke(capsys, "certify", "B+2", "0", "-1", "0", "1")
     assert code == 2
@@ -185,6 +202,19 @@ def test_render_zero_set_writes_file(tmp_path, capsys):
     assert text.startswith("<svg") and 'stroke-dasharray="4,3"' in text
 
 
+def test_render_px_without_box_resizes_default_viewport(tmp_path, capsys):
+    code, out, _ = invoke(capsys, "render", "B+2", "0", "-1", "--px", "64",
+                          "--out", str(tmp_path / "px"))
+    assert code == 0
+    text = open(json.loads(out)["written"]).read()
+    assert 'width="64" height="64"' in text.split("\n")[0]
+    # the default box of this parameter has radius 2 + max |lambda_i| = 3
+    code, out, _ = invoke(capsys, "render", "B+2", "0", "-1", "--px", "64",
+                          "--box", "3", "--out", str(tmp_path / "box"))
+    assert code == 0
+    assert open(json.loads(out)["written"]).read() == text
+
+
 def test_render_slice_writes_file(tmp_path, capsys):
     code, out, _ = invoke(capsys, "render", "F4+", "--axes", "b,d",
                           "--slice", "a=0,c=0", "--out", str(tmp_path))
@@ -198,11 +228,14 @@ def test_render_slice_writes_file(tmp_path, capsys):
     ["atlas", "B+2", "--samples", "-1"],
     ["atlas", "B+2", "--den", "0"],
     ["render", "B+2", "0", "-1", "--box", "2", "--px", "8"],
+    ["render", "B+2", "0", "-1", "--px", "8"],
+    ["render", "F4+", "--axes", "b,d", "--slice", "a=0,c=0",
+     "--samples", "10"],
     ["render", "F4+", "--axes", "b,d", "--slice", "a=0,c=0",
      "--box", "3", "--samples", "10"],
     ["render", "F4+", "--axes", "b,d", "--slice", "a=0,c=0,z=1"],
-], ids=["slice-float", "samples", "den", "px", "slice-samples",
-        "slice-name"])
+], ids=["slice-float", "samples", "den", "px", "px-no-box",
+        "slice-samples-no-box", "slice-samples", "slice-name"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     out_path = tmp_path / "out"
     code, out, err = invoke(capsys, *argv, "--out", str(out_path))
@@ -249,6 +282,26 @@ def test_negative_rationals_not_swallowed_as_flags(capsys):
     code, out, _ = invoke(capsys, "classify", "B+2", "-1/2", "-1")
     assert code == 0
     assert json.loads(out)["membership"] == "NonSingular"
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("argv,code,stdout", [
+    (["classify", "B+2", "0", "-1"], 0,
+     '{"membership":"NonSingular","type":{"p":1,"q":1}}\n'),
+    (["certify", "F4+", "1", "1", "0", "0", "2", "1", "0", "1",
+      "--budget", "0"], 3,
+     '{"certified":false,"inconclusive":true,'
+     '"reason":"budget of 0 segments exhausted"}\n'),
+], ids=["classify", "inconclusive"])
+def test_python_m_discatlas(argv, code, stdout):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    r = subprocess.run([sys.executable, "-m", "discatlas", *argv],
+                       capture_output=True, text=True, env=env, timeout=120)
+    assert (r.returncode, r.stdout, r.stderr) == (code, stdout, "")
 
 
 def test_console_script_smoke():

@@ -367,6 +367,87 @@ def test_isolation_count_and_membership(pr):
         assert sturm_count(p, closed) == 1
 
 
+# roots at 0 and 1, at the bisection midpoints 0, +-B/2, ... of small
+# Cauchy bounds B, and at a few other rationals
+root_pool = st.sampled_from([F(0), F(1), F(1, 2), F(-1), F(2), F(3, 2),
+                             F(1, 4), F(3, 4), F(-1, 2), F(1, 3)])
+root_value = root_pool | st.fractions(min_value=-4, max_value=4,
+                                      max_denominator=6)
+
+
+@st.composite
+def rooted_poly(draw):
+    """lead * prod (x - r)^m * prod (x^2 + c) with c > 0, degree <= 12.
+
+    Returns the polynomial and its distinct real roots, known without
+    any root counting.
+    """
+    roots = draw(st.lists(root_value, min_size=0, max_size=5))
+    mults = [draw(st.integers(min_value=1, max_value=3)) for _ in roots]
+    cs = draw(st.lists(st.fractions(min_value=F(1, 8), max_value=4,
+                                    max_denominator=8), max_size=2))
+    lead = draw(st.sampled_from([F(1), F(-1), F(2, 3), F(-5)]))
+    p = UniPoly("x", [lead])
+    for r, m in zip(roots, mults):
+        for _ in range(m):
+            if p.degree() < 10:
+                p = p * UniPoly("x", [-r, 1])
+    for c in cs:
+        p = p * UniPoly("x", [c, 0, 1])
+    distinct = sorted({r for r in roots if p(r) == 0})
+    return p, distinct
+
+
+endpoint = st.none() | root_value
+
+
+@settings(max_examples=200, deadline=None)
+@given(rooted_poly(), endpoint, endpoint, st.booleans(), st.booleans())
+def test_sturm_count_matches_known_roots(pr, lo, hi, lo_open, hi_open):
+    # bounded, half-open and unbounded intervals; the endpoints are often
+    # roots themselves, sometimes multiple ones
+    p, distinct = pr
+    if lo is not None and hi is not None:
+        if lo > hi:
+            lo, hi = hi, lo
+        if lo == hi:
+            lo_open = hi_open = False
+    iv = Interval(lo, hi, lo_open, hi_open)
+
+    def inside(r):
+        above = lo is None or r > lo or (r == lo and not iv.lo_open)
+        below = hi is None or r < hi or (r == hi and not iv.hi_open)
+        return above and below
+
+    assert sturm_count(p, iv) == sum(1 for r in distinct if inside(r))
+
+
+WINDOWS = [Interval.closed(0, 1), Interval.open(0, 1),
+           Interval.closed(F(-1, 2), F(3, 2)), Interval(None, F(0), True, False),
+           Interval.point(1)]
+
+
+def _meets(iv: Interval, w: Interval) -> bool:
+    if iv.is_point():
+        x = iv.lo
+        return ((w.lo is None or x > w.lo or (x == w.lo and not w.lo_open))
+                and (w.hi is None or x < w.hi or (x == w.hi and not w.hi_open)))
+    # open (lo, hi) meets w iff the open overlap of the two spans is nonempty
+    lo = iv.lo if w.lo is None else max(iv.lo, w.lo)
+    hi = iv.hi if w.hi is None else min(iv.hi, w.hi)
+    return lo < hi or (w.is_point() and iv.lo < w.lo < iv.hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rooted_poly(), st.sampled_from([F(1, 128), F(1, 16), F(1, 3), F(2)]),
+       st.sampled_from(WINDOWS))
+def test_isolation_window_only_filters(pr, width, window):
+    p, _ = pr
+    whole = isolate_real_roots(p, width)
+    assert isolate_real_roots(p, width, window) \
+        == [iv for iv in whole if _meets(iv, window)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(small_int, min_size=1, max_size=4),
        st.lists(small_int, min_size=1, max_size=4))
