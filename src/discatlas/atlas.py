@@ -19,22 +19,27 @@ counter.  A refused segment isolates roots only where the bisection
 meets [0, 1]; the intervals there are those of whole-line isolation,
 so the restriction leaves the witness unchanged.
 
-For B and C the segment polynomial disc(h_t) * h_t(0) is obtained by
-evaluation and interpolation: the leading coefficient of h_t is the
-constant class sign, so specialising t commutes with the resultant, and
-the product has degree at most 2*mu - 1 in t, so sampling at 2*mu
-integer nodes determines the restriction exactly.  The interpolation
-runs in integers (forward differences, falling factorials) with one
-division at the end.
-Paths between same-type parameters are constructed in root space:
-ascending real roots and complex pair constants (u, v) of the monic
-factorisation are moved linearly onto those of the integer-rooted
-representative.  Sorted-to-sorted linear interpolation preserves order
-and signs, and a linear pair path keeps u^2 - 4*v < 0 by convexity, so
-the exact path avoids the discriminant; the polyline approximates it
-with denominator-bounded waypoints and every segment is then certified
-independently (the float root finder only ever proposes, never
-decides).
+For every family the segment polynomial is the product Sigma0 * Sigma1
+of ``stratum_values``, evaluated at degree + 1 integer nodes of the
+segment line and interpolated.  The degree bound is 2*mu - 1 for B and
+C (the leading coefficient of h_t is the constant class sign, so
+specialising t commutes with the resultant) and 10 for F4 (Delta_0 has
+total degree 7 and Sigma_1 degree 3; the minus-class reduction is
+linear), so the nodes determine the restriction exactly.  The
+interpolation runs in integers (forward differences, falling
+factorials) with one division at the end.
+
+Paths between same-type parameters of B and C are constructed in root
+space from exact data: the real roots of h are isolated and rounded to
+dyadic rationals, and the cofactor ``rest`` of h by the monic
+polynomial with those roots must have no real root.  The reals move
+linearly onto those of the integer-rooted representative, and the
+cofactor moves along (1-t)*rest + t*lead*prod(x^2 + m).  Sorted-to-sorted
+linear interpolation preserves order and signs, and both ends of the
+cofactor path are definite with the sign of lead, so every convex
+combination is too: the exact path avoids the discriminant.  The
+polyline approximates it with denominator-bounded waypoints, and every
+segment is then certified independently.
 
 For F4 the component geometry is thick, so a straight segment is tried
 first, then recursive midpoint subdivision with seeded rational
@@ -69,8 +74,8 @@ from .exactpoly import (
     Interval,
     UniPoly,
     isolate_real_roots,
+    poly_from_roots,
     refine_root,
-    restrict_to_segment,
     sturm_count,
 )
 from .models import (
@@ -82,8 +87,6 @@ from .models import (
     discriminant_membership,
     f4_reduce,
     f4_seed_oval_side,
-    f4_sigma0_eliminant,
-    f4_sigma1_polynomial,
     stratum_values,
 )
 
@@ -315,25 +318,19 @@ def _interpolate(values: Sequence[Fraction]) -> UniPoly:
     return UniPoly("t", [Fraction(c, scale) for c in acc])
 
 
-def _bc_segment_polynomial(sc: SingularityClass, a: Parameter, b: Parameter
-                           ) -> UniPoly:
-    # deg_t disc(h_t) <= 2*mu - 2 over a linear segment, plus one for h_t(0);
-    # the leading coefficient of h_t is constant, so pointwise evaluation of
-    # the resultant agrees with the symbolic restriction
+def _segment_polynomial(sc: SingularityClass, a: Parameter, b: Parameter
+                        ) -> UniPoly:
+    # Sigma0 * Sigma1 along the segment has degree at most 2*mu - 1 for B/C
+    # (deg_t disc(h_t) <= 2*mu - 2 because the leading coefficient of h_t is
+    # constant, so pointwise evaluation of the resultant agrees with the
+    # symbolic restriction, plus one for h_t(0)) and at most 7 + 3 = 10 for
+    # F4 (the total degrees of Delta_0 and Sigma_1; f4_reduce is linear)
+    degree = 10 if sc.family == "F4" else 2 * sc.mu - 1
     vals = []
-    for t in range(2 * sc.mu):
+    for t in range(degree + 1):
         s0, s1 = stratum_values(sc, _lerp(a, b, Fraction(t)))
         vals.append(s0 * s1)
     return _interpolate(vals)
-
-
-def _f4_segment_polynomial(sc: SingularityClass, a: Parameter, b: Parameter
-                           ) -> UniPoly:
-    ra = f4_reduce(a) if sc.sign < 0 else a
-    rb = f4_reduce(b) if sc.sign < 0 else b
-    s0 = restrict_to_segment(f4_sigma0_eliminant(), tuple(ra), tuple(rb))
-    s1 = restrict_to_segment(f4_sigma1_polynomial(), tuple(ra), tuple(rb))
-    return s0 * s1
 
 
 def certify_segment(sc: SingularityClass, start, end
@@ -356,10 +353,7 @@ def certify_segment(sc: SingularityClass, start, end
         if m is not Membership.NON_SINGULAR:
             raise DiscriminantEndpoint(
                 f"segment endpoint lies on {m.value}")
-    if sc.family == "F4":
-        poly = _f4_segment_polynomial(sc, start, end)
-    else:
-        poly = _bc_segment_polynomial(sc, start, end)
+    poly = _segment_polynomial(sc, start, end)
     unit = Interval.closed(0, 1)
     n = sturm_count(poly, unit)
     if n == 0:
@@ -391,69 +385,45 @@ def _root_in_closed_unit(poly: UniPoly, iv: Interval) -> Interval | None:
 # root-space path construction for B and C
 
 
-def _bc_float_root_data(h: UniPoly, sig: BCSignature, dps: int, bits: int):
-    """Rounded root data of h: ascending reals and complex pair constants.
+def _bc_root_data(h: UniPoly, sig: BCSignature, bits: int):
+    """Dyadic real roots of h and the cofactor that carries no real root.
 
-    Proposals only; every downstream decision is re-certified exactly.
-    Returns None when the rounded data fails its sanity checks, in
-    which case the caller retries at higher precision.
+    The reals are the midpoints of isolating intervals of width 2^-bits,
+    rounded to 2^-bits; the cofactor is the quotient of h by the monic
+    polynomial with those roots.  Returns None when the rounded roots
+    lose their order or signs, or the cofactor has a real root, in
+    which case the caller retries with more bits.
     """
-    from mpmath import mp, polyroots
-
-    p, q = sig.p, sig.q
-    mu = h.degree()
-    s = (mu - p - q) // 2
-    with mp.workdps(dps):
-        cs = [mp.mpf(c.numerator) / mp.mpf(c.denominator)
-              for c in reversed(h.coeffs)]
-        try:
-            roots = polyroots(cs, maxsteps=200, extraprec=120)
-        except Exception:
-            return None
-        roots = sorted(roots, key=lambda z: abs(mp.im(z)))
-        real_zs = sorted(mp.re(z) for z in roots[:p + q])
-        pair_zs = [z for z in roots[p + q:] if mp.im(z) > 0]
-        if len(pair_zs) != s:
-            return None
-
-        def fr(x) -> Fraction:
-            return Fraction(int(mp.floor(x * (1 << bits) + mp.mpf("0.5"))),
-                            1 << bits)
-
-        reals = [fr(x) for x in real_zs]
-        pairs = sorted(
-            (fr(-2 * mp.re(z)), fr(mp.re(z) ** 2 + mp.im(z) ** 2))
-            for z in pair_zs)
-    if sum(1 for r in reals if r < 0) != p:
+    scale = 1 << bits
+    reals = [Fraction(round(iv.midpoint() * scale), scale)
+             for iv in isolate_real_roots(h, Fraction(1, scale))]
+    if sum(1 for r in reals if r < 0) != sig.p:
         return None
-    if sum(1 for r in reals if r > 0) != q:
+    if sum(1 for r in reals if r > 0) != sig.q:
         return None
     if any(reals[i] >= reals[i + 1] for i in range(len(reals) - 1)):
         return None
-    if any(u * u - 4 * v >= 0 for u, v in pairs):
+    rest = h.divmod(poly_from_roots(h.var, reals))[0]
+    if sturm_count(rest, Interval.real_line()) != 0:
         return None
-    return reals, pairs
+    return reals, rest
 
 
-def _bc_root_path(sc: SingularityClass, reals, pairs, sig: BCSignature,
-                  snap_bits: int | None) -> Callable[[Fraction], Parameter]:
+def _bc_root_path(sc: SingularityClass, reals, rest: UniPoly,
+                  sig: BCSignature, snap_bits: int | None
+                  ) -> Callable[[Fraction], Parameter]:
     mu = sc.mu
-    var = "x" if sc.family == "B" else "y"
-    lead = _bc_lead(sc)
+    var = rest.var
     target_reals = ([Fraction(-i) for i in range(sig.p, 0, -1)]
                     + [Fraction(j) for j in range(1, sig.q + 1)])
-    target_pairs = [(Fraction(0), Fraction(m))
-                    for m in range(1, len(pairs) + 1)]
+    target_rest = UniPoly(var, [_bc_lead(sc)])
+    for m in range(1, rest.degree() // 2 + 1):
+        target_rest = target_rest * UniPoly(var, [m, 0, 1])
 
     def lam_at(t: Fraction) -> Parameter:
-        hpoly = UniPoly(var, [lead])
-        for r0, r1 in zip(reals, target_reals):
-            r = (1 - t) * r0 + t * r1
-            hpoly = hpoly * UniPoly(var, [-r, 1])
-        for (u0, v0), (u1, v1) in zip(pairs, target_pairs):
-            u = (1 - t) * u0 + t * u1
-            v = (1 - t) * v0 + t * v1
-            hpoly = hpoly * UniPoly(var, [v, u, 1])
+        moved = [(1 - t) * r0 + t * r1 for r0, r1 in zip(reals, target_reals)]
+        hpoly = (poly_from_roots(var, moved)
+                 * (rest * (1 - t) + target_rest * t))
         cs = hpoly.coeffs
         if snap_bits is not None:
             # product denominators grow like 2^(bits*mu); quantising the
@@ -471,11 +441,11 @@ def _certify_bc_leg(sc: SingularityClass, src: Parameter, sig: BCSignature
                     ) -> tuple[list[Parameter], list[SegmentProof]]:
     """Certified polyline from src to the signature representative."""
     h = boundary_polynomial(sc, src)
-    for dps, bits, snap in ((30, 24, 32), (60, 80, None), (160, 200, None)):
-        data = _bc_float_root_data(h, sig, dps, bits)
+    for bits, snap in ((24, 32), (80, None), (200, None)):
+        data = _bc_root_data(h, sig, bits)
         if data is None:
             continue
-        lam_at = _bc_root_path(sc, data[0], data[1], sig, snap)
+        lam_at = _bc_root_path(sc, *data, sig, snap)
         way: list[Parameter] = [src]
         proofs: list[SegmentProof] = []
 

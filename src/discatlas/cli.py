@@ -67,7 +67,7 @@ commands:
           [--segment] [--budget N] [--seed N]
       Exact path certificate between two nonsingular parameters
       (--segment: straight segment only, failure yields a witness).
-  render <class> <param...> [--out DIR] [--box R] [--samples N]
+  render <class> <param...> [--out DIR] [--box R] [--samples N] [--px N]
   render <class> --axes U,V [--slice NAME=R,NAME=R...] [--out DIR] ...
       SVG figure of the zero set, or of a 2-parameter discriminant
       slice.

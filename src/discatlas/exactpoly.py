@@ -185,29 +185,24 @@ class UniPoly:
     def derivative(self) -> "UniPoly":
         return UniPoly(self.var, [i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def divide_exact(self, d: "UniPoly") -> "UniPoly":
-        """Quotient self / d, requiring a zero remainder."""
+    def divmod(self, d: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
+        """Quotient q and remainder r with self = q*d + r, deg r < deg d.
+
+        >>> q, r = UniPoly("x", [1, 0, 0, 1]).divmod(UniPoly("x", [1, 2]))
+        >>> q.text(), r.text()
+        ('1/2*x^2 - 1/4*x + 1/8', '7/8')
+        """
         self._check_var(d)
         if d.is_zero():
             raise ZeroPolynomial("division by zero polynomial")
+        dd, dlc = d.degree(), d.coeffs[-1]
         rem = list(self.coeffs)
-        dlc = d.leading_coefficient()
-        dd = d.degree()
-        q = [Fraction(0)] * max(len(rem) - dd, 1)
-        while len(rem) - 1 >= dd and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            k = len(rem) - 1 - dd
-            f = rem[-1] / dlc
-            q[k] = f
+        q = [Fraction(0)] * max(len(rem) - dd, 0)
+        for k in range(len(q) - 1, -1, -1):
+            f = q[k] = rem[k + dd] / dlc
             for i, c in enumerate(d.coeffs):
                 rem[k + i] -= f * c
-            rem.pop()
-        if any(c != 0 for c in rem):
-            raise ValueError("inexact polynomial division")
-        return UniPoly(self.var, q)
+        return UniPoly(self.var, q), UniPoly(self.var, rem[:dd])
 
     def text(self) -> str:
         """Canonical ASCII form, terms sorted by descending exponent."""

@@ -13,7 +13,13 @@ from fractions import Fraction
 
 import pytest
 
-from discatlas.exactpoly import Interval, UniPoly, discriminant, sturm_count
+from discatlas.exactpoly import (
+    Interval,
+    UniPoly,
+    discriminant,
+    restrict_to_segment,
+    sturm_count,
+)
 from discatlas.atlas import (
     AtlasReport,
     DiscriminantEndpoint,
@@ -45,6 +51,9 @@ from discatlas.models import (
     SingularityClass,
     boundary_polynomial,
     discriminant_membership,
+    f4_reduce,
+    f4_sigma0_eliminant,
+    f4_sigma1_polynomial,
 )
 
 atlas_mod = importlib.import_module("discatlas.atlas")
@@ -168,8 +177,23 @@ def test_bc_segment_polynomial_degree_bound():
             for t in nodes:
                 h = boundary_polynomial(sc, atlas_mod._lerp(a, b, t))
                 vals.append(discriminant(h) * h.constant_term())
-            assert atlas_mod._bc_segment_polynomial(sc, a, b) \
+            assert atlas_mod._segment_polynomial(sc, a, b) \
                 == newton_interpolate(nodes, vals)
+
+
+@pytest.mark.parametrize("label", ["F4+", "F4-"])
+def test_f4_segment_polynomial_matches_restriction(label):
+    # the symbolic restriction of Delta_0 and Sigma_1 at the plus-class
+    # reductions of the endpoints is the reference
+    sc = SingularityClass.parse(label)
+    rng = random.Random(f"f4seg:{label}")
+    for _ in range(8):
+        a, b = (Parameter.of(*[F(rng.randint(-9, 9), rng.randint(1, 6))
+                               for _ in range(4)]) for _ in range(2))
+        ra, rb = (tuple(f4_reduce(p) if sc.sign < 0 else p) for p in (a, b))
+        want = (restrict_to_segment(f4_sigma0_eliminant(), ra, rb)
+                * restrict_to_segment(f4_sigma1_polynomial(), ra, rb))
+        assert atlas_mod._segment_polynomial(sc, a, b) == want
 
 
 def test_certify_segment_unisolated_crossing_is_inconclusive(monkeypatch):
@@ -239,6 +263,23 @@ def test_certify_path_with_complex_pairs():
     assert type_key(classify_bc(sc, b)) == sig.key()
     cert = certify_path(sc, a, b)
     _check_interior(sc, cert, sig.key())
+
+
+def test_certify_path_homotopy_with_two_complex_pairs():
+    # p1q0 in C+5: h has two complex pairs, so the homotopy moves a
+    # degree-4 cofactor onto (y^2 + 1)(y^2 + 2); the straight segment
+    # crosses the discriminant, so both legs are built
+    sc = SingularityClass.parse("C+5")
+    a = Parameter.of(-1, F(2, 7), F(13, 6), 6, F(28, 9))
+    b = Parameter.of(F(13, 3), 3, F(25, 8), 6, F(10, 3))
+    assert isinstance(certify_segment(sc, a, b), SegmentFailure)
+    cert = certify_path(sc, a, b)
+    assert cert.waypoints[0] == a and cert.waypoints[-1] == b
+    assert len(cert.waypoints) > 2
+    # both legs end on the representative, so the segments chain
+    assert all(s.end == n.start
+               for s, n in zip(cert.segments, cert.segments[1:]))
+    _check_interior(sc, cert, "p1q0")
 
 
 def test_certify_path_replay_refusal_is_inconclusive(monkeypatch):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from discatlas.cli import run
+from discatlas.cli import USAGE, _FLAG_ARITY, run
 
 
 def invoke(capsys, *argv):
@@ -267,6 +267,11 @@ def test_help_flag_exits_zero(capsys):
     assert "usage:" in out + err
 
 
+def test_usage_lists_every_flag():
+    for flag in _FLAG_ARITY:
+        assert flag in USAGE, flag
+
+
 def test_unknown_command(capsys):
     code, _, err = invoke(capsys, "bogus")
     assert code == 1
@@ -302,6 +307,26 @@ def test_python_m_discatlas(argv, code, stdout):
     r = subprocess.run([sys.executable, "-m", "discatlas", *argv],
                        capture_output=True, text=True, env=env, timeout=120)
     assert (r.returncode, r.stdout, r.stderr) == (code, stdout, "")
+
+
+def test_certify_homotopy_runs_without_mpmath():
+    # this pair needs the root-space homotopy; the import blocker makes
+    # any use of mpmath fail
+    start = ["-129/53", "9/2", "-42/13"]
+    end = ["-99/26", "-71/15", "-15/8"]
+    code = ("import sys; sys.modules['mpmath'] = None; "
+            "from discatlas.cli import run; sys.exit(run(sys.argv[1:]))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    r = subprocess.run([sys.executable, "-c", code, "certify", "B-3",
+                        *start, *end],
+                       capture_output=True, text=True, env=env, timeout=120)
+    assert (r.returncode, r.stderr) == (0, "")
+    cert = json.loads(r.stdout)
+    assert cert["certified"] is True
+    assert len(cert["waypoints"]) > 2
+    assert cert["waypoints"][0] == start and cert["waypoints"][-1] == end
 
 
 def test_console_script_smoke():

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from discatlas.exactpoly import (
     ArityMismatch,
@@ -446,6 +446,21 @@ def test_isolation_window_only_filters(pr, width, window):
     whole = isolate_real_roots(p, width)
     assert isolate_real_roots(p, width, window) \
         == [iv for iv in whole if _meets(iv, window)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(rational, max_size=8), st.lists(rational, max_size=5),
+       rational.filter(bool))
+@example([F(1), F(2)], [F(1), F(0)], F(2, 3))      # zero quotient
+@example([F(1), F(0), F(0), F(1)], [F(1, 2)], F(-3, 7))
+def test_divmod_identity(pc, dc, lead):
+    p = UniPoly("x", pc)
+    d = UniPoly("x", dc + [lead])
+    q, r = p.divmod(d)
+    assert q * d + r == p
+    assert r.degree() < d.degree()
+    if p.degree() < d.degree():
+        assert q.is_zero() and r == p
 
 
 @settings(max_examples=80, deadline=None)
