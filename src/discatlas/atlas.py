@@ -248,17 +248,17 @@ def construct_representative(sc: SingularityClass, sig: BCSignature
     if rest < 0 or rest % 2:
         raise InvalidSignature(
             f"(p, q) = ({sig.p}, {sig.q}) is not realisable for mu = {mu}")
-    s = rest // 2
-    var = "x" if sc.family == "B" else "y"
-    h = UniPoly(var, [_bc_lead(sc)])
-    for i in range(1, sig.p + 1):
-        h = h * UniPoly(var, [i, 1])
-    for j in range(1, sig.q + 1):
-        h = h * UniPoly(var, [-j, 1])
-    for m in range(1, s + 1):
-        h = h * UniPoly(var, [m, 0, 1])
-    cs = h.coeffs
-    return Parameter(tuple(cs[mu - k] for k in range(1, mu + 1)))
+    factors = ([[i, 1] for i in range(1, sig.p + 1)]
+               + [[-j, 1] for j in range(1, sig.q + 1)]
+               + [[m, 0, 1] for m in range(1, rest // 2 + 1)])
+    cs = [_bc_lead(sc)]  # integer coefficients, constant term first
+    for f in factors:
+        out = [0] * (len(cs) + len(f) - 1)
+        for i, x in enumerate(cs):
+            for j, y in enumerate(f):
+                out[i + j] += x * y
+        cs = out
+    return Parameter(tuple(Fraction(cs[mu - k]) for k in range(1, mu + 1)))
 
 
 def valid_signatures(sc: SingularityClass) -> list[BCSignature]:

@@ -24,6 +24,19 @@ wall where the crossing-sign labels degenerate (the topology does not
 change across that wall, which is why the catalogue below quotients
 some labels away).
 
+Exact work per sample.  A B/C sample builds one Sturm chain of h,
+after dividing out a root at 0; its variations at -oo, 0 and +oo give
+(p, q), and its last member is gcd(h, h'), so a squarefree h with
+h(0) != 0 is nonsingular with no further test.  Only the measure-zero
+rest goes to the membership test, which tells a real multiple root from
+a complex pair.  For F4, disc g = -16*Delta_0 and disc P = -Sigma_1: a
+zero puts the parameter on that stratum, and otherwise the sign counts
+real roots, three when positive and one when negative.  With no oval
+every crossing is a branch crossing, and its f_x sign is the side of
+the wall y = -a/c it lies on: the sign of P(-a/c) decides one crossing,
+one Sturm count of P on (-oo, -a/c) decides three.  Only oval cases
+isolate and order the roots of P and g.
+
 The descriptor records the boundary crossings in ascending order, each
 tagged Branch or Oval by which support interval of g it falls in and
 by the sign of f_x there, plus the oval state: Absent, Crossed (the
@@ -62,14 +75,17 @@ from functools import lru_cache
 from .exactpoly import (
     Interval,
     UniPoly,
+    discriminant,
     isolate_real_roots,
     refine_root,
     root_signature,
+    sturm_count,
 )
 from .models import (
     Membership,
     Parameter,
     SingularityClass,
+    _check_arity,
     boundary_polynomial,
     discriminant_membership,
     f4_reduce,
@@ -184,11 +200,14 @@ def classify_bc(sc: SingularityClass, lam) -> BCSignature:
     if sc.family not in ("B", "C"):
         raise ValueError("classify_bc handles B and C classes")
     lam = Parameter.coerce(lam)
-    member = discriminant_membership(sc, lam)
-    if member is not Membership.NON_SINGULAR:
-        raise DiscriminantParameter(
-            f"{sc.label()} parameter lies on {member.value}", member)
     sig = root_signature(boundary_polynomial(sc, lam))
+    if sig.zero_is_root or not sig.is_squarefree:
+        # measure zero: h(0) = 0 lies on a stratum, but a multiple root
+        # may be a complex pair, which lies on neither
+        member = discriminant_membership(sc, lam)
+        if member is not Membership.NON_SINGULAR:
+            raise DiscriminantParameter(
+                f"{sc.label()} parameter lies on {member.value}", member)
     return BCSignature(sig.neg, sig.pos)
 
 
@@ -264,54 +283,59 @@ def classify_f4(sc: SingularityClass, lam) -> F4Descriptor:
     """
     if sc.family != "F4":
         raise ValueError("classify_f4 handles the F4 classes")
-    lam = Parameter.coerce(lam)
-    member = discriminant_membership(sc, lam)
-    if member is not Membership.NON_SINGULAR:
-        raise DiscriminantParameter(
-            f"{sc.label()} parameter lies on {member.value}", member)
+    lam = _check_arity(sc, Parameter.coerce(lam))
     if sc.sign < 0:
         lam = f4_reduce(lam)
     a, b, c, d = lam
-
-    # nongeneric wall: f_x = a + c*y vanishes at some boundary root
     P = UniPoly("y", [d, b, 0, 1])
-    if c == 0:
-        if a == 0:
-            raise NonGenericConfiguration("f_x vanishes on the boundary")
-    elif P(-a / c) == 0:
-        raise NonGenericConfiguration("f_x vanishes at a boundary crossing")
-
     g = UniPoly("y", [a * a - 4 * d, 2 * a * c - 4 * b, c * c, -4])
-    p_roots = _isolated(P)
-    g_roots = _isolated(g)
-    # a real cubic has 1 or 3 distinct real roots unless it has a
-    # multiple root: g on Sigma_0, P on Sigma_1
-    member = Membership.of(len(g_roots) not in (1, 3),
-                           len(p_roots) not in (1, 3))
+    # disc g = -16*Delta_0 and disc P = -Sigma_1; a real cubic has a
+    # multiple root iff its discriminant vanishes, and three distinct
+    # real roots iff it is positive
+    disc_g, disc_P = discriminant(g), discriminant(P)
+    member = Membership.of(disc_g == 0, disc_P == 0)
     if member is not Membership.NON_SINGULAR:
         raise DiscriminantParameter(
             f"{sc.label()} parameter lies on {member.value}", member)
 
-    def fx_sign(root: _IsolatedRoot) -> str:
-        if c == 0:
-            return "+" if a > 0 else "-"
-        rel = root.compare_rational(Fraction(-a, c))
-        s = (1 if c > 0 else -1) * rel
+    # nongeneric wall: f_x = a + c*y vanishes at some boundary root
+    if c == 0:
+        if a == 0:
+            raise NonGenericConfiguration("f_x vanishes on the boundary")
+    else:
+        wall = -a / c
+        at_wall = P(wall)
+        if at_wall == 0:
+            raise NonGenericConfiguration(
+                "f_x vanishes at a boundary crossing")
+
+    def fx_sign(above_wall: bool) -> str:
+        # f_x = c*(y - wall) at a crossing y; the sign of a if c = 0
+        s = a if c == 0 else (c if above_wall else -c)
         return "+" if s > 0 else "-"
 
-    tags: list[tuple[str, str]] = []
-    if len(g_roots) == 1:
-        tags = [("B", fx_sign(r)) for r in p_roots]
-        return F4Descriptor(tuple(tags), "A")
+    if disc_g < 0:
+        # g has one real root: no oval, every crossing is on the branch
+        n = 1 if disc_P < 0 else 3
+        if c == 0:
+            below = 0
+        elif n == 1:
+            below = 0 if at_wall < 0 else 1  # P < 0 left of its sole root
+        else:
+            below = sturm_count(P, Interval.open(None, wall))
+        return F4Descriptor(
+            tuple(("B", fx_sign(i >= below)) for i in range(n)), "A")
 
-    r1, r2, r3 = g_roots
+    r1, r2, r3 = _isolated(g)
+    tags: list[tuple[str, str]] = []
     n_on_oval = 0
-    for r in p_roots:
+    for r in _isolated(P):
+        sign = fx_sign(c == 0 or r.compare_rational(wall) > 0)
         # each crossing has g > 0, so it sits left of r1 or between r2, r3
         if r.compare(r1) < 0:
-            tags.append(("B", fx_sign(r)))
+            tags.append(("B", sign))
         else:
-            tags.append(("O", fx_sign(r)))
+            tags.append(("O", sign))
             n_on_oval += 1
     if n_on_oval:
         return F4Descriptor(tuple(tags), "C")

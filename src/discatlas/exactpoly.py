@@ -221,7 +221,7 @@ class UniPoly:
         if not self.coeffs:
             return [], 1
         den = _ilcm(*[c.denominator for c in self.coeffs])
-        return [int(c * den) for c in self.coeffs], den
+        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
 
 
 def poly_from_roots(var: str, roots: Sequence[RationalLike],
@@ -643,19 +643,28 @@ def sturm_count(p: UniPoly, interval: Interval) -> int:
 def root_signature(p: UniPoly) -> RootSignature:
     """Distinct real root counts split by sign, plus squarefreeness.
 
+    One Sturm chain answers all of it.  A root at 0 is divided out to
+    its full multiplicity first, so -oo, 0 and +oo are non-roots of the
+    chained polynomial q and the variation differences count its
+    distinct negative and positive roots.  The chain ends in gcd(q, q'),
+    a constant exactly when q is squarefree.
+
     >>> root_signature(poly_from_roots("x", [-2, 0, 0, 3]))
     RootSignature(neg=1, pos=1, zero_is_root=True, is_squarefree=False)
     """
     if p.is_zero():
         raise ZeroPolynomial("signature of the zero polynomial")
     cs, _ = p._int_coeffs()
-    g = _int_gcd_poly(cs, _int_derivative(cs)) if len(cs) > 1 else [1]
-    zero = Fraction(0)
+    k = 0
+    while cs[k] == 0:
+        k += 1
+    chain = _sturm_chain_int(cs[k:])
+    v0 = _chain_variations(chain, Fraction(0))
     return RootSignature(
-        neg=sturm_count(p, Interval.open(None, zero)),
-        pos=sturm_count(p, Interval.open(zero, None)),
-        zero_is_root=(p.constant_term() == 0),
-        is_squarefree=(len(g) == 1),
+        neg=_chain_variations_inf(chain, False) - v0,
+        pos=v0 - _chain_variations_inf(chain, True),
+        zero_is_root=k > 0,
+        is_squarefree=k <= 1 and len(chain[-1]) == 1,
     )
 
 

@@ -3,16 +3,18 @@
 B/C signatures are pinned on constructed-root polynomials; the F4
 descriptor is exercised on the spec'd slice points, on random samples
 (structural invariants), and cross-checked against an independent
-Sturm count of the boundary cubic.
+Sturm count of the boundary cubic and against the isolation-based
+classifier kept at the end of this file as an oracle.
 """
 
 import importlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from discatlas.exactpoly import Interval, UniPoly, sturm_count
+from discatlas.exactpoly import ArityMismatch, Interval, UniPoly, sturm_count
 from discatlas.classify import (
     BCSignature,
     CatalogMissing,
@@ -21,6 +23,7 @@ from discatlas.classify import (
     F4_SEEDS,
     NonGenericConfiguration,
     candidate_descriptors,
+    _isolated,
     canonical_type_id,
     classify,
     classify_bc,
@@ -65,6 +68,27 @@ def test_classify_bc_rejects_discriminant():
         # h(0) = 0: Sigma1 for B
         classify_bc(SingularityClass("B", 3, 1), Parameter.of(1, -2, 0))
     assert err.value.membership is Membership.SIGMA1
+
+
+@pytest.mark.parametrize("label, lam, member", [
+    # h = x^3 - 3x + 2 = (x - 1)^2 (x + 2): a real double root
+    ("B+3", (0, -3, 2), Membership.SIGMA0),
+    ("C+3", (0, -3, 2), Membership.SIGMA1),
+    # h = x^3 + x^2 - 2x: a simple root at 0
+    ("B+3", (1, -2, 0), Membership.SIGMA1),
+    ("C+3", (1, -2, 0), Membership.SIGMA0),
+])
+def test_classify_bc_measure_zero_fallback(label, lam, member):
+    with pytest.raises(DiscriminantParameter) as err:
+        classify_bc(SingularityClass.parse(label), Parameter.of(*lam))
+    assert err.value.membership is member
+
+
+@pytest.mark.parametrize("label", ["B+4", "C+4"])
+def test_classify_bc_complex_double_root_is_nonsingular(label):
+    # h = (x^2 + 4)^2: disc h = 0, yet no real multiple root
+    sig = classify_bc(SingularityClass.parse(label), Parameter.of(0, 8, 0, 16))
+    assert sig.key() == "p0q0"
 
 
 def test_bc_signature_invariants_on_samples():
@@ -235,6 +259,12 @@ def test_classify_dispatch_and_serialization():
     assert type_key(t) == "type1"
 
 
+@pytest.mark.parametrize("label", ["B+3", "C-4", "F4+", "F4-"])
+def test_classify_rejects_wrong_arity(label):
+    with pytest.raises(ArityMismatch):
+        classify(SingularityClass.parse(label), Parameter.of(1, 2))
+
+
 def test_catalog_id_unknown_type_guard():
     # every candidate descriptor quotients to a type id the catalogue
     # realizes
@@ -248,8 +278,9 @@ def test_catalog_id_unknown_type_guard():
     ((-2, -3, 0, 3), Membership.SIGMA0),   # g = -4 (y - 1)^2 (y + 2)
 ])
 def test_classify_f4_root_count_names_the_stratum(monkeypatch, lam, member):
-    # with the membership test bypassed, a cubic with a double root is
-    # still caught, by its root count
+    # classify_f4 reads membership from disc g and disc P itself, so a
+    # cubic with a double root is caught even with the membership test
+    # replaced
     assert discriminant_membership(F4P, lam) is member
     mod = importlib.import_module("discatlas.classify")
     monkeypatch.setattr(mod, "discriminant_membership",
@@ -257,3 +288,113 @@ def test_classify_f4_root_count_names_the_stratum(monkeypatch, lam, member):
     with pytest.raises(DiscriminantParameter) as err:
         classify_f4(F4P, lam)
     assert err.value.membership is member
+
+
+# ---------------------------------------------------------------------------
+# isolation oracle for the discriminant-sign classifier
+
+
+def _classify_f4_by_isolation(sc, lam) -> F4Descriptor:
+    """F4 descriptor from isolated roots of both cubics, no sign shortcut.
+
+    Membership comes from ``discriminant_membership``; the crossing
+    count, the oval and every f_x sign are read from exactly ordered
+    isolating intervals of P and g.
+    """
+    member = discriminant_membership(sc, lam)
+    if member is not Membership.NON_SINGULAR:
+        raise DiscriminantParameter("on the discriminant", member)
+    if sc.sign < 0:
+        lam = f4_reduce(lam)
+    a, b, c, d = lam
+    P = UniPoly("y", [d, b, 0, 1])
+    if c == 0:
+        if a == 0:
+            raise NonGenericConfiguration("f_x vanishes on the boundary")
+    elif P(-a / c) == 0:
+        raise NonGenericConfiguration("f_x vanishes at a boundary crossing")
+    g = UniPoly("y", [a * a - 4 * d, 2 * a * c - 4 * b, c * c, -4])
+    p_roots, g_roots = _isolated(P), _isolated(g)
+
+    def fx_sign(root) -> str:
+        if c == 0:
+            return "+" if a > 0 else "-"
+        s = (1 if c > 0 else -1) * root.compare_rational(-a / c)
+        return "+" if s > 0 else "-"
+
+    if len(g_roots) == 1:
+        return F4Descriptor(tuple(("B", fx_sign(r)) for r in p_roots), "A")
+    r1, r2, r3 = g_roots
+    tags = tuple(("B" if r.compare(r1) < 0 else "O", fx_sign(r))
+                 for r in p_roots)
+    if any(kind == "O" for kind, _ in tags):
+        return F4Descriptor(tags, "C")
+    while not r2.bounds()[1] < r3.bounds()[0]:
+        r2.refine()
+        r3.refine()
+    y_mid = (r2.bounds()[1] + r3.bounds()[0]) / 2
+    xc = -(a + c * y_mid) / 2
+    if xc == 0:
+        raise NonGenericConfiguration("midline vanishes inside the oval")
+    return F4Descriptor(tags, "R" if xc > 0 else "L")
+
+
+def _f4_oracle_points(sign: int, n: int, seed: int) -> list[Parameter]:
+    """Seeded F4 points: every third on c = 0, about a fifth on a stratum.
+
+    Small denominators hit the label wall and the strata by chance.  The
+    built points lie on Sigma_1, with P = (y - t)^2 (y + 2t), or on
+    Sigma_0, with g = -4 (y - u)^2 (y - v) and c^2 = 4(2u + v).
+    """
+    rng = random.Random(seed)
+
+    def coord() -> Fraction:
+        den = rng.choice((1, 1, 2, 3, 64))
+        return F(rng.randint(-5 * den, 5 * den), den)
+
+    out = []
+    for i in range(n):
+        a, b, c, d = coord(), coord(), coord(), coord()
+        if i % 3 == 0:
+            c = F(0)
+        kind = rng.random()
+        if kind < 0.1:
+            t = coord()
+            b, d = -3 * t * t, 2 * t ** 3
+        elif kind < 0.2:
+            u = coord()
+            v = c * c / 4 - 2 * u
+            b = a * c / 2 + u * u + 2 * u * v
+            d = (a * a - 4 * u * u * v) / 4
+            if sign < 0:
+                # the minus class takes Sigma_0 at its plus-class reduction
+                a, d = -a, -d
+        out.append(Parameter.of(a, b, c, d))
+    return out
+
+
+def _outcome(classifier, sc, lam):
+    try:
+        desc = classifier(sc, lam)
+    except DiscriminantParameter as e:
+        return ("DiscriminantParameter", e.membership)
+    except NonGenericConfiguration:
+        return ("NonGenericConfiguration",)
+    return (desc.key(), len(desc.roots), desc.oval)
+
+
+@pytest.mark.parametrize("sc", [F4P, F4M], ids=["F4+", "F4-"])
+def test_classify_f4_matches_isolation_oracle(sc):
+    seen = Counter()
+    for lam in _f4_oracle_points(sc.sign, 2100, seed=7 + sc.sign):
+        got = _outcome(classify_f4, sc, lam)
+        assert got == _outcome(_classify_f4_by_isolation, sc, lam), lam
+        seen[got[1:] if len(got) == 3 else got] += 1
+    # every path of the classifier was taken: each stratum, the wall, no
+    # oval with one and three crossings, and each oval state
+    for case in [("DiscriminantParameter", Membership.SIGMA0),
+                 ("DiscriminantParameter", Membership.SIGMA1),
+                 ("DiscriminantParameter", Membership.BOTH),
+                 ("NonGenericConfiguration",),
+                 (1, "A"), (3, "A"), (1, "L"), (1, "R"), (3, "C")]:
+        assert seen[case] >= 5, (case, seen)

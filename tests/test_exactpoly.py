@@ -398,6 +398,21 @@ def rooted_poly(draw):
     return p, distinct
 
 
+@settings(max_examples=200, deadline=None)
+@given(rooted_poly())
+def test_root_signature_is_the_two_half_line_counts(pr):
+    # one chain after deflating x^k must give what two separate Sturm
+    # counts give, with 0 often a (multiple) root
+    p, distinct = pr
+    sig = root_signature(p)
+    assert sig.neg == sturm_count(p, Interval.open(None, F(0))) \
+        == sum(1 for r in distinct if r < 0)
+    assert sig.pos == sturm_count(p, Interval.open(F(0), None)) \
+        == sum(1 for r in distinct if r > 0)
+    assert sig.zero_is_root == (F(0) in distinct)
+    assert sig.is_squarefree == (gcd_uni(p, p.derivative()).degree() == 0)
+
+
 endpoint = st.none() | root_value
 
 
