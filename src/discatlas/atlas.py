@@ -20,14 +20,19 @@ meets [0, 1]; the intervals there are those of whole-line isolation,
 so the restriction leaves the witness unchanged.
 
 For every family the segment polynomial is the product Sigma0 * Sigma1
-of ``stratum_values``, evaluated at degree + 1 integer nodes of the
-segment line and interpolated.  The degree bound is 2*mu - 1 for B and
-C (the leading coefficient of h_t is the constant class sign, so
-specialising t commutes with the resultant) and 10 for F4 (Delta_0 has
-total degree 7 and Sigma_1 degree 3; the minus-class reduction is
-linear), so the nodes determine the restriction exactly.  The
-interpolation runs in integers (forward differences, falling
-factorials) with one division at the end.
+of the two values ``stratum_values`` gives, restricted to the segment
+line and built in integers: den is the lcm of all endpoint
+denominators, and den times each endpoint is an integer vector.  For B
+and C, den * h_t at the integer nodes t = 0..2*mu - 1 gives
+disc(den * h_t) * (den * h_t)(0) = den^(2*mu - 1) * Sigma0 * Sigma1 by
+one integer resultant each; the degree bound 2*mu - 1 holds because the
+leading coefficient of h_t is the constant class sign, so specialising
+t commutes with the resultant.  The values are interpolated in
+integers (forward differences, falling factorials), and the one
+division by (2*mu - 1)! * den^(2*mu - 1) comes last.  For F4 the closed
+forms are multiplied directly in Z[t]: with the cubic of Delta_0 scaled
+by den^2, the product is -disc(G) * (4*beta^3 + 27*den*delta^2) /
+(16*den^11).  No node is sampled there, so no degree bound is needed.
 
 Paths between same-type parameters of B and C are constructed in root
 space from exact data: the real roots of h are isolated and rounded to
@@ -73,6 +78,8 @@ from .classify import (
 from .exactpoly import (
     Interval,
     UniPoly,
+    _int_derivative,
+    _int_resultant,
     isolate_real_roots,
     poly_from_roots,
     refine_root,
@@ -87,7 +94,6 @@ from .models import (
     discriminant_membership,
     f4_reduce,
     f4_seed_oval_side,
-    stratum_values,
 )
 
 
@@ -253,11 +259,7 @@ def construct_representative(sc: SingularityClass, sig: BCSignature
                + [[m, 0, 1] for m in range(1, rest // 2 + 1)])
     cs = [_bc_lead(sc)]  # integer coefficients, constant term first
     for f in factors:
-        out = [0] * (len(cs) + len(f) - 1)
-        for i, x in enumerate(cs):
-            for j, y in enumerate(f):
-                out[i + j] += x * y
-        cs = out
+        cs = _int_mul(cs, f)
     return Parameter(tuple(Fraction(cs[mu - k]) for k in range(1, mu + 1)))
 
 
@@ -289,13 +291,14 @@ def _lerp(a: Parameter, b: Parameter, t: Fraction) -> Parameter:
     return Parameter(tuple((1 - t) * x + t * y for x, y in zip(a, b)))
 
 
-def _interpolate(values: Sequence[Fraction]) -> UniPoly:
-    """Interpolant through (k, values[k]) for k = 0, 1, ..., n - 1.
+def _interpolate(values: Sequence[Fraction], divisor: int = 1) -> UniPoly:
+    """Interpolant through (k, values[k] / divisor) for k = 0, ..., n - 1.
 
     Newton's forward form sum_j (Delta^j y_0 / j!) * t(t-1)...(t-j+1)
     in integers: the values share one cleared denominator, the forward
     differences and the falling-factorial Horner steps stay in int, and
-    the single division by (n-1)! times that denominator comes last.
+    the single division by (n-1)! times that denominator times divisor
+    comes last.
     """
     n = len(values)
     den = lcm(*(v.denominator for v in values))
@@ -314,23 +317,82 @@ def _interpolate(values: Sequence[Fraction]) -> UniPoly:
             shifted[i] -= j * c
         shifted[0] += diffs[j] * (fact // factorial(j))
         acc = shifted
-    scale = fact * den
+    scale = fact * den * divisor
     return UniPoly("t", [Fraction(c, scale) for c in acc])
+
+
+def _int_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        if x:
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+    return out
+
+
+def _int_sum(*terms: tuple[int, Sequence[int]]) -> list[int]:
+    """Sum of c * p over the (c, p) pairs, p integer coefficient lists."""
+    out = [0] * max(len(p) for _, p in terms)
+    for c, p in terms:
+        for i, x in enumerate(p):
+            out[i] += c * x
+    return out
 
 
 def _segment_polynomial(sc: SingularityClass, a: Parameter, b: Parameter
                         ) -> UniPoly:
-    # Sigma0 * Sigma1 along the segment has degree at most 2*mu - 1 for B/C
-    # (deg_t disc(h_t) <= 2*mu - 2 because the leading coefficient of h_t is
-    # constant, so pointwise evaluation of the resultant agrees with the
-    # symbolic restriction, plus one for h_t(0)) and at most 7 + 3 = 10 for
-    # F4 (the total degrees of Delta_0 and Sigma_1; f4_reduce is linear)
-    degree = 10 if sc.family == "F4" else 2 * sc.mu - 1
+    # Sigma0 * Sigma1 along a + t*(b - a), in integers.  den is the lcm of
+    # every endpoint denominator; A and B are den times the endpoints.
+    den = lcm(*(v.denominator for v in a.values + b.values))
+    A = [v.numerator * (den // v.denominator) for v in a]
+    B = [v.numerator * (den // v.denominator) for v in b]
+    if sc.family == "F4":
+        return _f4_segment_product(sc, A, B, den)
+    # B/C: H = den * h_t has the constant leading coefficient
+    # _bc_lead(sc) * den, so specialising t commutes with the resultant
+    # and deg_t disc(h_t) <= 2*mu - 2; with h_t(0) the product has degree
+    # at most 2*mu - 1 and the nodes t = 0..2*mu - 1 determine it.  At a
+    # node, disc(H) * H(0) = den^(2*mu - 1) * disc(h_t) * h_t(0), and
+    # disc(H) = sign * Res(H, H') / lc(H) is an exact integer quotient.
+    mu = sc.mu
+    lead = _bc_lead(sc) * den
+    sign = -1 if (mu * (mu - 1) // 2) % 2 else 1
+    line = [(x, y - x) for x, y in zip(reversed(A), reversed(B))]
     vals = []
-    for t in range(degree + 1):
-        s0, s1 = stratum_values(sc, _lerp(a, b, Fraction(t)))
-        vals.append(s0 * s1)
-    return _interpolate(vals)
+    for k in range(2 * mu):
+        H = [x + k * dx for x, dx in line] + [lead]
+        vals.append(sign * _int_resultant(H, _int_derivative(H)) // lead
+                    * H[0])
+    return _interpolate(vals, den ** (2 * mu - 1))
+
+
+def _f4_segment_product(sc: SingularityClass, A: list[int], B: list[int],
+                        den: int) -> UniPoly:
+    # the product itself in Z[t], no nodes: alpha..delta are the integer
+    # lines of a..d (den times the parameters), and G = den^2 * g is the
+    # cubic of Delta_0 = -disc(g)/16 with coefficients in Z[t]; disc is
+    # homogeneous of degree 4, so Delta_0 = -disc(G)/(16*den^8) and
+    # Sigma_1 = (4*beta^3 + 27*den*delta^2)/den^3
+    al, be, ga, de = ([x, y - x] for x, y in zip(A, B))
+    s1 = _int_sum((4, _int_mul(be, _int_mul(be, be))),
+                  (27 * den, _int_mul(de, de)))
+    if sc.sign < 0:
+        # Delta_0 at the plus-class reduction (-a, b, c, -d)
+        al, de = [-x for x in al], [-x for x in de]
+    q = -4 * den * den
+    g2 = _int_mul(ga, ga)
+    g1 = _int_sum((2, _int_mul(al, ga)), (-4 * den, be))
+    g0 = _int_sum((1, _int_mul(al, al)), (-4 * den, de))
+    g1sq, g2sq = _int_mul(g1, g1), _int_mul(g2, g2)
+    # B^2 C^2 - 4 A C^3 - 4 B^3 D - 27 A^2 D^2 + 18 A B C D for
+    # G = A*y^3 + B*y^2 + C*y + D
+    disc = _int_sum((1, _int_mul(g2sq, g1sq)),
+                    (-4 * q, _int_mul(g1sq, g1)),
+                    (-4, _int_mul(g2sq, _int_mul(g2, g0))),
+                    (-27 * q * q, _int_mul(g0, g0)),
+                    (18 * q, _int_mul(_int_mul(g2, g1), g0)))
+    scale = 16 * den ** 11
+    return UniPoly("t", [Fraction(-c, scale) for c in _int_mul(disc, s1)])
 
 
 def certify_segment(sc: SingularityClass, start, end

@@ -195,6 +195,8 @@ def _cmd_atlas(pos, flags):
     except ValueError as e:
         raise UsageError(str(e)) from e
     jobs = _int_flag(flags, "--jobs", 1)
+    if jobs < 1:
+        raise UsageError("flag --jobs needs an integer of at least 1")
     report = enumerate_components(sc, cfg, jobs=jobs)
     obj = report.json_obj()
     if "--figures" in flags:
@@ -224,12 +226,14 @@ def _cmd_certify(pos, flags):
             f"(start then end), got {len(pos) - 1}")
     start = _parse_params(sc, pos[1:1 + n])
     end = _parse_params(sc, pos[1 + n:])
+    budget = _int_flag(flags, "--budget", 48)
+    if budget < 0:
+        raise UsageError("flag --budget needs a nonnegative integer")
+    seed = _int_flag(flags, "--seed", 0)
     if "--segment" in flags:
         res = certify_segment(sc, start, end)
         _emit(res.json_obj())
         return 0
-    budget = _int_flag(flags, "--budget", 48)
-    seed = _int_flag(flags, "--seed", 0)
     try:
         cert = certify_path(sc, start, end, rng_seed=seed, budget=budget)
     except NotFound as e:

@@ -35,8 +35,8 @@ Interval endpoints may be infinite; openness flags are honoured exactly.
 to a parameter segment: every stratum of the families is the
 discriminant or a value of a univariate polynomial, so no variable is
 ever eliminated symbolically at run time.  Resultants and
-discriminants are univariate, by fraction-free Bareiss elimination on
-the integer Sylvester matrix.
+discriminants are univariate, by the subresultant pseudo-remainder
+sequence on integer coefficients; no Sylvester determinant is formed.
 
 Values are immutable and operations are pure: nothing here mutates an
 argument or caches behind the caller's back.
@@ -330,32 +330,36 @@ def _int_derivative(cs: Sequence[int]) -> list[int]:
     return [i * c for i, c in enumerate(cs)][1:]
 
 
+def _int_pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Exact pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b.
+
+    a must have a nonzero leading coefficient and degree >= deg b.
+    """
+    db, lb = len(b) - 1, b[-1]
+    r = list(a)
+    for k in range(len(a) - 1 - db, -1, -1):
+        lead = r.pop()
+        r = [c * lb for c in r]
+        if lead:
+            for i in range(db):
+                r[k + i] -= lead * b[i]
+    return _int_trim(r)
+
+
 def _int_pseudo_rem_signed(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Pseudo-remainder of a by b scaled by a positive constant.
 
-    Each elimination step multiplies the running remainder by lc(b); if
-    the accumulated multiplier lc(b)^steps is negative the result is
-    negated, so the return value is always a positive multiple of the
-    true rational remainder.  Sturm chains need the sign to be right.
+    The exact pseudo-remainder is lc(b)^(deg a - deg b + 1) times the
+    true rational remainder; it is negated when that multiplier is
+    negative.  Sturm chains need the sign to be right.
     """
     a = _int_trim(list(a))
-    db, lb = len(b) - 1, b[-1]
-    steps = 0
-    while a and len(a) - 1 >= db:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        k = len(a) - 1 - db
-        lead = a[-1]
-        a = [c * lb for c in a]
-        for i in range(db + 1):
-            a[k + i] -= lead * b[i]
-        a.pop()
-        _int_trim(a)
-        steps += 1
-    if lb < 0 and steps % 2 == 1:
-        a = [-c for c in a]
-    return a
+    if len(a) < len(b):
+        return a
+    r = _int_pseudo_rem(a, b)
+    if b[-1] < 0 and (len(a) - len(b)) % 2 == 0:
+        r = [-c for c in r]
+    return r
 
 
 def _sturm_chain_int(cs: Sequence[int]) -> list[list[int]]:
@@ -431,7 +435,15 @@ def _int_gcd_poly(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def _int_resultant(a: Sequence[int], b: Sequence[int]) -> int:
-    """Sylvester resultant of integer polynomials by Bareiss elimination."""
+    """Resultant of integer polynomials by the subresultant PRS.
+
+    Collins' subresultant algorithm (Brown & Traub 1971; Cohen, A Course
+    in Computational Algebraic Number Theory, Alg. 3.3.7): contents are
+    split off first, then each exact pseudo-remainder is divided by
+    g * h^delta, which keeps every remainder a subresultant, so the
+    coefficients grow linearly and every division is exact.  The sign
+    follows Res(a, b) = (-1)^(deg a * deg b) Res(b, a).
+    """
     m, n = len(a) - 1, len(b) - 1
     if m < 0 or n < 0:
         raise ZeroPolynomial("resultant with zero polynomial")
@@ -439,39 +451,31 @@ def _int_resultant(a: Sequence[int], b: Sequence[int]) -> int:
         return a[0] ** n
     if n == 0:
         return b[0] ** m
-    size = m + n
-    rows = []
-    ar = list(reversed(a))
-    br = list(reversed(b))
-    for i in range(n):
-        rows.append([0] * i + ar + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + br + [0] * (size - n - 1 - i))
-    return _bareiss_int(rows)
-
-
-def _bareiss_int(m: list[list[int]]) -> int:
-    n = len(m)
     sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i, row_k = m[i], m[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pk * row_i[j] - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pk
-    return sign * m[n - 1][n - 1]
+    if m < n:
+        a, b, m, n = b, a, n, m
+        if m % 2 and n % 2:
+            sign = -1
+    ca, cb = _int_content(a), _int_content(b)
+    scale = ca ** n * cb ** m
+    a = [c // ca for c in a]
+    b = [c // cb for c in b]
+    g = h = 1
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da % 2 and db % 2:
+            sign = -sign
+        r = _int_pseudo_rem(a, b)
+        if not r:
+            return 0
+        div = g * h ** delta
+        a, b = b, [c // div for c in r]
+        g = a[-1]
+        h = g ** delta // h ** (delta - 1) if delta else h
+        if len(b) == 1:
+            dega = len(a) - 1
+            return sign * scale * b[0] ** dega // h ** (dega - 1)
 
 
 # ---------------------------------------------------------------------------

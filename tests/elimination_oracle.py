@@ -10,7 +10,9 @@ system and check the slice identities against it.
 
 Multivariate resultants use fraction-free Bareiss elimination on the
 Sylvester matrix after clearing denominators, so every intermediate
-division is exact integer (or integer-polynomial) division.
+division is exact integer (or integer-polynomial) division.  The same
+elimination on integer coefficient lists is the reference for the
+package's univariate subresultant resultant.
 """
 
 from __future__ import annotations
@@ -380,6 +382,62 @@ def _bareiss_multi(m: list[list[MultiPoly]]) -> MultiPoly:
         prev = pk
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det
+
+
+# ---------------------------------------------------------------------------
+# univariate integer resultants by determinant
+
+
+def sylvester_matrix_int(a: list[int], b: list[int]) -> list[list[int]]:
+    """(m+n) x (m+n) Sylvester matrix of integer coefficient lists.
+
+    Lists run from the constant term upward and have nonzero leading
+    entries; deg b rows of a come first, then deg a rows of b.
+    """
+    m, n = len(a) - 1, len(b) - 1
+    size = m + n
+    ar, br = list(reversed(a)), list(reversed(b))
+    rows = []
+    for i in range(n):
+        rows.append([0] * i + ar + [0] * (size - m - 1 - i))
+    for i in range(m):
+        rows.append([0] * i + br + [0] * (size - n - 1 - i))
+    return rows
+
+
+def _bareiss_int(m: list[list[int]]) -> int:
+    """Determinant by fraction-free Bareiss elimination (m is consumed)."""
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pk = m[k][k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            row_i, row_k = m[i], m[k]
+            for j in range(k + 1, n):
+                row_i[j] = (pk * row_i[j] - mik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pk
+    return sign * m[n - 1][n - 1]
+
+
+def sylvester_resultant_int(a: list[int], b: list[int]) -> int:
+    """Res(a, b) as the Sylvester determinant; constants by convention."""
+    m, n = len(a) - 1, len(b) - 1
+    if m == 0:
+        return a[0] ** n
+    if n == 0:
+        return b[0] ** m
+    return _bareiss_int(sylvester_matrix_int(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -165,13 +165,25 @@ def test_integer_interpolation_matches_newton():
 
 def test_bc_segment_polynomial_degree_bound():
     # 2*mu nodes suffice: interpolating disc(h_t) * h_t(0) at one node
-    # more gives the same polynomial on random segments up to mu = 7
+    # more gives the same polynomial on random segments up to mu = 8,
+    # on endpoints whose denominators differ (7 and 1024) and on a
+    # segment with a == b
     rng = random.Random(19)
-    for label in ("B+2", "B-3", "C+5", "C-6", "B+7"):
+    extra = random.Random(29)
+
+    def point(sc, den):
+        return Parameter.of(*[F(extra.randint(-9 * den, 9 * den), den)
+                              for _ in range(sc.mu)])
+
+    for label in ("B+2", "B-3", "C+5", "C-6", "B+7", "C-8"):
         sc = SingularityClass.parse(label)
-        for _ in range(3):
-            a, b = (Parameter.of(*[F(rng.randint(-9, 9), rng.randint(1, 4))
-                                   for _ in range(sc.mu)]) for _ in range(2))
+        segs = [tuple(Parameter.of(*[F(rng.randint(-9, 9), rng.randint(1, 4))
+                                     for _ in range(sc.mu)])
+                      for _ in range(2)) for _ in range(3)]
+        segs.append((point(sc, 7), point(sc, 1024)))
+        same = point(sc, 5)
+        segs.append((same, same))
+        for a, b in segs:
             nodes = [F(k) for k in range(2 * sc.mu + 1)]
             vals = []
             for t in nodes:
@@ -184,12 +196,25 @@ def test_bc_segment_polynomial_degree_bound():
 @pytest.mark.parametrize("label", ["F4+", "F4-"])
 def test_f4_segment_polynomial_matches_restriction(label):
     # the symbolic restriction of Delta_0 and Sigma_1 at the plus-class
-    # reductions of the endpoints is the reference
+    # reductions of the endpoints is the reference; the later segments
+    # put both endpoints on c = 0 and draw denominators up to 1024
     sc = SingularityClass.parse(label)
     rng = random.Random(f"f4seg:{label}")
-    for _ in range(8):
-        a, b = (Parameter.of(*[F(rng.randint(-9, 9), rng.randint(1, 6))
-                               for _ in range(4)]) for _ in range(2))
+    segs = [tuple(Parameter.of(*[F(rng.randint(-9, 9), rng.randint(1, 6))
+                                 for _ in range(4)]) for _ in range(2))
+            for _ in range(8)]
+    for flat in (False, True, True, False, True):
+        ends = []
+        for _ in range(2):
+            vals = []
+            for _ in range(4):
+                den = rng.choice([1, 3, 1024, rng.randint(1, 1024)])
+                vals.append(F(rng.randint(-9 * den, 9 * den), den))
+            if flat:
+                vals[2] = F(0)
+            ends.append(Parameter.of(*vals))
+        segs.append(tuple(ends))
+    for a, b in segs:
         ra, rb = (tuple(f4_reduce(p) if sc.sign < 0 else p) for p in (a, b))
         want = (restrict_to_segment(f4_sigma0_eliminant(), ra, rb)
                 * restrict_to_segment(f4_sigma1_polynomial(), ra, rb))

@@ -234,14 +234,31 @@ def test_render_slice_writes_file(tmp_path, capsys):
     ["render", "F4+", "--axes", "b,d", "--slice", "a=0,c=0",
      "--box", "3", "--samples", "10"],
     ["render", "F4+", "--axes", "b,d", "--slice", "a=0,c=0,z=1"],
+    ["certify", "F4+", "1", "1", "0", "0", "2", "1", "0", "1",
+     "--budget", "-1"],
+    ["certify", "F4+", "1", "1", "0", "0", "2", "1", "0", "1",
+     "--segment", "--budget", "-1"],
+    ["atlas", "B+2", "--samples", "10", "--jobs", "0"],
+    ["atlas", "B+2", "--samples", "10", "--jobs", "-3"],
 ], ids=["slice-float", "samples", "den", "px", "px-no-box",
-        "slice-samples-no-box", "slice-samples", "slice-name"])
+        "slice-samples-no-box", "slice-samples", "slice-name",
+        "budget-negative", "segment-budget-negative", "jobs-zero",
+        "jobs-negative"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     out_path = tmp_path / "out"
     code, out, err = invoke(capsys, *argv, "--out", str(out_path))
     assert code == 1
     assert out == "" and "usage:" in err
     assert not out_path.exists()
+
+
+def test_certify_budget_zero_is_inconclusive(capsys):
+    # a zero budget is a valid request that tries no segment
+    code, out, _ = invoke(capsys, "certify", "F4+", "1", "1", "0", "0",
+                          "2", "1", "0", "1", "--budget", "0")
+    assert code == 3
+    assert json.loads(out) == {"certified": False, "inconclusive": True,
+                               "reason": "budget of 0 segments exhausted"}
 
 
 def test_render_bad_axes_domain_error(capsys):

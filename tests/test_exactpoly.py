@@ -33,6 +33,7 @@ from discatlas.exactpoly import (
     squarefree_decomposition,
     sturm_count,
 )
+from discatlas.exactpoly import _int_resultant
 from elimination_oracle import (
     _mp_divide_exact,
     coefficients_in,
@@ -40,6 +41,7 @@ from elimination_oracle import (
     gcd_multi,
     resultant,
     squarefree_part_multi,
+    sylvester_resultant_int,
 )
 
 F = Fraction
@@ -488,6 +490,55 @@ def test_resultant_vanishes_iff_common_root(r1, r2):
     common = set(r1) & set(r2)
     assert (res == 0) == bool(common)
     assert (gcd_uni(f, g).degree() > 0) == bool(common)
+
+
+@st.composite
+def int_poly(draw, min_degree=0, max_degree=9):
+    """Integer coefficients, constant term first; the leading one takes
+    either sign and is often not a unit."""
+    deg = draw(st.integers(min_value=min_degree, max_value=max_degree))
+    coeff = (st.integers(min_value=-9, max_value=9)
+             | st.integers(min_value=-2**64, max_value=2**64))
+    body = draw(st.lists(coeff, min_size=deg, max_size=deg))
+    lead = draw(st.sampled_from([1, -1, 2, -3, 12])
+                | st.integers(min_value=-2**32, max_value=2**32).filter(bool))
+    return body + [lead]
+
+
+def _int_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def resultant_operands(draw):
+    """(a, b, shared): degrees 0-9 each; shared pairs carry a common
+    factor of degree 1-3, so their resultant is 0."""
+    if draw(st.booleans()):
+        return draw(int_poly()), draw(int_poly()), False
+    f = draw(int_poly(1, 3))
+    top = 10 - len(f)
+    return (_int_mul(draw(int_poly(0, top)), f),
+            _int_mul(draw(int_poly(0, top)), f), True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(resultant_operands())
+@example(([5], [1, 0, -2, 3], False))     # constant a: 5^3
+@example(([1, 0, -2, 3], [-4], False))    # constant b: (-4)^3
+@example(([-7], [2], False))              # both constant: 1
+def test_int_resultant_matches_sylvester_determinant(case):
+    a, b, shared = case
+    got = _int_resultant(a, b)
+    assert got == sylvester_resultant_int(a, b)
+    # the swap convention Res(b, a) = (-1)^(deg a * deg b) Res(a, b)
+    sign = -1 if (len(a) - 1) * (len(b) - 1) % 2 else 1
+    assert _int_resultant(b, a) == sign * got
+    if shared:
+        assert got == 0
 
 
 @settings(max_examples=60, deadline=None)
