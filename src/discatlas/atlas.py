@@ -20,19 +20,13 @@ meets [0, 1]; the intervals there are those of whole-line isolation,
 so the restriction leaves the witness unchanged.
 
 For every family the segment polynomial is the product Sigma0 * Sigma1
-of the two values ``stratum_values`` gives, restricted to the segment
-line and built in integers: den is the lcm of all endpoint
-denominators, and den times each endpoint is an integer vector.  For B
-and C, den * h_t at the integer nodes t = 0..2*mu - 1 gives
-disc(den * h_t) * (den * h_t)(0) = den^(2*mu - 1) * Sigma0 * Sigma1 by
-one integer resultant each; the degree bound 2*mu - 1 holds because the
-leading coefficient of h_t is the constant class sign, so specialising
-t commutes with the resultant.  The values are interpolated in
-integers (forward differences, falling factorials), and the one
-division by (2*mu - 1)! * den^(2*mu - 1) comes last.  For F4 the closed
-forms are multiplied directly in Z[t]: with the cubic of Delta_0 scaled
-by den^2, the product is -disc(G) * (4*beta^3 + 27*den*delta^2) /
-(16*den^11).  No node is sampled there, so no degree bound is needed.
+of the two stratum polynomials ``models.segment_strata`` gives along
+the segment line, multiplied in Z[t] with one division by the product
+of their denominators.  For B and C disc(h_t) is interpolated from one
+integer resultant at each of the nodes t = 0..2*mu - 2 and h_t(0) is a
+line; for F4 both factors are closed forms in Z[t].  The same
+function gives the parameter slices of ``render``, so the segment
+math exists once.
 
 Paths between same-type parameters of B and C are constructed in root
 space from exact data: the real roots of h are isolated and rounded to
@@ -59,8 +53,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm
-from typing import Callable, Sequence
+from typing import Callable
 
 from .classify import (
     BCSignature,
@@ -78,8 +71,7 @@ from .classify import (
 from .exactpoly import (
     Interval,
     UniPoly,
-    _int_derivative,
-    _int_resultant,
+    _int_mul,
     isolate_real_roots,
     poly_from_roots,
     refine_root,
@@ -90,10 +82,12 @@ from .models import (
     Parameter,
     SeedNotSmallEnough,
     SingularityClass,
+    _bc_lead,
     boundary_polynomial,
     discriminant_membership,
     f4_reduce,
     f4_seed_oval_side,
+    segment_strata,
 )
 
 
@@ -228,12 +222,6 @@ class SegmentFailure:
 # representatives
 
 
-def _bc_lead(sc: SingularityClass) -> int:
-    if sc.family == "B":
-        return 1 if sc.is_even else sc.sign
-    return sc.sign
-
-
 def construct_representative(sc: SingularityClass, sig: BCSignature
                              ) -> Parameter:
     """Integer-rooted parameter realising a B/C signature.
@@ -291,108 +279,12 @@ def _lerp(a: Parameter, b: Parameter, t: Fraction) -> Parameter:
     return Parameter(tuple((1 - t) * x + t * y for x, y in zip(a, b)))
 
 
-def _interpolate(values: Sequence[Fraction], divisor: int = 1) -> UniPoly:
-    """Interpolant through (k, values[k] / divisor) for k = 0, ..., n - 1.
-
-    Newton's forward form sum_j (Delta^j y_0 / j!) * t(t-1)...(t-j+1)
-    in integers: the values share one cleared denominator, the forward
-    differences and the falling-factorial Horner steps stay in int, and
-    the single division by (n-1)! times that denominator times divisor
-    comes last.
-    """
-    n = len(values)
-    den = lcm(*(v.denominator for v in values))
-    ys = [v.numerator * (den // v.denominator) for v in values]
-    diffs = []
-    for _ in range(n):
-        diffs.append(ys[0])
-        ys = [b - a for a, b in zip(ys, ys[1:])]
-    # scale Delta^j y_0 by (n-1)!/j! so every Horner coefficient is integral
-    fact = factorial(n - 1)
-    acc = [diffs[-1]]
-    for j in range(n - 2, -1, -1):
-        # acc <- acc * (t - j) + diffs[j] * (n-1)!/j!
-        shifted = [0] + acc
-        for i, c in enumerate(acc):
-            shifted[i] -= j * c
-        shifted[0] += diffs[j] * (fact // factorial(j))
-        acc = shifted
-    scale = fact * den * divisor
-    return UniPoly("t", [Fraction(c, scale) for c in acc])
-
-
-def _int_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        if x:
-            for j, y in enumerate(q):
-                out[i + j] += x * y
-    return out
-
-
-def _int_sum(*terms: tuple[int, Sequence[int]]) -> list[int]:
-    """Sum of c * p over the (c, p) pairs, p integer coefficient lists."""
-    out = [0] * max(len(p) for _, p in terms)
-    for c, p in terms:
-        for i, x in enumerate(p):
-            out[i] += c * x
-    return out
-
-
 def _segment_polynomial(sc: SingularityClass, a: Parameter, b: Parameter
                         ) -> UniPoly:
-    # Sigma0 * Sigma1 along a + t*(b - a), in integers.  den is the lcm of
-    # every endpoint denominator; A and B are den times the endpoints.
-    den = lcm(*(v.denominator for v in a.values + b.values))
-    A = [v.numerator * (den // v.denominator) for v in a]
-    B = [v.numerator * (den // v.denominator) for v in b]
-    if sc.family == "F4":
-        return _f4_segment_product(sc, A, B, den)
-    # B/C: H = den * h_t has the constant leading coefficient
-    # _bc_lead(sc) * den, so specialising t commutes with the resultant
-    # and deg_t disc(h_t) <= 2*mu - 2; with h_t(0) the product has degree
-    # at most 2*mu - 1 and the nodes t = 0..2*mu - 1 determine it.  At a
-    # node, disc(H) * H(0) = den^(2*mu - 1) * disc(h_t) * h_t(0), and
-    # disc(H) = sign * Res(H, H') / lc(H) is an exact integer quotient.
-    mu = sc.mu
-    lead = _bc_lead(sc) * den
-    sign = -1 if (mu * (mu - 1) // 2) % 2 else 1
-    line = [(x, y - x) for x, y in zip(reversed(A), reversed(B))]
-    vals = []
-    for k in range(2 * mu):
-        H = [x + k * dx for x, dx in line] + [lead]
-        vals.append(sign * _int_resultant(H, _int_derivative(H)) // lead
-                    * H[0])
-    return _interpolate(vals, den ** (2 * mu - 1))
-
-
-def _f4_segment_product(sc: SingularityClass, A: list[int], B: list[int],
-                        den: int) -> UniPoly:
-    # the product itself in Z[t], no nodes: alpha..delta are the integer
-    # lines of a..d (den times the parameters), and G = den^2 * g is the
-    # cubic of Delta_0 = -disc(g)/16 with coefficients in Z[t]; disc is
-    # homogeneous of degree 4, so Delta_0 = -disc(G)/(16*den^8) and
-    # Sigma_1 = (4*beta^3 + 27*den*delta^2)/den^3
-    al, be, ga, de = ([x, y - x] for x, y in zip(A, B))
-    s1 = _int_sum((4, _int_mul(be, _int_mul(be, be))),
-                  (27 * den, _int_mul(de, de)))
-    if sc.sign < 0:
-        # Delta_0 at the plus-class reduction (-a, b, c, -d)
-        al, de = [-x for x in al], [-x for x in de]
-    q = -4 * den * den
-    g2 = _int_mul(ga, ga)
-    g1 = _int_sum((2, _int_mul(al, ga)), (-4 * den, be))
-    g0 = _int_sum((1, _int_mul(al, al)), (-4 * den, de))
-    g1sq, g2sq = _int_mul(g1, g1), _int_mul(g2, g2)
-    # B^2 C^2 - 4 A C^3 - 4 B^3 D - 27 A^2 D^2 + 18 A B C D for
-    # G = A*y^3 + B*y^2 + C*y + D
-    disc = _int_sum((1, _int_mul(g2sq, g1sq)),
-                    (-4 * q, _int_mul(g1sq, g1)),
-                    (-4, _int_mul(g2sq, _int_mul(g2, g0))),
-                    (-27 * q * q, _int_mul(g0, g0)),
-                    (18 * q, _int_mul(_int_mul(g2, g1), g0)))
-    scale = 16 * den ** 11
-    return UniPoly("t", [Fraction(-c, scale) for c in _int_mul(disc, s1)])
+    # the certificate polynomial Sigma0 * Sigma1 along the segment
+    (c0, d0), (c1, d1) = segment_strata(sc, a, b)
+    scale = d0 * d1
+    return UniPoly("t", [Fraction(c, scale) for c in _int_mul(c0, c1)])
 
 
 def certify_segment(sc: SingularityClass, start, end

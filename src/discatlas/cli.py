@@ -4,7 +4,8 @@ Hand-rolled argument handling: parameter literals such as "-1/2" are
 indistinguishable from option syntax to stock parsers, and the exit
 code contract (0 ok, 1 usage, 2 domain error, 3 inconclusive) must be
 exact.  Flags may appear anywhere after the subcommand; anything that
-is not a known flag is a positional.  All rationals are "num/den" or
+does not start with "--" is a positional, and a flag the command does
+not read is a usage error.  All rationals are "num/den" or
 integer literals; floats are rejected.  Identical invocations produce
 byte-identical output.
 """
@@ -84,6 +85,17 @@ _FLAG_ARITY = {
     "--segment": 0, "--slice": 1, "--axes": 1, "--px": 1,
 }
 
+# the flags each command reads; any other flag is a usage error
+_COMMAND_FLAGS = {
+    "info": (),
+    "classify": (),
+    "atlas": ("--seed", "--samples", "--grid", "--box", "--den", "--jobs",
+              "--out", "--figures"),
+    "certify": ("--segment", "--budget", "--seed"),
+    "render": ("--out", "--box", "--samples", "--px", "--axes", "--slice"),
+    "eliminant": (),
+}
+
 
 class UsageError(ValueError):
     pass
@@ -93,7 +105,8 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
-def _split_args(tokens: list[str]) -> tuple[list[str], dict[str, str]]:
+def _split_args(cmd: str, tokens: list[str]
+                ) -> tuple[list[str], dict[str, str]]:
     pos: list[str] = []
     flags: dict[str, str] = {}
     i = 0
@@ -102,6 +115,8 @@ def _split_args(tokens: list[str]) -> tuple[list[str], dict[str, str]]:
         if t.startswith("--"):
             if t not in _FLAG_ARITY:
                 raise UsageError(f"unknown flag {t}")
+            if t not in _COMMAND_FLAGS[cmd]:
+                raise UsageError(f"{cmd} does not take {t}")
             if _FLAG_ARITY[t]:
                 if i + 1 >= len(tokens):
                     raise UsageError(f"flag {t} needs a value")
@@ -153,14 +168,14 @@ def _rat_flag(flags: dict, name: str, default) -> Fraction:
 
 
 def _cmd_info(pos, flags):
-    if len(pos) != 1 or flags:
+    if len(pos) != 1:
         raise UsageError("info takes exactly one class argument")
     _emit(table1_metadata(_parse_class(pos[0])))
     return 0
 
 
 def _cmd_classify(pos, flags):
-    if not pos or flags:
+    if not pos:
         raise UsageError("classify takes a class and its parameters")
     sc = _parse_class(pos[0])
     lam = _parse_params(sc, pos[1:])
@@ -275,6 +290,8 @@ def _cmd_render(pos, flags):
         fixed = _parse_slice_assignment(sc, flags.get("--slice", ""))
         base = SLICE_VIEWPORT
     else:
+        if "--slice" in flags:
+            raise UsageError("--slice needs --axes")
         lam = _parse_params(sc, pos[1:])
         base = default_viewport(sc, lam)
     vp = None
@@ -297,7 +314,7 @@ def _cmd_render(pos, flags):
 
 
 def _cmd_eliminant(pos, flags):
-    if pos or flags:
+    if pos:
         raise UsageError("eliminant takes no arguments")
     _emit({
         "variables": ["a", "b", "c", "d"],
@@ -337,7 +354,7 @@ def run(argv: list[str]) -> int:
         sys.stderr.write(f"error: unknown command {cmd!r}\n{USAGE}\n")
         return 1
     try:
-        pos, flags = _split_args(argv[1:])
+        pos, flags = _split_args(cmd, argv[1:])
         return _COMMANDS[cmd](pos, flags)
     except UsageError as e:
         sys.stderr.write(f"error: {e}\n{USAGE}\n")

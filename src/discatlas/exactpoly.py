@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial as _factorial
 from math import gcd as _igcd
 from math import lcm as _ilcm
 from typing import Iterable, Mapping, Sequence, Union
@@ -328,6 +329,83 @@ def _int_trim(cs: list[int]) -> list[int]:
 
 def _int_derivative(cs: Sequence[int]) -> list[int]:
     return [i * c for i, c in enumerate(cs)][1:]
+
+
+def _int_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        if x:
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+    return out
+
+
+def _int_sum(*terms: tuple[int, Sequence[int]]) -> list[int]:
+    """Sum of c * p over the (c, p) pairs, p integer coefficient lists."""
+    out = [0] * max(len(p) for _, p in terms)
+    for c, p in terms:
+        for i, x in enumerate(p):
+            out[i] += c * x
+    return out
+
+
+def _interpolate(values: Sequence[RationalLike]) -> tuple[list[int], int]:
+    """Interpolant through (k, values[k]) for k = 0, ..., n - 1.
+
+    Returned as integer coefficients (constant term first) and a
+    positive denominator, as ``UniPoly._int_coeffs`` returns them.
+    Newton's forward form sum_j (Delta^j y_0 / j!) * t(t-1)...(t-j+1)
+    in integers: the values share one cleared denominator, the forward
+    differences and the falling-factorial Horner steps stay in int, and
+    the single division by (n-1)! times that denominator is left to the
+    caller.
+    """
+    n = len(values)
+    den = _ilcm(*(v.denominator for v in values))
+    ys = [v.numerator * (den // v.denominator) for v in values]
+    diffs = []
+    for _ in range(n):
+        diffs.append(ys[0])
+        ys = [b - a for a, b in zip(ys, ys[1:])]
+    # scale Delta^j y_0 by (n-1)!/j! so every Horner coefficient is integral
+    fact = _factorial(n - 1)
+    acc = [diffs[-1]]
+    for j in range(n - 2, -1, -1):
+        # acc <- acc * (t - j) + diffs[j] * (n-1)!/j!
+        shifted = [0] + acc
+        for i, c in enumerate(acc):
+            shifted[i] -= j * c
+        shifted[0] += diffs[j] * (fact // _factorial(j))
+        acc = shifted
+    return acc, fact * den
+
+
+def _int_reduced(cs: Sequence[int], den: int) -> tuple[list[int], int]:
+    """cs / den trimmed and in lowest terms: no trailing zero, and no
+    common factor of den and every coefficient.  Zero is ([], 1)."""
+    cs = _int_trim(list(cs))
+    g = _igcd(_int_content(cs), den)
+    return [c // g for c in cs], den // g
+
+
+def _int_grid_values(cs: Sequence[int], den: int, m: int) -> list[Fraction]:
+    """The exact values cs(i/m) / den at i = 0, 1, ..., m (den > 0).
+
+    m^deg * cs(i/m) is an integer polynomial in i, so each value costs
+    one integer Horner pass and one reduced Fraction.
+    """
+    if not cs:
+        return [Fraction(0)] * (m + 1)
+    d = len(cs) - 1
+    scaled = [c * m ** (d - k) for k, c in enumerate(cs)][::-1]
+    q = den * m ** d
+    out = []
+    for i in range(m + 1):
+        acc = 0
+        for c in scaled:
+            acc = acc * i + c
+        out.append(Fraction(acc, q))
+    return out
 
 
 def _int_pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -30,7 +30,9 @@ in closed form.  Delta_0 is irreducible of degree 7, quasi-homogeneous
 of weight 12 for weights (3, 4, 1, 6).  The boundary stratum is the
 cubic discriminant condition 4*b^3 + 27*d^2 = 0.  Every stratum is
 thus the discriminant or a value of a univariate polynomial, and
-stratum_values evaluates both defining polynomials for every family.
+stratum_values evaluates both defining polynomials for every family;
+segment_strata gives the same two along a parameter segment, as
+integer polynomials in the segment parameter t.
 The minus class reduces to the plus class by
 -f(x, -y; a, b, c, d) = f(x, y; -a, b, c, -d).
 
@@ -51,6 +53,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from .exactpoly import (
@@ -58,6 +61,12 @@ from .exactpoly import (
     Interval,
     MultiPoly,
     UniPoly,
+    _int_derivative,
+    _int_mul,
+    _int_reduced,
+    _int_resultant,
+    _int_sum,
+    _interpolate,
     discriminant,
     gcd_uni,
     sturm_count,
@@ -265,14 +274,16 @@ def boundary_polynomial(sc: SingularityClass, lam) -> UniPoly:
         a, b, c, d = lam
         return UniPoly("y", [d, b, 0, 1])
     mu = sc.mu
-    if sc.family == "B":
-        lead = 1 if sc.is_even else sc.sign
-        var = "x"
-    else:
-        lead = sc.sign
-        var = "y"
-    coeffs = [lam[mu - 1 - i] for i in range(mu)] + [Fraction(lead)]
+    var = "x" if sc.family == "B" else "y"
+    coeffs = [lam[mu - 1 - i] for i in range(mu)] + [Fraction(_bc_lead(sc))]
     return UniPoly(var, coeffs)
+
+
+def _bc_lead(sc: SingularityClass) -> int:
+    """Leading coefficient of h for B and C: a sign fixed by the class."""
+    if sc.family == "B":
+        return 1 if sc.is_even else sc.sign
+    return sc.sign
 
 
 def deformation_polynomial(sc: SingularityClass, lam) -> MultiPoly:
@@ -361,6 +372,82 @@ def stratum_values(sc: SingularityClass, lam) -> tuple[Fraction, Fraction]:
     h = boundary_polynomial(sc, lam)
     mult, at_zero = discriminant(h), h.constant_term()
     return (mult, at_zero) if sc.family == "B" else (at_zero, mult)
+
+
+IntPoly = tuple[list[int], int]
+
+
+def segment_strata(sc: SingularityClass, start, end
+                   ) -> tuple[IntPoly, IntPoly]:
+    """The two values of ``stratum_values`` along a parameter segment.
+
+    Sigma0 and Sigma1 at (1-t)*start + t*end as polynomials in t, each
+    an integer coefficient list (constant term first) with a positive
+    denominator, the pair ``UniPoly._int_coeffs`` returns.  Everything
+    runs in integers: den is the lcm of all endpoint denominators, and
+    den times each endpoint is an integer vector.
+
+    For B and C, H = den * h_t has the constant leading coefficient
+    _bc_lead(sc) * den, so specialising t commutes with the resultant,
+    disc(H) = den^(2*mu - 2) * disc(h_t) has degree at most 2*mu - 2 in
+    t, and its values at the integer nodes t = 0..2*mu - 2 determine
+    it; each is one integer resultant, disc(H) = sign * Res(H, H') /
+    lc(H), and the interpolant is divided by den^(2*mu - 2) once.
+    h_t(0) is a line.  For F4 the closed forms are built in Z[t]: with
+    the cubic of Delta_0 scaled by den^2, Delta_0 = -disc(G) /
+    (16*den^8) and Sigma1 = (4*beta^3 + 27*den*delta^2) / den^3.
+
+    >>> segment_strata(SingularityClass.parse("B+2"),
+    ...                Parameter.of(0, -1), Parameter.of(0, -4))
+    (([4, 12], 1), ([-1, -3], 1))
+    """
+    a = _check_arity(sc, Parameter.coerce(start))
+    b = _check_arity(sc, Parameter.coerce(end))
+    den = lcm(*(v.denominator for v in a.values + b.values))
+    A = [v.numerator * (den // v.denominator) for v in a]
+    B = [v.numerator * (den // v.denominator) for v in b]
+    if sc.family == "F4":
+        return _f4_segment_strata(sc, A, B, den)
+    mu = sc.mu
+    lead = _bc_lead(sc) * den
+    sign = -1 if (mu * (mu - 1) // 2) % 2 else 1
+    line = [[x, y - x] for x, y in zip(reversed(A), reversed(B))]
+    vals = []
+    for k in range(2 * mu - 1):
+        H = [x + k * dx for x, dx in line] + [lead]
+        vals.append(sign * _int_resultant(H, _int_derivative(H)) // lead)
+    cs, scale = _interpolate(vals)
+    mult = _int_reduced(cs, scale * den ** (2 * mu - 2))
+    at_zero = _int_reduced(line[0], den)
+    return (mult, at_zero) if sc.family == "B" else (at_zero, mult)
+
+
+def _f4_segment_strata(sc: SingularityClass, A: list[int], B: list[int],
+                       den: int) -> tuple[IntPoly, IntPoly]:
+    # alpha..delta are the integer lines of a..d (den times the
+    # parameters), and G = den^2 * g is the cubic of Delta_0 = -disc(g)/16
+    # with coefficients in Z[t]; disc is homogeneous of degree 4, so
+    # Delta_0 = -disc(G)/(16*den^8)
+    al, be, ga, de = ([x, y - x] for x, y in zip(A, B))
+    s1 = _int_sum((4, _int_mul(be, _int_mul(be, be))),
+                  (27 * den, _int_mul(de, de)))
+    if sc.sign < 0:
+        # Delta_0 at the plus-class reduction (-a, b, c, -d)
+        al, de = [-x for x in al], [-x for x in de]
+    q = -4 * den * den
+    g2 = _int_mul(ga, ga)
+    g1 = _int_sum((2, _int_mul(al, ga)), (-4 * den, be))
+    g0 = _int_sum((1, _int_mul(al, al)), (-4 * den, de))
+    g1sq, g2sq = _int_mul(g1, g1), _int_mul(g2, g2)
+    # B^2 C^2 - 4 A C^3 - 4 B^3 D - 27 A^2 D^2 + 18 A B C D for
+    # G = A*y^3 + B*y^2 + C*y + D
+    disc = _int_sum((1, _int_mul(g2sq, g1sq)),
+                    (-4 * q, _int_mul(g1sq, g1)),
+                    (-4, _int_mul(g2sq, _int_mul(g2, g0))),
+                    (-27 * q * q, _int_mul(g0, g0)),
+                    (18 * q, _int_mul(_int_mul(g2, g1), g0)))
+    return (_int_reduced([-c for c in disc], 16 * den ** 8),
+            _int_reduced(s1, den ** 3))
 
 
 def discriminant_membership(sc: SingularityClass, lam) -> Membership:

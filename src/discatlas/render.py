@@ -9,10 +9,15 @@ integer isqrt, every emitted point is checked exactly against
 |f| < 10^-6, and all coordinates are formatted with fixed precision,
 making the output byte-deterministic.
 
-The lower-value set W = {f <= 0} is shaded by exact sign sampling on
-the viewport grid, and the boundary line x = 0 is dashed.  Parameter
-slices contour the stratum-defining polynomials (evaluated exactly at
-the grid nodes) with marching squares in two distinct strokes.
+The lower-value set W = {f <= 0} is shaded by exact signs on the
+viewport grid, and the boundary line x = 0 is dashed.  Every grid row
+is read from one integer row polynomial: f restricted to the row
+ordinate is a polynomial in x with its denominators cleared once, and
+each node costs one integer Horner sign.  Parameter slices contour
+the two stratum-defining polynomials with marching squares in two
+distinct strokes; each grid row is a parameter segment, whose Sigma0
+and Sigma1 come from ``models.segment_strata`` (the same segment math
+as the path certificates) and are evaluated exactly at the nodes.
 """
 
 from __future__ import annotations
@@ -28,9 +33,9 @@ from .models import (
     SingularityClass,
     boundary_polynomial,
     deformation_polynomial,
-    stratum_values,
+    segment_strata,
 )
-from .exactpoly import UniPoly
+from .exactpoly import UniPoly, _int_grid_values, _int_sign_at
 
 RESIDUAL_BOUND = Fraction(1, 10 ** 6)
 _SQRT_BITS = 40
@@ -261,17 +266,29 @@ def boundary_crossings(polylines) -> int:
 
 def lower_region_rects(sc: SingularityClass, lam, vp: Viewport
                        ) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
-    """Cell rectangles (x0, y0, x1, y1) covering sampled {f <= 0} runs."""
+    """Cell rectangles (x0, y0, x1, y1) covering sampled {f <= 0} runs.
+
+    Each grid row is one polynomial in x: grouped by x-exponent, the
+    terms of f give coefficients that are polynomials in y, so a row
+    costs one evaluation per exponent, one cleared denominator and an
+    integer Horner sign per node.
+    """
     lam = Parameter.coerce(lam)
     F = deformation_polynomial(sc, lam)
+    cols: list[list] = [[] for _ in range(1 + max(i for i, _ in F.terms))]
+    for (i, j), c in F.terms.items():
+        cols[i].extend([0] * (j + 1 - len(cols[i])))
+        cols[i][j] = c
+    col_polys = [UniPoly("y", col) for col in cols]
     xs, ys = vp.xs(), vp.ys()
     dx = (vp.xmax - vp.xmin) / (vp.samples - 1)
     dy = (vp.ymax - vp.ymin) / (vp.samples - 1)
     rects = []
     for y in ys:
+        row, _ = UniPoly("x", [q(y) for q in col_polys])._int_coeffs()
         run_start = None
         for i, x in enumerate(xs + [None]):
-            inside = x is not None and F.eval((x, y)) <= 0
+            inside = x is not None and _int_sign_at(row, x) <= 0
             if inside and run_start is None:
                 run_start = x
             elif not inside and run_start is not None:
@@ -383,6 +400,8 @@ def _contour_segments(vals, xs, ys):
     """Marching squares segments for the zero level of a value grid."""
     segs = []
     fv = [[float(v) for v in row] for row in vals]
+    fx = [float(x) for x in xs]
+    fy = [float(y) for y in ys]
 
     def cross(va, vb, pa, pb):
         t = va / (va - vb)
@@ -391,10 +410,8 @@ def _contour_segments(vals, xs, ys):
     for j in range(len(ys) - 1):
         for i in range(len(xs) - 1):
             c = [fv[j][i], fv[j][i + 1], fv[j + 1][i + 1], fv[j + 1][i]]
-            p = [(float(xs[i]), float(ys[j])),
-                 (float(xs[i + 1]), float(ys[j])),
-                 (float(xs[i + 1]), float(ys[j + 1])),
-                 (float(xs[i]), float(ys[j + 1]))]
+            p = [(fx[i], fy[j]), (fx[i + 1], fy[j]),
+                 (fx[i + 1], fy[j + 1]), (fx[i], fy[j + 1])]
             m = sum(1 << k for k in range(4) if c[k] > 0)
             if m in (0, 15):
                 continue
@@ -418,6 +435,27 @@ def _contour_segments(vals, xs, ys):
     return segs
 
 
+def _slice_grids(sc: SingularityClass, fixed: dict, axes, vp: Viewport
+                 ) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """Exact Sigma0 and Sigma1 values at every slice grid node, by rows.
+
+    A row is the parameter segment from (xmin, y) to (xmax, y), and its
+    i-th node is the segment point t = i / (samples - 1): one
+    ``segment_strata`` call per row, then integer evaluations.
+    """
+    names = sc.parameter_names
+    m = vp.samples - 1
+    grid0, grid1 = [], []
+    for yv in vp.ys():
+        start, end = (Parameter(tuple({**fixed, axes[0]: xv, axes[1]: yv}[n]
+                                      for n in names))
+                      for xv in (vp.xmin, vp.xmax))
+        s0, s1 = segment_strata(sc, start, end)
+        grid0.append(_int_grid_values(*s0, m))
+        grid1.append(_int_grid_values(*s1, m))
+    return grid0, grid1
+
+
 def render_parameter_slice(sc: SingularityClass, fixed: dict, axes,
                            vp: Viewport | None = None) -> str:
     """SVG contours of the two strata on a 2-parameter slice.
@@ -436,21 +474,10 @@ def render_parameter_slice(sc: SingularityClass, fixed: dict, axes,
     fixed = {k: Fraction(v) for k, v in fixed.items()}
     vp = vp or SLICE_VIEWPORT
     xs, ys = vp.xs(), vp.ys()
-    grid0, grid1 = [], []
-    for yv in ys:
-        row0, row1 = [], []
-        for xv in xs:
-            point = {**fixed, axes[0]: xv, axes[1]: yv}
-            lam = Parameter(tuple(point[n] for n in names))
-            v0, v1 = stratum_values(sc, lam)
-            row0.append(v0)
-            row1.append(v1)
-        grid0.append(row0)
-        grid1.append(row1)
-
     parts = [_svg_header(vp)]
     parts.extend(_axis_lines(vp))
-    for grid, stroke in ((grid0, "#b2182b"), (grid1, "#2166ac")):
+    for grid, stroke in zip(_slice_grids(sc, fixed, axes, vp),
+                            ("#b2182b", "#2166ac")):
         parts.append(f'<g stroke="{stroke}" stroke-width="1.4" fill="none">')
         for (xa, ya), (xb, yb) in _contour_segments(grid, xs, ys):
             pa = vp.to_px(xa, ya)

@@ -8,14 +8,17 @@ already pin down.
 """
 
 import importlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from discatlas.exactpoly import (
     Interval,
     UniPoly,
+    _interpolate,
     discriminant,
     restrict_to_segment,
     sturm_count,
@@ -54,6 +57,8 @@ from discatlas.models import (
     f4_reduce,
     f4_sigma0_eliminant,
     f4_sigma1_polynomial,
+    segment_strata,
+    stratum_values,
 )
 
 atlas_mod = importlib.import_module("discatlas.atlas")
@@ -141,8 +146,8 @@ def test_certify_segment_rejects_discriminant_endpoint():
 def newton_interpolate(nodes, values) -> UniPoly:
     """Newton divided-difference interpolation in Fraction arithmetic.
 
-    The oracle for atlas._interpolate, which works in integers on the
-    nodes 0, 1, ..., n - 1.
+    The oracle for exactpoly._interpolate, which works in integers on
+    the nodes 0, 1, ..., n - 1.
     """
     n = len(nodes)
     coef = list(values)
@@ -159,7 +164,8 @@ def test_integer_interpolation_matches_newton():
     rng = random.Random(23)
     for n in range(1, 16):
         vals = [F(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(n)]
-        assert atlas_mod._interpolate(vals) \
+        cs, den = _interpolate(vals)
+        assert UniPoly("t", [F(c, den) for c in cs]) \
             == newton_interpolate([F(k) for k in range(n)], vals)
 
 
@@ -219,6 +225,36 @@ def test_f4_segment_polynomial_matches_restriction(label):
         want = (restrict_to_segment(f4_sigma0_eliminant(), ra, rb)
                 * restrict_to_segment(f4_sigma1_polynomial(), ra, rb))
         assert atlas_mod._segment_polynomial(sc, a, b) == want
+
+
+CORPUS = json.loads((Path(__file__).parent.parent / "perfbench"
+                     / "path_corpus.json").read_text())
+
+
+def test_segment_strata_product_is_certificate_polynomial_on_corpus():
+    # every same-type pair and cross-type segment of the frozen path
+    # corpus: the product of the two segment strata, the polynomial the
+    # certificate stores, equals the interpolant of Sigma0 * Sigma1 from
+    # stratum_values at one node more than its degree bound (2*mu - 1
+    # for B/C, 7 + 3 for F4)
+    segs = [(label, a, b) for label, entry in CORPUS["classes"].items()
+            for a, b in [p[1:] for p in entry["pairs"]]
+            + [c[2:] for c in entry["cross"]]]
+    assert len(segs) == 304
+    for label, a, b in segs:
+        sc = SingularityClass.parse(label)
+        a, b = (Parameter(tuple(F(v) for v in p)) for p in (a, b))
+        (c0, d0), (c1, d1) = segment_strata(sc, a, b)
+        product = UniPoly("t", [F(c0i, d0) for c0i in c0]) \
+            * UniPoly("t", [F(c1i, d1) for c1i in c1])
+        nodes = [F(k) for k in range(
+            12 if sc.family == "F4" else 2 * sc.mu + 1)]
+        vals = []
+        for t in nodes:
+            s0, s1 = stratum_values(sc, atlas_mod._lerp(a, b, t))
+            vals.append(s0 * s1)
+        assert product == newton_interpolate(nodes, vals), (label, a, b)
+        assert atlas_mod._segment_polynomial(sc, a, b) == product
 
 
 def test_certify_segment_unisolated_crossing_is_inconclusive(monkeypatch):

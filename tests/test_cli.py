@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from discatlas.cli import USAGE, _FLAG_ARITY, run
+from discatlas.cli import (USAGE, _COMMAND_FLAGS, _FLAG_ARITY,
+                           _split_args, run)
 
 
 def invoke(capsys, *argv):
@@ -240,13 +241,24 @@ def test_render_slice_writes_file(tmp_path, capsys):
      "--segment", "--budget", "-1"],
     ["atlas", "B+2", "--samples", "10", "--jobs", "0"],
     ["atlas", "B+2", "--samples", "10", "--jobs", "-3"],
+    ["certify", "F4+", "1", "1", "0", "0", "2", "1", "0", "1",
+     "--figures", "figs"],
+    ["atlas", "B+2", "--samples", "3", "--budget", "5"],
+    ["render", "B+2", "0", "-1", "--segment"],
+    ["render", "B+2", "0", "-1", "--slice", "l1=0"],
+    ["classify", "B+2", "0", "-1", "--seed", "1"],
 ], ids=["slice-float", "samples", "den", "px", "px-no-box",
         "slice-samples-no-box", "slice-samples", "slice-name",
         "budget-negative", "segment-budget-negative", "jobs-zero",
-        "jobs-negative"])
+        "jobs-negative", "certify-figures", "atlas-budget",
+        "render-segment", "render-slice-no-axes", "classify-seed"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
+    # --out goes only to commands that take it, so that each call fails
+    # for its own reason and not for a foreign --out
     out_path = tmp_path / "out"
-    code, out, err = invoke(capsys, *argv, "--out", str(out_path))
+    if "--out" in _COMMAND_FLAGS[argv[0]]:
+        argv = [*argv, "--out", str(out_path)]
+    code, out, err = invoke(capsys, *argv)
     assert code == 1
     assert out == "" and "usage:" in err
     assert not out_path.exists()
@@ -287,6 +299,33 @@ def test_help_flag_exits_zero(capsys):
 def test_usage_lists_every_flag():
     for flag in _FLAG_ARITY:
         assert flag in USAGE, flag
+
+
+def _usage_flags() -> dict[str, set[str]]:
+    """The flags USAGE shows on each command's synopsis lines."""
+    shown: dict[str, set[str]] = {}
+    cmd = None
+    for line in USAGE.splitlines():
+        indent = len(line) - len(line.lstrip())
+        if indent == 2:
+            cmd = line.split()[0]
+        elif indent < 8:
+            cmd = None  # a description or the closing notes
+        if cmd:
+            shown.setdefault(cmd, set()).update(
+                w.strip("[]") for w in line.split()
+                if w.lstrip("[").startswith("--"))
+    return shown
+
+
+def test_every_usage_flag_is_taken_by_its_command():
+    shown = _usage_flags()
+    assert shown == {cmd: set(f) for cmd, f in _COMMAND_FLAGS.items()}
+    for cmd, flags in shown.items():
+        for flag in flags:
+            value = ["1"] * _FLAG_ARITY[flag]
+            assert _split_args(cmd, [flag, *value]) \
+                == ([], {flag: "".join(value)})
 
 
 def test_unknown_command(capsys):

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from discatlas.exactpoly import (
     MultiPoly,
@@ -31,10 +32,12 @@ from discatlas.models import (
     f4_seed_oval_side,
     f4_sigma0_eliminant,
     f4_sigma1_polynomial,
+    segment_strata,
     stratum_values,
     table1_metadata,
     xi0_point,
 )
+import discatlas.atlas as atlas_mod
 from elimination_oracle import derivative, derive_sigma0_eliminant, substitute
 
 F = Fraction
@@ -385,3 +388,45 @@ def test_eliminant_agrees_with_instantiated_system():
         assert system_hit == elim_hit
         agree += 1
     assert agree == 120
+
+
+# ---------------------------------------------------------------------------
+# segment strata
+
+
+SEGMENT_LABELS = [f"{fam}{s}{mu}" for fam in "BC" for s in "+-"
+                  for mu in range(2, 9)] + ["F4+", "F4-"]
+seg_rational = st.builds(F, st.integers(-40, 40),
+                         st.sampled_from([1, 2, 3, 7, 12, 1024]))
+
+
+@st.composite
+def segments(draw):
+    sc = SingularityClass.parse(draw(st.sampled_from(SEGMENT_LABELS)))
+    a = Parameter(tuple(draw(seg_rational)
+                        for _ in range(sc.parameter_count)))
+    b = Parameter(tuple(draw(seg_rational)
+                        for _ in range(sc.parameter_count)))
+    if draw(st.booleans()):
+        # share coordinates, so that a stratum is constant or zero on
+        # the segment
+        b = Parameter(tuple(x if draw(st.booleans()) else y
+                            for x, y in zip(a, b)))
+    return sc, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(segments(), st.integers(1, 9))
+@example((SingularityClass.parse("C+3"), Parameter.of(1, 2, 0),
+          Parameter.of(-1, 2, 0)), 4)
+def test_segment_strata_match_stratum_values(seg, m):
+    sc, a, b = seg
+    strata = segment_strata(sc, a, b)
+    for cs, den in strata:
+        assert den > 0 and (not cs or cs[-1] != 0)
+    for k in range(m + 1):
+        t = F(k, m)
+        want = stratum_values(sc, atlas_mod._lerp(a, b, t))
+        got = tuple(sum(c * t ** i for i, c in enumerate(cs)) / den
+                    for cs, den in strata)
+        assert got == want

@@ -5,10 +5,14 @@ tests hold every emitted curve point to the exact residual bound and
 compare crossing counts against the classifier, not against pixels.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from discatlas.exactpoly import MultiPoly
 from discatlas.models import (
@@ -17,10 +21,13 @@ from discatlas.models import (
     deformation_polynomial,
     f4_sigma0_eliminant,
     f4_sigma1_polynomial,
+    stratum_values,
 )
 from discatlas.classify import F4_SEEDS, classify_f4, f4_side_seeds
+from discatlas.cli import run
 from discatlas.render import (
     RESIDUAL_BOUND,
+    _slice_grids,
     BadAxes,
     EmptyViewport,
     Viewport,
@@ -40,6 +47,7 @@ from discatlas.render import (
 F = Fraction
 B2 = SingularityClass("B", 2, 1)
 F4P = SingularityClass("F4", 4, 1)
+F4M = SingularityClass("F4", 4, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -228,3 +236,145 @@ def test_write_slice_deterministic(tmp_path):
     assert p1.name == p2.name
     assert p1.read_bytes() == p2.read_bytes()
     assert slice_filename(F4P, {"a": 0, "c": 0}, ("b", "d")) == p1.name
+
+
+# ---------------------------------------------------------------------------
+# byte pins
+
+
+# stdout and SVG SHA-256 of render calls recorded before shading and
+# slices moved to row polynomials: the benchmark's render set, one
+# CLI-default figure per family and the default slice, non-dyadic
+# boxes, rows whose polynomial vanishes identically, and slices with
+# non-integer fixed values; each runs with "--out figs" in a fresh cwd
+RENDER_PINS = json.loads(
+    (Path(__file__).parent / "render_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pin", RENDER_PINS,
+                         ids=[p["argv"] for p in RENDER_PINS])
+def test_render_output_pinned(tmp_path, monkeypatch, capsys, pin):
+    monkeypatch.chdir(tmp_path)
+    assert run(pin["argv"].split()) == 0
+    out = capsys.readouterr().out
+    svg = Path(json.loads(out)["written"]).read_bytes()
+    assert hashlib.sha256(out.encode()).hexdigest() == pin["stdout_sha256"]
+    assert hashlib.sha256(svg).hexdigest() == pin["svg_sha256"]
+
+
+# ---------------------------------------------------------------------------
+# row evaluators against the per-node oracles
+
+
+def per_node_rects(sc, lam, vp):
+    """Shading by one MultiPoly.eval of f at every grid node."""
+    f = deformation_polynomial(sc, Parameter.coerce(lam))
+    xs, ys = vp.xs(), vp.ys()
+    dx = (vp.xmax - vp.xmin) / (vp.samples - 1)
+    dy = (vp.ymax - vp.ymin) / (vp.samples - 1)
+    rects = []
+    for y in ys:
+        run_start = None
+        for i, x in enumerate(xs + [None]):
+            inside = x is not None and f.eval((x, y)) <= 0
+            if inside and run_start is None:
+                run_start = x
+            elif not inside and run_start is not None:
+                rects.append((run_start - dx / 2, y - dy / 2,
+                              xs[i - 1] + dx / 2, y + dy / 2))
+                run_start = None
+    return rects
+
+
+def per_node_slice_grids(sc, fixed, axes, vp):
+    """Sigma0 and Sigma1 by one stratum_values call at every grid node."""
+    grid0, grid1 = [], []
+    for yv in vp.ys():
+        row0, row1 = [], []
+        for xv in vp.xs():
+            point = {**fixed, axes[0]: xv, axes[1]: yv}
+            v0, v1 = stratum_values(
+                sc, Parameter(tuple(point[n] for n in sc.parameter_names)))
+            row0.append(v0)
+            row1.append(v1)
+        grid0.append(row0)
+        grid1.append(row1)
+    return grid0, grid1
+
+
+RENDER_LABELS = [f"{fam}{s}{mu}" for fam in "BC" for s in "+-"
+                 for mu in range(2, 9)] + ["F4+", "F4-"]
+small_rational = st.builds(F, st.integers(-12, 12), st.integers(1, 7))
+
+
+@st.composite
+def viewports(draw):
+    # corners with denominators up to 7 and widths such as 7/3, so the
+    # nodes are rarely dyadic
+    lo = [draw(small_rational) for _ in range(2)]
+    width = [draw(st.builds(F, st.integers(1, 24), st.integers(1, 7)))
+             for _ in range(2)]
+    return Viewport(lo[0], lo[0] + width[0], lo[1], lo[1] + width[1],
+                    samples=draw(st.integers(16, 65)))
+
+
+@st.composite
+def shading_cases(draw):
+    sc = SingularityClass.parse(draw(st.sampled_from(RENDER_LABELS)))
+    lam = Parameter(tuple(draw(small_rational)
+                          for _ in range(sc.parameter_count)))
+    return sc, lam, draw(viewports())
+
+
+@st.composite
+def slice_cases(draw):
+    sc = SingularityClass.parse(draw(st.sampled_from(RENDER_LABELS)))
+    names = sc.parameter_names
+    axes = tuple(draw(st.permutations(names))[:2])
+    fixed = {n: draw(small_rational) for n in names if n not in axes}
+    return sc, fixed, axes, draw(viewports())
+
+
+# y = 0 is a grid row of these symmetric boxes with an odd sample count
+C4_ZERO_ROW = (SingularityClass.parse("C+4"), Parameter.of(0, -2, 0, 0),
+               Viewport(-3, 3, -3, 3, samples=33))
+B3_ZERO_ROW = (SingularityClass.parse("B+3"), {"l2": F(-1)}, ("l1", "l3"),
+               Viewport(-3, 3, -3, 3, samples=33))
+C5_ZERO_ROW = (SingularityClass.parse("C-5"), {"l1": F(1, 2), "l2": F(-2),
+                                               "l3": F(1, 3)},
+               ("l4", "l5"), Viewport(-F(7, 3), 2, -F(5, 2), F(5, 2),
+                                      samples=17))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shading_cases())
+@example(C4_ZERO_ROW)
+def test_row_shading_matches_per_node_eval(case):
+    sc, lam, vp = case
+    assert lower_region_rects(sc, lam, vp) == per_node_rects(sc, lam, vp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(slice_cases())
+@example(B3_ZERO_ROW)
+@example(C5_ZERO_ROW)
+@example((F4M, {"b": F(-2, 3), "d": F(1, 5)}, ("a", "c"),
+          Viewport(-F(7, 3), F(7, 3), -F(7, 3), F(7, 3), samples=19)))
+def test_row_slice_grids_match_per_node_stratum_values(case):
+    sc, fixed, axes, vp = case
+    assert _slice_grids(sc, fixed, axes, vp) \
+        == per_node_slice_grids(sc, fixed, axes, vp)
+
+
+def test_identically_zero_rows():
+    # f(x, 0) = h(0) = l4 = 0 shades the whole y = 0 row; on the slice
+    # row l_mu = 0 the h(0) stratum vanishes at every node
+    sc, lam, vp = C4_ZERO_ROW
+    assert (vp.xmin - (vp.xmax - vp.xmin) / 64, F(-3, 32),
+            vp.xmax + (vp.xmax - vp.xmin) / 64, F(3, 32)) \
+        in lower_region_rects(sc, lam, vp)
+    for sc, fixed, axes, vp in (B3_ZERO_ROW, C5_ZERO_ROW):
+        grids = _slice_grids(sc, fixed, axes, vp)
+        row = vp.ys().index(0)
+        at_zero = grids[1] if sc.family == "B" else grids[0]
+        assert at_zero[row] == [0] * vp.samples
