@@ -22,11 +22,14 @@ so the restriction leaves the witness unchanged.
 For every family the segment polynomial is the product Sigma0 * Sigma1
 of the two stratum polynomials ``models.segment_strata`` gives along
 the segment line, multiplied in Z[t] with one division by the product
-of their denominators.  For B and C disc(h_t) is interpolated from one
-integer resultant at each of the nodes t = 0..2*mu - 2 and h_t(0) is a
-line; for F4 both factors are closed forms in Z[t].  The same
-function gives the parameter slices of ``render``, so the segment
-math exists once.
+of their denominators.  Both factors are interpolated from the integer
+stratum kernel ``models._int_strata`` at the nodes t = 0..D, D the
+degree of the stratum polynomials (2*mu - 2 for B and C, 7 for F4):
+one integer resultant per node for B and C, the two cubic
+discriminants in closed form for F4.  The same function gives the
+parameter slices of ``render``, so the segment math exists once.  A
+segment polynomial that vanishes identically (h_t keeps a complex
+double root) decides nothing and ends the search as NotFound.
 
 Paths between same-type parameters of B and C are constructed in root
 space from exact data: the real roots of h are isolated and rounded to
@@ -51,16 +54,14 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .classify import (
     BCSignature,
     DiscriminantParameter,
-    F4Descriptor,
     F4_SEEDS,
-    LowerSetType,
     NonGenericConfiguration,
     canonical_type_id,
     classify,
@@ -139,13 +140,6 @@ class SamplingConfig:
 
 
 @dataclass(frozen=True)
-class SampleRecord:
-    index: int
-    parameter: Parameter
-    outcome: str          # type key, or "Sigma0"/"Sigma1"/"Both"/"NonGeneric"
-
-
-@dataclass(frozen=True)
 class AtlasReport:
     label: str
     expected: int
@@ -154,7 +148,6 @@ class AtlasReport:
     total_samples: int
     match: bool
     config: SamplingConfig
-    samples: tuple = field(default=(), repr=False, compare=False)
 
     def json_obj(self) -> dict:
         return {
@@ -294,6 +287,7 @@ def certify_segment(sc: SingularityClass, start, end
     Success means the segment-restricted product of the stratum-defining
     polynomials has Sturm count zero on the closed unit interval.  On
     failure the witness is an isolating interval (in t) of a crossing.
+    NotFound is raised when the polynomial vanishes identically.
 
     >>> sc = SingularityClass.parse("B+2")
     >>> c = certify_segment(sc, Parameter.of(0, -1), Parameter.of(0, -4))
@@ -308,6 +302,10 @@ def certify_segment(sc: SingularityClass, start, end
             raise DiscriminantEndpoint(
                 f"segment endpoint lies on {m.value}")
     poly = _segment_polynomial(sc, start, end)
+    if poly.is_zero():
+        # only disc(h_t) of B or C can vanish identically between
+        # nonsingular endpoints: h_t keeps a complex double root
+        raise NotFound("the segment polynomial vanishes identically")
     unit = Interval.closed(0, 1)
     n = sturm_count(poly, unit)
     if n == 0:
@@ -598,14 +596,14 @@ def _seed_parameters(sc: SingularityClass) -> list[Parameter]:
     return [construct_representative(sc, sig) for sig in valid_signatures(sc)]
 
 
-def _atlas_task(args) -> tuple[int, str, tuple, tuple]:
+def _atlas_task(args) -> tuple[int, str, dict | None, tuple]:
     label, values, jitter_tag = args
     sc = SingularityClass.parse(label)
     lam = Parameter(values)
     try:
         t = classify(sc, lam)
     except DiscriminantParameter as e:
-        return (0, e.membership.value, (), values)
+        return (0, e.membership.value, None, values)
     except NonGenericConfiguration:
         # the label wall has measure zero; one deterministic nudge
         rng = random.Random(jitter_tag)
@@ -616,17 +614,13 @@ def _atlas_task(args) -> tuple[int, str, tuple, tuple]:
         try:
             t = classify(sc, lam)
         except (DiscriminantParameter, NonGenericConfiguration):
-            return (0, "NonGeneric", (), values)
-    if isinstance(t, BCSignature):
-        return (1, t.key(), (t.p, t.q), tuple(lam.values))
-    return (1, type_key(t), (t.roots, t.oval), tuple(lam.values))
+            return (0, "NonGeneric", None, values)
+    return (1, type_key(t), t.json_obj(), tuple(lam.values))
 
 
 def enumerate_components(sc: SingularityClass,
                          config: SamplingConfig | None = None,
-                         jobs: int = 1,
-                         keep_samples: bool = False
-                         ) -> AtlasReport:
+                         jobs: int = 1) -> AtlasReport:
     """Census of realized topological types for one class.
 
     Seeds guarantee every component is represented: for B/C one
@@ -652,20 +646,12 @@ def enumerate_components(sc: SingularityClass,
 
     realized: dict[str, dict] = {}
     rejections = {"Sigma0": 0, "Sigma1": 0, "Both": 0, "NonGeneric": 0}
-    records: list[SampleRecord] = []
-    for idx, (ok, key, payload, used) in enumerate(results):
+    for ok, key, tjson, used in results:
         lam = Parameter(used)
-        if keep_samples:
-            records.append(SampleRecord(idx, lam, key))
         if not ok:
             rejections[key] += 1
             continue
         if key not in realized:
-            if len(payload) == 2 and isinstance(payload[0], int):
-                tjson = {"p": payload[0], "q": payload[1]}
-            else:
-                tjson = {"roots": [list(t) for t in payload[0]],
-                         "oval": payload[1]}
             realized[key] = {
                 "count": 0,
                 "type": tjson,
@@ -693,7 +679,6 @@ def enumerate_components(sc: SingularityClass,
         total_samples=len(params),
         match=(len(realized) == expected),
         config=config,
-        samples=tuple(records),
     )
 
 

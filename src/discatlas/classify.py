@@ -29,22 +29,28 @@ after dividing out a root at 0; its variations at -oo, 0 and +oo give
 (p, q), and its last member is gcd(h, h'), so a squarefree h with
 h(0) != 0 is nonsingular with no further test.  Only the measure-zero
 rest goes to the membership test, which tells a real multiple root from
-a complex pair.  For F4, disc g = -16*Delta_0 and disc P = -Sigma_1: a
-zero puts the parameter on that stratum, and otherwise the sign counts
-real roots, three when positive and one when negative.  With no oval
-every crossing is a branch crossing, and its f_x sign is the side of
-the wall y = -a/c it lies on: the sign of P(-a/c) decides one crossing,
-one Sturm count of P on (-oo, -a/c) decides three.  Only oval cases
-isolate and order the roots of P and g.
+a complex pair.  For F4 the signs of the two stratum values from
+models._int_strata decide membership and count real roots: Delta_0 =
+-disc(g)/16 and Sigma_1 = -disc(P), so a zero puts the parameter on
+that stratum, Sigma_1 > 0 means one crossing (three otherwise), and
+Delta_0 > 0 means no oval.  The f_x sign of a crossing is the side of
+the wall y = -a/c it lies on, so the number of crossings below the wall
+decides every sign: the sign of P(-a/c) gives it for one crossing, one
+Sturm count of P on (-oo, -a/c) for three.  With no oval every
+crossing is a branch crossing.  Only oval cases isolate roots, once,
+of P*g: P and g share no root off the wall, and a Sturm count of g on
+each isolating interval tells the roots of g from the crossings, so
+the crossings are ordered against the roots r1 < r2 < r3 of g.
 
 The descriptor records the boundary crossings in ascending order, each
 tagged Branch or Oval by which support interval of g it falls in and
 by the sign of f_x there, plus the oval state: Absent, Crossed (the
 oval meets the boundary, necessarily in exactly two of the crossings),
 or Left/Right of the boundary.  The side is the sign of the midline
-x = -(a + c*y)/2 sampled at an exact rational point strictly between
-r2 and r3; an uncrossed oval has P > 0 on its support, so the two
-sheets have equal sign and the midline cannot vanish there.
+x = -(a + c*y)/2 sampled at an exact rational point of [r2, r3]
+between their isolating intervals; an uncrossed oval has P > 0 on its
+support, so the two sheets have equal sign and the midline cannot
+vanish there.
 
 Only eight descriptor classes occur, matching the eight connected
 components of the complement of the discriminant:
@@ -71,13 +77,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .exactpoly import (
     Interval,
     UniPoly,
-    discriminant,
     isolate_real_roots,
-    refine_root,
     root_signature,
     sturm_count,
 )
@@ -86,6 +91,8 @@ from .models import (
     Parameter,
     SingularityClass,
     _check_arity,
+    _int_point,
+    _int_strata,
     boundary_polynomial,
     discriminant_membership,
     f4_reduce,
@@ -211,63 +218,6 @@ def classify_bc(sc: SingularityClass, lam) -> BCSignature:
     return BCSignature(sig.neg, sig.pos)
 
 
-# ---------------------------------------------------------------------------
-# exact root ordering helpers
-
-
-class _IsolatedRoot:
-    """A real algebraic number as a shrinking isolating interval."""
-
-    __slots__ = ("poly", "iv")
-
-    def __init__(self, poly: UniPoly, iv: Interval):
-        self.poly = poly
-        self.iv = iv
-
-    def refine(self) -> None:
-        if not self.iv.is_point():
-            w = self.iv.width() / 4
-            self.iv = refine_root(self.poly, self.iv, w)
-
-    def bounds(self) -> tuple[Fraction, Fraction]:
-        return self.iv.lo, self.iv.hi
-
-    def compare(self, other: "_IsolatedRoot") -> int:
-        """-1, 0, +1 ordering; 0 only for equal point intervals."""
-        for _ in range(512):
-            alo, ahi = self.bounds()
-            blo, bhi = other.bounds()
-            if ahi < blo or (ahi == blo and not (self.iv.is_point()
-                                                 and other.iv.is_point())):
-                return -1
-            if bhi < alo or (bhi == alo and not (self.iv.is_point()
-                                                 and other.iv.is_point())):
-                return 1
-            if self.iv.is_point() and other.iv.is_point():
-                return 0
-            self.refine()
-            other.refine()
-        raise RuntimeError("root comparison failed to separate")
-
-    def compare_rational(self, r: Fraction) -> int:
-        """Position of the root relative to an exact rational non-root."""
-        for _ in range(512):
-            lo, hi = self.bounds()
-            if self.iv.is_point():
-                return -1 if lo < r else (1 if lo > r else 0)
-            if hi <= r:
-                return -1
-            if lo >= r:
-                return 1
-            self.refine()
-        raise RuntimeError("root comparison failed to separate")
-
-
-def _isolated(poly: UniPoly) -> list[_IsolatedRoot]:
-    return [_IsolatedRoot(poly, iv)
-            for iv in isolate_real_roots(poly, Fraction(1, 4))]
-
-
 def classify_f4(sc: SingularityClass, lam) -> F4Descriptor:
     """Exact descriptor of a nonsingular F4 parameter.
 
@@ -284,19 +234,17 @@ def classify_f4(sc: SingularityClass, lam) -> F4Descriptor:
     if sc.family != "F4":
         raise ValueError("classify_f4 handles the F4 classes")
     lam = _check_arity(sc, Parameter.coerce(lam))
+    den = lcm(*(v.denominator for v in lam))
+    # positive multiples of Delta_0 = -disc(g)/16 and Sigma_1 = -disc(P)
+    s0, s1 = _int_strata(sc, _int_point(den, lam), den)
+    member = Membership.of(s0 == 0, s1 == 0)
+    if member is not Membership.NON_SINGULAR:
+        raise DiscriminantParameter(
+            f"{sc.label()} parameter lies on {member.value}", member)
     if sc.sign < 0:
         lam = f4_reduce(lam)
     a, b, c, d = lam
     P = UniPoly("y", [d, b, 0, 1])
-    g = UniPoly("y", [a * a - 4 * d, 2 * a * c - 4 * b, c * c, -4])
-    # disc g = -16*Delta_0 and disc P = -Sigma_1; a real cubic has a
-    # multiple root iff its discriminant vanishes, and three distinct
-    # real roots iff it is positive
-    disc_g, disc_P = discriminant(g), discriminant(P)
-    member = Membership.of(disc_g == 0, disc_P == 0)
-    if member is not Membership.NON_SINGULAR:
-        raise DiscriminantParameter(
-            f"{sc.label()} parameter lies on {member.value}", member)
 
     # nongeneric wall: f_x = a + c*y vanishes at some boundary root
     if c == 0:
@@ -309,45 +257,49 @@ def classify_f4(sc: SingularityClass, lam) -> F4Descriptor:
             raise NonGenericConfiguration(
                 "f_x vanishes at a boundary crossing")
 
-    def fx_sign(above_wall: bool) -> str:
-        # f_x = c*(y - wall) at a crossing y; the sign of a if c = 0
-        s = a if c == 0 else (c if above_wall else -c)
+    # a real cubic with a nonzero discriminant has one real root when
+    # the discriminant is negative and three when it is positive
+    n = 1 if s1 > 0 else 3
+    if c == 0:
+        below = 0
+    elif n == 1:
+        below = 0 if at_wall < 0 else 1  # P < 0 left of its sole root
+    else:
+        below = sturm_count(P, Interval.open(None, wall))
+
+    def fx_sign(i: int) -> str:
+        # f_x = c*(y - wall) at the i-th crossing y; the sign of a if c = 0
+        s = a if c == 0 else (c if i >= below else -c)
         return "+" if s > 0 else "-"
 
-    if disc_g < 0:
+    signs = [fx_sign(i) for i in range(n)]
+    if s0 > 0:
         # g has one real root: no oval, every crossing is on the branch
-        n = 1 if disc_P < 0 else 3
-        if c == 0:
-            below = 0
-        elif n == 1:
-            below = 0 if at_wall < 0 else 1  # P < 0 left of its sole root
-        else:
-            below = sturm_count(P, Interval.open(None, wall))
-        return F4Descriptor(
-            tuple(("B", fx_sign(i >= below)) for i in range(n)), "A")
+        return F4Descriptor(tuple(("B", s) for s in signs), "A")
 
-    r1, r2, r3 = _isolated(g)
+    # P and g share no root off the wall (g = (a + c*y)^2 at a root of
+    # P), so the roots of P*g are simple: the three of g, r1 < r2 < r3,
+    # and the crossings; each crossing has g > 0, so it lies left of r1
+    # (branch) or between r2 and r3 (oval)
+    g = UniPoly("y", [a * a - 4 * d, 2 * a * c - 4 * b, c * c, -4])
+    Pg = P * g
     tags: list[tuple[str, str]] = []
-    n_on_oval = 0
-    for r in _isolated(P):
-        sign = fx_sign(c == 0 or r.compare_rational(wall) > 0)
-        # each crossing has g > 0, so it sits left of r1 or between r2, r3
-        if r.compare(r1) < 0:
-            tags.append(("B", sign))
+    g_ivs: list[Interval] = []
+    # any isolating intervals order the roots, so the width allowed is
+    # that of the Cauchy interval (P*g has leading coefficient -4): the
+    # bisection stops as soon as each root is alone
+    for iv in isolate_real_roots(Pg, 2 + max(map(abs, Pg.coeffs)) / 2):
+        if sturm_count(g, iv):
+            g_ivs.append(iv)
         else:
-            tags.append(("O", sign))
-            n_on_oval += 1
-    if n_on_oval:
+            tags.append(("O" if g_ivs else "B", signs[len(tags)]))
+    if any(kind == "O" for kind, _ in tags):
         return F4Descriptor(tuple(tags), "C")
-    # exact rational point strictly inside the oval support
-    while not (r2.bounds()[1] < r3.bounds()[0]):
-        r2.refine()
-        r3.refine()
-    y_mid = (r2.bounds()[1] + r3.bounds()[0]) / 2
-    xc = -(a + c * y_mid) / 2
-    if xc == 0:
-        raise NonGenericConfiguration("midline vanishes inside the oval")
-    return F4Descriptor(tuple(tags), "R" if xc > 0 else "L")
+    # no crossing lies on the oval support [r2, r3] and P(r2) =
+    # (a + c*r2)^2 / 4, so (a + c*y)^2 >= 4*P > 0 there: the midline
+    # x = -(a + c*y)/2 keeps one sign on it, and r2 <= y_mid <= r3
+    y_mid = (g_ivs[1].hi + g_ivs[2].lo) / 2
+    return F4Descriptor(tuple(tags), "R" if a + c * y_mid < 0 else "L")
 
 
 def classify(sc: SingularityClass, lam) -> LowerSetType:

@@ -340,15 +340,6 @@ def _int_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
     return out
 
 
-def _int_sum(*terms: tuple[int, Sequence[int]]) -> list[int]:
-    """Sum of c * p over the (c, p) pairs, p integer coefficient lists."""
-    out = [0] * max(len(p) for _, p in terms)
-    for c, p in terms:
-        for i, x in enumerate(p):
-            out[i] += c * x
-    return out
-
-
 def _interpolate(values: Sequence[RationalLike]) -> tuple[list[int], int]:
     """Interpolant through (k, values[k]) for k = 0, ..., n - 1.
 

@@ -30,9 +30,13 @@ in closed form.  Delta_0 is irreducible of degree 7, quasi-homogeneous
 of weight 12 for weights (3, 4, 1, 6).  The boundary stratum is the
 cubic discriminant condition 4*b^3 + 27*d^2 = 0.  Every stratum is
 thus the discriminant or a value of a univariate polynomial, and
-stratum_values evaluates both defining polynomials for every family;
-segment_strata gives the same two along a parameter segment, as
-integer polynomials in the segment parameter t.
+stratum_values evaluates both defining polynomials for every family.
+One integer kernel, _int_strata, gives the same two values at an
+integer point den*lambda, each times a power of den.  The classifier
+reads its signs, and segment_strata interpolates it at integer nodes
+to give both polynomials along a parameter segment, in the segment
+parameter t.  discriminant_membership reads the zeros of
+stratum_values.
 The minus class reduces to the plus class by
 -f(x, -y; a, b, c, d) = f(x, y; -a, b, c, -d).
 
@@ -62,10 +66,8 @@ from .exactpoly import (
     MultiPoly,
     UniPoly,
     _int_derivative,
-    _int_mul,
     _int_reduced,
     _int_resultant,
-    _int_sum,
     _interpolate,
     discriminant,
     gcd_uni,
@@ -377,6 +379,60 @@ def stratum_values(sc: SingularityClass, lam) -> tuple[Fraction, Fraction]:
 IntPoly = tuple[list[int], int]
 
 
+def _strata_degrees(sc: SingularityClass) -> tuple[int, int]:
+    """Total degrees of the Sigma_0 and Sigma_1 polynomials in lambda."""
+    if sc.family == "F4":
+        return 7, 3
+    n = 2 * sc.mu - 2
+    return (n, 1) if sc.family == "B" else (1, n)
+
+
+def _int_point(den: int, lam: Parameter) -> list[int]:
+    """den * lam as integers; den must clear every denominator."""
+    return [v.numerator * (den // v.denominator) for v in lam]
+
+
+def _int_strata(sc: SingularityClass, V: Sequence[int], den: int
+                ) -> tuple[int, int]:
+    """Both values of ``stratum_values`` at lambda = V / den, in integers.
+
+    V is an integer vector and den > 0.  Each value comes times den to
+    the degree of its polynomial (``_strata_degrees``), a positive
+    factor, so the signs are those of the stratum values.
+
+    For B and C, H = den * h has the leading coefficient _bc_lead(sc) *
+    den, and disc(H) = den^(2*mu - 2) * disc(h) is one integer
+    resultant, sign * Res(H, H') / lc(H); den * h(0) is the last entry
+    of V.  For F4, G = den^2 * g is the cubic of Delta_0 = -disc(g)/16
+    in integers; disc is homogeneous of degree 4 in the coefficients
+    and Delta_0 has integer coefficients and degree 7, so -disc(G) =
+    16 * den^8 * Delta_0 is divisible by 16 * den.  den^3 * Sigma_1 is
+    4*beta^3 + 27*den*delta^2.
+
+    >>> _int_strata(SingularityClass.parse("B+2"), [0, -2], 2)
+    (16, -2)
+    """
+    if sc.family == "F4":
+        al, be, ga, de = V
+        s1 = 4 * be ** 3 + 27 * den * de * de
+        if sc.sign < 0:
+            # Delta_0 at the plus-class reduction (-a, b, c, -d)
+            al, de = -al, -de
+        A = -4 * den * den
+        B = ga * ga
+        C = 2 * al * ga - 4 * den * be
+        D = al * al - 4 * den * de
+        disc = (B * B * C * C - 4 * A * C ** 3 - 4 * B ** 3 * D
+                - 27 * A * A * D * D + 18 * A * B * C * D)
+        return -disc // (16 * den), s1
+    mu = sc.mu
+    lead = _bc_lead(sc) * den
+    H = list(reversed(V)) + [lead]
+    sign = -1 if (mu * (mu - 1) // 2) % 2 else 1
+    mult = sign * _int_resultant(H, _int_derivative(H)) // lead
+    return (mult, V[-1]) if sc.family == "B" else (V[-1], mult)
+
+
 def segment_strata(sc: SingularityClass, start, end
                    ) -> tuple[IntPoly, IntPoly]:
     """The two values of ``stratum_values`` along a parameter segment.
@@ -385,17 +441,13 @@ def segment_strata(sc: SingularityClass, start, end
     an integer coefficient list (constant term first) with a positive
     denominator, the pair ``UniPoly._int_coeffs`` returns.  Everything
     runs in integers: den is the lcm of all endpoint denominators, and
-    den times each endpoint is an integer vector.
+    den times each endpoint is an integer vector A or B.
 
-    For B and C, H = den * h_t has the constant leading coefficient
-    _bc_lead(sc) * den, so specialising t commutes with the resultant,
-    disc(H) = den^(2*mu - 2) * disc(h_t) has degree at most 2*mu - 2 in
-    t, and its values at the integer nodes t = 0..2*mu - 2 determine
-    it; each is one integer resultant, disc(H) = sign * Res(H, H') /
-    lc(H), and the interpolant is divided by den^(2*mu - 2) once.
-    h_t(0) is a line.  For F4 the closed forms are built in Z[t]: with
-    the cubic of Delta_0 scaled by den^2, Delta_0 = -disc(G) /
-    (16*den^8) and Sigma1 = (4*beta^3 + 27*den*delta^2) / den^3.
+    At the integer node t = k the point is (A + k*(B - A)) / den, where
+    ``_int_strata`` gives both values times den^degree.  A stratum
+    polynomial of degree n in lambda has degree at most n in t, so the
+    nodes t = 0..D for the larger degree D (2*mu - 2 for B and C, 7 for
+    F4) determine both; each interpolant is divided by den^degree once.
 
     >>> segment_strata(SingularityClass.parse("B+2"),
     ...                Parameter.of(0, -1), Parameter.of(0, -4))
@@ -404,54 +456,23 @@ def segment_strata(sc: SingularityClass, start, end
     a = _check_arity(sc, Parameter.coerce(start))
     b = _check_arity(sc, Parameter.coerce(end))
     den = lcm(*(v.denominator for v in a.values + b.values))
-    A = [v.numerator * (den // v.denominator) for v in a]
-    B = [v.numerator * (den // v.denominator) for v in b]
-    if sc.family == "F4":
-        return _f4_segment_strata(sc, A, B, den)
-    mu = sc.mu
-    lead = _bc_lead(sc) * den
-    sign = -1 if (mu * (mu - 1) // 2) % 2 else 1
-    line = [[x, y - x] for x, y in zip(reversed(A), reversed(B))]
-    vals = []
-    for k in range(2 * mu - 1):
-        H = [x + k * dx for x, dx in line] + [lead]
-        vals.append(sign * _int_resultant(H, _int_derivative(H)) // lead)
-    cs, scale = _interpolate(vals)
-    mult = _int_reduced(cs, scale * den ** (2 * mu - 2))
-    at_zero = _int_reduced(line[0], den)
-    return (mult, at_zero) if sc.family == "B" else (at_zero, mult)
-
-
-def _f4_segment_strata(sc: SingularityClass, A: list[int], B: list[int],
-                       den: int) -> tuple[IntPoly, IntPoly]:
-    # alpha..delta are the integer lines of a..d (den times the
-    # parameters), and G = den^2 * g is the cubic of Delta_0 = -disc(g)/16
-    # with coefficients in Z[t]; disc is homogeneous of degree 4, so
-    # Delta_0 = -disc(G)/(16*den^8)
-    al, be, ga, de = ([x, y - x] for x, y in zip(A, B))
-    s1 = _int_sum((4, _int_mul(be, _int_mul(be, be))),
-                  (27 * den, _int_mul(de, de)))
-    if sc.sign < 0:
-        # Delta_0 at the plus-class reduction (-a, b, c, -d)
-        al, de = [-x for x in al], [-x for x in de]
-    q = -4 * den * den
-    g2 = _int_mul(ga, ga)
-    g1 = _int_sum((2, _int_mul(al, ga)), (-4 * den, be))
-    g0 = _int_sum((1, _int_mul(al, al)), (-4 * den, de))
-    g1sq, g2sq = _int_mul(g1, g1), _int_mul(g2, g2)
-    # B^2 C^2 - 4 A C^3 - 4 B^3 D - 27 A^2 D^2 + 18 A B C D for
-    # G = A*y^3 + B*y^2 + C*y + D
-    disc = _int_sum((1, _int_mul(g2sq, g1sq)),
-                    (-4 * q, _int_mul(g1sq, g1)),
-                    (-4, _int_mul(g2sq, _int_mul(g2, g0))),
-                    (-27 * q * q, _int_mul(g0, g0)),
-                    (18 * q, _int_mul(_int_mul(g2, g1), g0)))
-    return (_int_reduced([-c for c in disc], 16 * den ** 8),
-            _int_reduced(s1, den ** 3))
+    line = [(x, y - x) for x, y in zip(_int_point(den, a), _int_point(den, b))]
+    degrees = _strata_degrees(sc)
+    nodes = [_int_strata(sc, [x + k * dx for x, dx in line], den)
+             for k in range(max(degrees) + 1)]
+    out = []
+    for vals, n in zip(zip(*nodes), degrees):
+        cs, scale = _interpolate(vals)
+        out.append(_int_reduced(cs, scale * den ** n))
+    return out[0], out[1]
 
 
 def discriminant_membership(sc: SingularityClass, lam) -> Membership:
     """Locate a parameter relative to the two discriminant strata.
+
+    A zero stratum value puts the point on that stratum, except that a
+    zero disc h of B or C counts only for a real multiple root: disc h
+    also vanishes at a complex double root (see stratum_values).
 
     >>> sc = SingularityClass.parse("B+4")
     >>> discriminant_membership(sc, Parameter.of(0, -2, 0, -1)).value
@@ -460,15 +481,12 @@ def discriminant_membership(sc: SingularityClass, lam) -> Membership:
     'Both'
     """
     lam = _check_arity(sc, Parameter.coerce(lam))
-    if sc.family == "F4":
-        s0, s1 = (v == 0 for v in stratum_values(sc, lam))
-    else:
-        # a real multiple root, not disc h = 0 (see stratum_values)
-        h = boundary_polynomial(sc, lam)
-        mult = _has_real_multiple_root(h)
-        at_zero = h.constant_term() == 0
-        s0, s1 = (mult, at_zero) if sc.family == "B" else (at_zero, mult)
-    return Membership.of(s0, s1)
+    on = [v == 0 for v in stratum_values(sc, lam)]
+    if sc.family != "F4":
+        i = 0 if sc.family == "B" else 1  # the index of disc h
+        if on[i]:
+            on[i] = _has_real_multiple_root(boundary_polynomial(sc, lam))
+    return Membership.of(*on)
 
 
 @lru_cache(maxsize=1)

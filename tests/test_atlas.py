@@ -443,16 +443,6 @@ def test_enumerate_jobs_merge_identical():
     assert r1.json_obj() == r2.json_obj()
 
 
-def test_enumerate_keep_samples():
-    cfg = SamplingConfig(random_count=50, rng_seed=2)
-    rep = enumerate_components(B2, cfg, keep_samples=True)
-    assert rep.total_samples == len(rep.samples)
-    outcomes = {s.outcome for s in rep.samples}
-    assert outcomes & {"p0q0", "p1q1", "p0q2", "p2q0"}
-    for s in rep.samples:
-        assert len(s.parameter) == 2
-
-
 def test_report_representatives_classify_to_their_key():
     cfg = SamplingConfig(random_count=150, rng_seed=4)
     for label in ("B-3", "C+4", "F4-"):

@@ -14,7 +14,14 @@ from fractions import Fraction
 
 import pytest
 
-from discatlas.exactpoly import ArityMismatch, Interval, UniPoly, sturm_count
+from discatlas.exactpoly import (
+    ArityMismatch,
+    Interval,
+    UniPoly,
+    isolate_real_roots,
+    refine_root,
+    sturm_count,
+)
 from discatlas.classify import (
     BCSignature,
     CatalogMissing,
@@ -23,7 +30,6 @@ from discatlas.classify import (
     F4_SEEDS,
     NonGenericConfiguration,
     candidate_descriptors,
-    _isolated,
     canonical_type_id,
     classify,
     classify_bc,
@@ -278,7 +284,7 @@ def test_catalog_id_unknown_type_guard():
     ((-2, -3, 0, 3), Membership.SIGMA0),   # g = -4 (y - 1)^2 (y + 2)
 ])
 def test_classify_f4_root_count_names_the_stratum(monkeypatch, lam, member):
-    # classify_f4 reads membership from disc g and disc P itself, so a
+    # classify_f4 reads membership from its own stratum signs, so a
     # cubic with a double root is caught even with the membership test
     # replaced
     assert discriminant_membership(F4P, lam) is member
@@ -292,6 +298,59 @@ def test_classify_f4_root_count_names_the_stratum(monkeypatch, lam, member):
 
 # ---------------------------------------------------------------------------
 # isolation oracle for the discriminant-sign classifier
+
+
+class _IsolatedRoot:
+    """A real algebraic number as a shrinking isolating interval."""
+
+    __slots__ = ("poly", "iv")
+
+    def __init__(self, poly: UniPoly, iv: Interval):
+        self.poly = poly
+        self.iv = iv
+
+    def refine(self) -> None:
+        if not self.iv.is_point():
+            w = self.iv.width() / 4
+            self.iv = refine_root(self.poly, self.iv, w)
+
+    def bounds(self) -> tuple[Fraction, Fraction]:
+        return self.iv.lo, self.iv.hi
+
+    def compare(self, other: "_IsolatedRoot") -> int:
+        """-1, 0, +1 ordering; 0 only for equal point intervals."""
+        for _ in range(512):
+            alo, ahi = self.bounds()
+            blo, bhi = other.bounds()
+            if ahi < blo or (ahi == blo and not (self.iv.is_point()
+                                                 and other.iv.is_point())):
+                return -1
+            if bhi < alo or (bhi == alo and not (self.iv.is_point()
+                                                 and other.iv.is_point())):
+                return 1
+            if self.iv.is_point() and other.iv.is_point():
+                return 0
+            self.refine()
+            other.refine()
+        raise RuntimeError("root comparison failed to separate")
+
+    def compare_rational(self, r: Fraction) -> int:
+        """Position of the root relative to an exact rational non-root."""
+        for _ in range(512):
+            lo, hi = self.bounds()
+            if self.iv.is_point():
+                return -1 if lo < r else (1 if lo > r else 0)
+            if hi <= r:
+                return -1
+            if lo >= r:
+                return 1
+            self.refine()
+        raise RuntimeError("root comparison failed to separate")
+
+
+def _isolated(poly: UniPoly) -> list[_IsolatedRoot]:
+    return [_IsolatedRoot(poly, iv)
+            for iv in isolate_real_roots(poly, Fraction(1, 4))]
 
 
 def _classify_f4_by_isolation(sc, lam) -> F4Descriptor:

@@ -4,6 +4,7 @@ Everything runs in-process through run() except the subprocess tests
 of ``python -m discatlas`` and of the installed console script.
 """
 
+import hashlib
 import json
 import os
 import shutil
@@ -128,6 +129,23 @@ def test_certify_segment_output_pinned(capsys, pin):
     assert out == pin["stdout"]
 
 
+# h_t keeps a complex double root along each segment, so disc(h_t) and
+# the segment polynomial vanish identically although both endpoints are
+# nonsingular: B+6 moves h_t = (x^2+4)^2 (x^2+1+t), and the B+4 segment
+# has one point, (x^2+4)^2, for both ends
+@pytest.mark.parametrize("argv", [
+    "certify B+6 0 9 0 24 0 16 0 10 0 32 0 32",
+    "certify B+6 0 9 0 24 0 16 0 10 0 32 0 32 --segment",
+    "certify B+4 0 8 0 16 0 8 0 16 --segment",
+], ids=["B+6", "B+6-segment", "B+4-segment"])
+def test_certify_zero_segment_polynomial_is_inconclusive(capsys, argv):
+    code, out, err = invoke(capsys, *argv.split())
+    assert code == 3 and err == ""
+    assert json.loads(out) == {
+        "certified": False, "inconclusive": True,
+        "reason": "the segment polynomial vanishes identically"}
+
+
 def test_certify_path_type_mismatch_domain_error(capsys):
     code, out, _ = invoke(capsys, "certify", "B+2", "0", "-1", "0", "1")
     assert code == 2
@@ -151,6 +169,27 @@ def test_certify_discriminant_endpoint(capsys):
 
 # ---------------------------------------------------------------------------
 # atlas
+
+
+# stdout of the benchmark's census calls (F4 at 250 samples, seeds 0-2;
+# B+5, C-6 and B-7 at 100) as SHA-256, and the full classify output of
+# the eight F4 seeds of each sign, recorded before the F4 classifier
+# read its stratum signs from models._int_strata
+CENSUS_PINS = json.loads(
+    (Path(__file__).parent / "census_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pin", CENSUS_PINS,
+                         ids=[p["argv"] for p in CENSUS_PINS])
+def test_census_output_pinned(capsys, pin):
+    code, out, err = invoke(capsys, *pin["argv"].split())
+    assert code == pin["exit"] and err == ""
+    if "stdout" in pin:
+        assert out == pin["stdout"]
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            pin["stdout_sha256"]
+
 
 
 def test_atlas_stdout_report(capsys):

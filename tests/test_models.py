@@ -6,6 +6,7 @@ zero-level critical point must annihilate it, and the c=0 slice must
 reduce to the classical cusp bent along the parabola.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 from discatlas.exactpoly import (
     MultiPoly,
     UniPoly,
+    _int_reduced,
+    _interpolate,
     discriminant,
     gcd_uni,
     poly_from_roots,
@@ -32,6 +35,9 @@ from discatlas.models import (
     f4_seed_oval_side,
     f4_sigma0_eliminant,
     f4_sigma1_polynomial,
+    _int_point,
+    _int_strata,
+    _strata_degrees,
     segment_strata,
     stratum_values,
     table1_metadata,
@@ -430,3 +436,48 @@ def test_segment_strata_match_stratum_values(seg, m):
         got = tuple(sum(c * t ** i for i, c in enumerate(cs)) / den
                     for cs, den in strata)
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the integer stratum kernel
+
+
+@st.composite
+def scaled_points(draw):
+    sc = SingularityClass.parse(draw(st.sampled_from(SEGMENT_LABELS)))
+    lam = [F(draw(st.integers(-40, 40)), draw(st.integers(1, 1024)))
+           for _ in range(sc.parameter_count)]
+    if sc.family == "F4" and draw(st.booleans()):
+        lam[2] = F(0)
+    lam = Parameter(tuple(lam))
+    # any common multiple of the denominators will do
+    den = draw(st.integers(1, 4)) * math.lcm(*(v.denominator for v in lam))
+    return sc, lam, den
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_points())
+@example((F4M, Parameter.of(F(1, 2), F(-3, 4), 0, F(5, 1024)), 1024))
+def test_int_strata_is_scaled_stratum_values(point):
+    sc, lam, den = point
+    got = _int_strata(sc, _int_point(den, lam), den)
+    assert tuple(F(v, den ** n) for v, n in zip(got, _strata_degrees(sc))) \
+        == stratum_values(sc, lam)
+
+
+@pytest.mark.parametrize("sc", [F4P, F4M], ids=["F4+", "F4-"])
+def test_f4_segment_strata_need_only_eight_nodes(sc):
+    # Delta_0 has degree 7, so a ninth node adds nothing
+    rng = random.Random(5 + sc.sign)
+    for _ in range(30):
+        a, b = (Parameter.of(*[F(rng.randint(-50, 50), rng.randint(1, 40))
+                               for _ in range(4)]) for _ in range(2))
+        den = math.lcm(*(v.denominator for v in a.values + b.values))
+        A, B = _int_point(den, a), _int_point(den, b)
+        nodes = [_int_strata(sc, [x + k * (y - x) for x, y in zip(A, B)], den)
+                 for k in range(9)]
+        nine = []
+        for vals, n in zip(zip(*nodes), _strata_degrees(sc)):
+            cs, scale = _interpolate(vals)
+            nine.append(_int_reduced(cs, scale * den ** n))
+        assert segment_strata(sc, a, b) == tuple(nine)
