@@ -13,11 +13,13 @@ root on the closed unit interval.  The count is ``sturm_count``: the
 endpoint values, then Descartes' rule of signs on the Moebius transform
 onto (0, 1), and a Sturm chain only when that rule shows a sign
 variation.  Since the two strata are exactly the zero sets of those
-polynomials, a zero count proves the segment stays off the
-discriminant; the certificate can be replayed by any exact root
-counter.  A refused segment isolates roots only where the bisection
-meets [0, 1]; the intervals there are those of whole-line isolation,
-so the restriction leaves the witness unchanged.
+polynomials, a zero count proves the segment, both ends included,
+stays off the discriminant; the certificate can be replayed by any
+exact root counter, and the path search tests membership only at the
+F4 jitter points it draws.  Only ``certify_segment`` tests its
+endpoints and isolates a witness, where the bisection meets [0, 1];
+the intervals there are those of whole-line isolation, so the
+restriction leaves it unchanged.
 
 For every family the segment polynomial is the product Sigma0 * Sigma1
 of the two stratum polynomials ``models.segment_strata`` gives along
@@ -41,7 +43,8 @@ linear interpolation preserves order and signs, and both ends of the
 cofactor path are definite with the sign of lead, so every convex
 combination is too: the exact path avoids the discriminant.  The
 polyline approximates it with denominator-bounded waypoints, and every
-segment is then certified independently.
+segment is then certified independently; the leg from the end point
+is reflected, since b -> a restricts to p(1 - t) where a -> b gives p(t).
 
 For F4 the component geometry is thick, so a straight segment is tried
 first, then recursive midpoint subdivision with seeded rational
@@ -73,6 +76,7 @@ from .exactpoly import (
     Interval,
     UniPoly,
     _int_mul,
+    _int_taylor_shift,
     isolate_real_roots,
     poly_from_roots,
     refine_root,
@@ -280,6 +284,27 @@ def _segment_polynomial(sc: SingularityClass, a: Parameter, b: Parameter
     return UniPoly("t", [Fraction(c, scale) for c in _int_mul(c0, c1)])
 
 
+def _segment_proof(sc: SingularityClass, a: Parameter, b: Parameter
+                   ) -> SegmentProof:
+    # the count is on the closed [0, 1], so zero also clears a and b
+    poly = _segment_polynomial(sc, a, b)
+    if poly.is_zero():
+        # only disc(h_t) of B or C can vanish identically between
+        # nonsingular endpoints: h_t keeps a complex double root
+        raise NotFound("the segment polynomial vanishes identically")
+    return SegmentProof(a, b, poly, sturm_count(poly, Interval.closed(0, 1)))
+
+
+def _reversed_proof(proof: SegmentProof) -> SegmentProof:
+    # b -> a restricts to p(1 - t): p(1 + t) by an integer Taylor shift,
+    # then t -> -t; the root count is unchanged
+    cs, den = proof.polynomial._int_coeffs()
+    flipped = [Fraction(-c if i % 2 else c, den)
+               for i, c in enumerate(_int_taylor_shift(cs, 1))]
+    return SegmentProof(proof.end, proof.start, UniPoly("t", flipped),
+                        proof.roots_in_segment)
+
+
 def certify_segment(sc: SingularityClass, start, end
                     ) -> PathCertificate | SegmentFailure:
     """Certify one straight parameter segment, or isolate a crossing.
@@ -287,7 +312,8 @@ def certify_segment(sc: SingularityClass, start, end
     Success means the segment-restricted product of the stratum-defining
     polynomials has Sturm count zero on the closed unit interval.  On
     failure the witness is an isolating interval (in t) of a crossing.
-    NotFound is raised when the polynomial vanishes identically.
+    DiscriminantEndpoint is raised for an endpoint on the discriminant,
+    NotFound when the polynomial vanishes identically.
 
     >>> sc = SingularityClass.parse("B+2")
     >>> c = certify_segment(sc, Parameter.of(0, -1), Parameter.of(0, -4))
@@ -301,23 +327,17 @@ def certify_segment(sc: SingularityClass, start, end
         if m is not Membership.NON_SINGULAR:
             raise DiscriminantEndpoint(
                 f"segment endpoint lies on {m.value}")
-    poly = _segment_polynomial(sc, start, end)
-    if poly.is_zero():
-        # only disc(h_t) of B or C can vanish identically between
-        # nonsingular endpoints: h_t keeps a complex double root
-        raise NotFound("the segment polynomial vanishes identically")
-    unit = Interval.closed(0, 1)
-    n = sturm_count(poly, unit)
-    if n == 0:
-        return PathCertificate(
-            sc.label(), (start, end),
-            (SegmentProof(start, end, poly, 0),))
-    for iv in isolate_real_roots(poly, Fraction(1, 128), unit):
+    proof = _segment_proof(sc, start, end)
+    if proof.roots_in_segment == 0:
+        return PathCertificate(sc.label(), (start, end), (proof,))
+    poly = proof.polynomial
+    for iv in isolate_real_roots(poly, Fraction(1, 128),
+                                 Interval.closed(0, 1)):
         witness = _root_in_closed_unit(poly, iv)
         if witness is not None:
             return SegmentFailure(start, end, poly, witness)
-    raise NotFound(f"{n} crossings in [0, 1] but none isolated there "
-                   "within the refinement budget")
+    raise NotFound(f"{proof.roots_in_segment} crossings in [0, 1] but none "
+                   "isolated there within the refinement budget")
 
 
 def _root_in_closed_unit(poly: UniPoly, iv: Interval) -> Interval | None:
@@ -390,24 +410,22 @@ def _bc_root_path(sc: SingularityClass, reals, rest: UniPoly,
 
 
 def _certify_bc_leg(sc: SingularityClass, src: Parameter, sig: BCSignature
-                    ) -> tuple[list[Parameter], list[SegmentProof]]:
-    """Certified polyline from src to the signature representative."""
+                    ) -> list[SegmentProof]:
+    """Segment proofs of a polyline from src to its representative."""
     h = boundary_polynomial(sc, src)
     for bits, snap in ((24, 32), (80, None), (200, None)):
         data = _bc_root_data(h, sig, bits)
         if data is None:
             continue
         lam_at = _bc_root_path(sc, *data, sig, snap)
-        way: list[Parameter] = [src]
         proofs: list[SegmentProof] = []
 
         def attempt(a: Parameter, b: Parameter, ta, tb, depth: int) -> bool:
             if a.values == b.values:
                 return True
-            res = certify_segment(sc, a, b)
-            if isinstance(res, PathCertificate):
-                proofs.append(res.segments[0])
-                way.append(b)
+            proof = _segment_proof(sc, a, b)
+            if proof.roots_in_segment == 0:
+                proofs.append(proof)
                 return True
             if ta is None or depth == 0:
                 return False
@@ -416,17 +434,11 @@ def _certify_bc_leg(sc: SingularityClass, src: Parameter, sig: BCSignature
             return (attempt(a, wm, ta, tm, depth - 1)
                     and attempt(wm, b, tm, tb, depth - 1))
 
-        w0 = lam_at(Fraction(0))
-        if not attempt(src, w0, None, None, 0):
-            continue
-        ok = True
         grid = [Fraction(0), Fraction(1, 2), Fraction(1)]
-        for ta, tb in zip(grid, grid[1:]):
-            if not attempt(lam_at(ta), lam_at(tb), ta, tb, 8):
-                ok = False
-                break
-        if ok:
-            return way, proofs
+        if attempt(src, lam_at(Fraction(0)), None, None, 0) and all(
+                attempt(lam_at(ta), lam_at(tb), ta, tb, 8)
+                for ta, tb in zip(grid, grid[1:])):
+            return proofs
     raise NotFound("root-space homotopy failed to certify")
 
 
@@ -440,9 +452,9 @@ def _f4_route(sc: SingularityClass, a: Parameter, b: Parameter, depth: int,
     if budget[0] <= 0:
         return None
     budget[0] -= 1
-    res = certify_segment(sc, a, b)
-    if isinstance(res, PathCertificate):
-        return list(res.segments)
+    proof = _segment_proof(sc, a, b)
+    if proof.roots_in_segment == 0:
+        return [proof]
     if depth == 0:
         return None
     for _ in range(3):
@@ -472,8 +484,8 @@ def certify_path(sc: SingularityClass, start, end, rng_seed: int = 0,
     """Connect two same-type parameters by a certified polyline.
 
     Endpoint types must agree (TypeMismatch otherwise).  For B and C
-    the straight segment is tried first and otherwise the route moves
-    the root configuration onto the integer-rooted representative; for
+    the straight segment is tried first, else both endpoints' root
+    configurations move onto the integer-rooted representative; for
     F4 straight, subdivided and through-catalogue routes are tried
     under the segment budget.  NotFound is raised on exhaustion and
     means only that this search gave up.
@@ -486,25 +498,12 @@ def certify_path(sc: SingularityClass, start, end, rng_seed: int = 0,
         raise TypeMismatch(
             f"endpoint types differ: {type_key(t0)} vs {type_key(t1)}")
     if sc.family in ("B", "C"):
-        res = certify_segment(sc, start, end)
-        if isinstance(res, PathCertificate):
-            return res
-        way0, proofs0 = _certify_bc_leg(sc, start, t0)
-        way1, proofs1 = _certify_bc_leg(sc, end, t1)
-        proofs = list(proofs0)
-        waypoints = list(way0)
-        # replay the second leg backwards, re-certifying each segment in
-        # path orientation so the stored proofs read in order
-        for a, b in zip(way1[::-1], way1[-2::-1]):
-            if a.values == b.values:
-                continue
-            res = certify_segment(sc, a, b)
-            if not isinstance(res, PathCertificate):
-                raise NotFound("a certified segment failed when replayed "
-                               "in reverse")
-            proofs.append(res.segments[0])
-            waypoints.append(b)
-        return PathCertificate(sc.label(), tuple(waypoints), tuple(proofs))
+        proofs = [_segment_proof(sc, start, end)]
+        if proofs[0].roots_in_segment:
+            there = _certify_bc_leg(sc, start, t0)
+            back = _certify_bc_leg(sc, end, t1)
+            proofs = there + [_reversed_proof(p) for p in reversed(back)]
+        return _proofs_to_certificate(sc, proofs)
 
     rng = random.Random(f"certify:{rng_seed}:{sc.label()}")
     radius = Fraction(1, 2)
@@ -566,8 +565,8 @@ def _sample_parameter(cfg: SamplingConfig, dim: int, index: int) -> Parameter:
     vals = []
     for _ in range(dim):
         den = rng.randint(1, cfg.denominator_bound)
-        num = rng.randint(-int(r * den), int(r * den))
-        vals.append(Fraction(num, den))
+        bound = int(r * den)
+        vals.append(Fraction(rng.randint(-bound, bound), den))
     return Parameter(tuple(vals))
 
 

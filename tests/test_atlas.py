@@ -48,6 +48,7 @@ from discatlas.classify import (
     classify_f4,
     type_key,
 )
+from discatlas.cli import run
 from discatlas.models import (
     Membership,
     Parameter,
@@ -282,6 +283,8 @@ def _check_interior(sc, cert, want_key):
     # 32 interior points per segment stay nonsingular with the same type
     for proof in cert.segments:
         a, b = proof.start, proof.end
+        # a reflected leg stores exactly what a forward recount gives
+        assert proof == certify_segment(sc, a, b).segments[0]
         for i in range(1, 33):
             t = F(i, 33)
             lam = Parameter.of(*[(1 - t) * x + t * y
@@ -343,26 +346,42 @@ def test_certify_path_homotopy_with_two_complex_pairs():
     _check_interior(sc, cert, "p1q0")
 
 
-def test_certify_path_replay_refusal_is_inconclusive(monkeypatch):
-    # the second leg is replayed backwards; a replayed segment that no
-    # longer certifies ends the search as inconclusive
-    certify = atlas_mod.certify_segment
-    seen = set()
-
-    def refuse_replays(sc, a, b):
-        res = certify(sc, a, b)
-        if (tuple(b), tuple(a)) in seen:
-            return SegmentFailure(a, b, res.segments[0].polynomial,
-                                  Interval.point(0))
-        seen.add((tuple(a), tuple(b)))
-        return res
-
-    monkeypatch.setattr(atlas_mod, "certify_segment", refuse_replays)
+def test_certify_path_waypoint_on_discriminant_is_refused(monkeypatch,
+                                                          capsys):
+    # a homotopy waypoint with h(0) = 0 lies on Sigma1; the search
+    # refuses the segments that meet it instead of blaming the input
     sc = SingularityClass("B", 3, 1)
+    argv = ["-4", "2", "-1", "-2", "4", "-1"]
+    root_path = atlas_mod._bc_root_path
+    hits = []
+
+    def through_sigma1(*args):
+        lam_at = root_path(*args)
+
+        def moved(t):
+            lam = lam_at(t)
+            if t == F(1, 2):
+                lam = Parameter(lam.values[:-1] + (F(0),))
+                hits.append(lam)
+            return lam
+
+        return moved
+
+    monkeypatch.setattr(atlas_mod, "_bc_root_path", through_sigma1)
     # p0q1 pair whose straight segment crosses the discriminant
-    with pytest.raises(NotFound):
-        certify_path(sc, (-4, 2, -1), (-2, 4, -1))
-    assert seen
+    assert run(["certify", "B+3", *argv]) in (0, 3)
+    assert capsys.readouterr().err == ""
+    try:
+        cert = certify_path(sc, argv[:3], argv[3:])
+    except NotFound:
+        cert = None
+    assert hits
+    for lam in hits:
+        assert boundary_polynomial(sc, lam)(0) == 0
+        assert discriminant_membership(sc, lam) is not Membership.NON_SINGULAR
+    if cert is not None:
+        assert not set(hits) & set(cert.waypoints)
+        _check_interior(sc, cert, "p0q1")
 
 
 def test_certify_path_type_mismatch():

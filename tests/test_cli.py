@@ -182,6 +182,22 @@ CENSUS_PINS = json.loads(
 @pytest.mark.parametrize("pin", CENSUS_PINS,
                          ids=[p["argv"] for p in CENSUS_PINS])
 def test_census_output_pinned(capsys, pin):
+    _check_pin(capsys, pin)
+
+
+# stdout SHA-256 and exit code of the benchmark's 254 path_certify calls
+# (perfbench/path_corpus.json), recorded before the path search stopped
+# testing waypoint membership and replaying its second leg backwards
+PATH_PINS = json.loads(
+    (Path(__file__).parent / "certify_path_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pin", PATH_PINS, ids=[p["argv"] for p in PATH_PINS])
+def test_certify_path_output_pinned(capsys, pin):
+    _check_pin(capsys, pin)
+
+
+def _check_pin(capsys, pin):
     code, out, err = invoke(capsys, *pin["argv"].split())
     assert code == pin["exit"] and err == ""
     if "stdout" in pin:
