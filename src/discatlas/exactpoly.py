@@ -26,10 +26,12 @@ most zero counts without a chain (Vincent-Collins-Akritas).  Otherwise
 one Sturm chain of the primitive polynomial itself decides: a signed
 pseudo-remainder sequence that strips integer content at every step, so
 coefficient growth stays linear rather than exponential, and ends in
-gcd(p, p'); at non-roots its variations count distinct roots, so no
-squarefree part is formed.  Isolation bisects from the Cauchy bound with
-the same chain and skips every subtree outside a requested window.
-Interval endpoints may be infinite; openness flags are honoured exactly.
+gcd(p, p'); at non-roots its variations count distinct roots.  Isolation
+bisects from the Cauchy bound with the same chain and skips every
+subtree outside a requested window; once a subtree holds one root, it
+is bisected on the sign of the squarefree part, chain[0] / chain[-1],
+alone.  Interval endpoints may be infinite; openness flags are honoured
+exactly.
 
 ``MultiPoly`` carries only ring operations, evaluation and restriction
 to a parameter segment: every stratum of the families is the
@@ -39,7 +41,10 @@ discriminants are univariate, by the subresultant pseudo-remainder
 sequence on integer coefficients; no Sylvester determinant is formed.
 
 Values are immutable and operations are pure: nothing here mutates an
-argument or caches behind the caller's back.
+argument.  The one memo is a polynomial's own Sturm chain, a pure
+function of its coefficients: a ``UniPoly`` builds it on first use, so
+a count, an isolation and the refinements of one polynomial share it,
+and it is never shared beyond that polynomial.
 """
 
 from __future__ import annotations
@@ -99,7 +104,7 @@ class UniPoly:
     True
     """
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("var", "coeffs", "_chain")
 
     def __init__(self, var: str, coeffs: Iterable[RationalLike]):
         cs = [_frac(c) for c in coeffs]
@@ -107,6 +112,7 @@ class UniPoly:
             cs.pop()
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_chain", None)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("UniPoly is immutable")
@@ -223,6 +229,17 @@ class UniPoly:
             return [], 1
         den = _ilcm(*[c.denominator for c in self.coeffs])
         return [c.numerator * (den // c.denominator) for c in self.coeffs], den
+
+    def _sturm_chain(self) -> list[list[int]]:
+        """The Sturm chain of the integer coefficients, built on first use.
+
+        A pure function of ``coeffs``, so it is kept on the polynomial
+        and dies with it; callers must not mutate it.
+        """
+        if self._chain is None:
+            object.__setattr__(self, "_chain",
+                               _sturm_chain_int(self._int_coeffs()[0]))
+        return self._chain
 
 
 def poly_from_roots(var: str, roots: Sequence[RationalLike],
@@ -587,16 +604,11 @@ def _int_divide_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return q
 
 
-def _squarefree_int(p: UniPoly) -> list[int]:
-    """Integer coefficients of the squarefree part of p (primitive)."""
-    cs, _ = p._int_coeffs()
-    cs = _int_trim(cs)
-    if not cs:
-        raise ZeroPolynomial("squarefree part of the zero polynomial")
-    if len(cs) == 1:
-        return [1]
-    g = _int_gcd_poly(cs, _int_derivative(cs))
-    return _int_primitive(_int_divide_exact(cs, g) if len(g) > 1 else cs)
+def _chain_squarefree(chain: Sequence[Sequence[int]]) -> Sequence[int]:
+    """Squarefree part of a Sturm chain's first member: chain[0] divided
+    by its last member, which is gcd(chain[0], chain[0]') up to a constant."""
+    g = chain[-1]
+    return chain[0] if len(g) == 1 else _int_divide_exact(chain[0], g)
 
 
 def squarefree_decomposition(p: UniPoly) -> SquarefreeDecomposition:
@@ -673,7 +685,8 @@ def sturm_count(p: UniPoly, interval: Interval) -> int:
     the Moebius transform answers first; when it shows a sign variation,
     the Sturm chain of the primitive integer polynomial decides.  That
     chain ends in gcd(p, p') and is evaluated only at non-roots, where
-    it counts distinct roots.
+    it counts distinct roots; when no endpoint root was divided out it
+    is p's own chain, built once per polynomial.
 
     >>> p = poly_from_roots("x", [0, 1, 1, 2])
     >>> sturm_count(p, Interval.closed(0, 2))
@@ -693,18 +706,18 @@ def sturm_count(p: UniPoly, interval: Interval) -> int:
     lo, hi = interval.lo, interval.hi
     if interval.is_point():
         return 1 if _int_sign_at(cs, lo) == 0 else 0
-    count = 0
+    count, deflated = 0, False
     if lo is not None and _int_sign_at(cs, lo) == 0:
         count += 0 if interval.lo_open else 1
-        cs = _deflate_root(cs, lo)
+        cs, deflated = _deflate_root(cs, lo), True
     if hi is not None and _int_sign_at(cs, hi) == 0:
         count += 0 if interval.hi_open else 1
-        cs = _deflate_root(cs, hi)
+        cs, deflated = _deflate_root(cs, hi), True
     if len(cs) == 1:
         return count
     if lo is not None and hi is not None and _descartes_no_root(cs, lo, hi):
         return count
-    chain = _sturm_chain_int(cs)
+    chain = _sturm_chain_int(cs) if deflated else p._sturm_chain()
     va = (_chain_variations_inf(chain, False) if lo is None
           else _chain_variations(chain, lo))
     vb = (_chain_variations_inf(chain, True) if hi is None
@@ -762,6 +775,34 @@ def _contains(window: Interval, x: Fraction) -> bool:
         x == window.hi and not window.hi_open)
 
 
+def _bisect_one(sf: Sequence[int], lo: Fraction, hi: Fraction,
+                max_width: Fraction, window: Interval) -> Interval | None:
+    """Bisect (lo, hi), which holds exactly one root of the squarefree sf,
+    down to ``max_width`` on the sign of sf alone.
+
+    A simple root is where sf changes sign, so one evaluation per
+    midpoint decides the half that keeps the root.  A midpoint that is
+    the root comes back as a point, if it lies in the window; a half
+    that misses the window ends the search with None.
+    """
+    if hi - lo <= max_width:
+        # most subtrees of a coarse isolation end here: spare sf(lo)
+        return Interval.open(lo, hi)
+    slo = _int_sign_at(sf, lo)
+    while hi - lo > max_width:
+        mid = (lo + hi) / 2
+        sm = _int_sign_at(sf, mid)
+        if sm == 0:
+            return Interval.point(mid) if _contains(window, mid) else None
+        if sm == slo:
+            lo = mid
+        else:
+            hi = mid
+        if not _meets(window, lo, hi):
+            return None
+    return Interval.open(lo, hi)
+
+
 def isolate_real_roots(p: UniPoly, max_width: RationalLike = Fraction(1, 16),
                        interval: Interval = Interval.real_line()
                        ) -> list[Interval]:
@@ -775,7 +816,9 @@ def isolate_real_roots(p: UniPoly, max_width: RationalLike = Fraction(1, 16),
     Bisection starts from the Cauchy bound of the squarefree part and
     skips every subtree that misses ``interval``, so the result is
     exactly the whole-line result restricted to the intervals that meet
-    ``interval``.
+    ``interval``.  p's own Sturm chain splits the bound until a subtree
+    holds one root; that subtree is bisected on the sign of the
+    squarefree part alone, through the same midpoints.
 
     >>> [iv.text() for iv in isolate_real_roots(UniPoly("x", [-2, 0, 1]), 1)]
     ['(-3/2, -3/4)', '(3/4, 3/2)']
@@ -790,64 +833,66 @@ def isolate_real_roots(p: UniPoly, max_width: RationalLike = Fraction(1, 16),
         raise ValueError("max_width must be positive")
     if p.is_zero():
         raise ZeroPolynomial("isolating roots of the zero polynomial")
-    cs, _ = p._int_coeffs()
-    if len(cs) <= 1:
+    if p.degree() < 1:
         return []
     out: list[Interval] = []
 
-    def split(cs: list[int], chain: list[list[int]], lo: Fraction,
+    def split(chain: list[list[int]], sf: Sequence[int], lo: Fraction,
               hi: Fraction, vlo: int, vhi: int) -> None:
-        # lo and hi are non-roots of cs, with chain variations vlo, vhi
+        # lo and hi are non-roots of chain[0], with chain variations vlo,
+        # vhi; sf is the squarefree part of chain[0]
         n = vlo - vhi
         if n == 0 or not _meets(interval, lo, hi):
             return
-        if n == 1 and hi - lo <= max_width:
-            out.append(Interval.open(lo, hi))
+        if n == 1:
+            iv = _bisect_one(sf, lo, hi, max_width, interval)
+            if iv is not None:
+                out.append(iv)
             return
         mid = (lo + hi) / 2
-        if _int_sign_at(cs, mid) == 0:
+        if _int_sign_at(sf, mid) == 0:
             # rational root hit exactly: emit it, deflate, recurse with a
             # fresh chain so the endpoint invariant is restored
             if _contains(interval, mid):
                 out.append(Interval.point(mid))
-            cs = _deflate_root(cs, mid)
+            cs = _deflate_root(chain[0], mid)
             if len(cs) <= 1:
                 return
             chain = _sturm_chain_int(cs)
+            sf = _chain_squarefree(chain)
             vlo, vhi = _chain_variations(chain, lo), _chain_variations(chain, hi)
         vmid = _chain_variations(chain, mid)
-        split(cs, chain, lo, mid, vlo, vmid)
-        split(cs, chain, mid, hi, vmid, vhi)
+        split(chain, sf, lo, mid, vlo, vmid)
+        split(chain, sf, mid, hi, vmid, vhi)
 
-    chain = _sturm_chain_int(cs)
-    g = chain[-1]
-    bound = _cauchy_bound(chain[0] if len(g) == 1
-                          else _int_divide_exact(chain[0], g))
+    chain = p._sturm_chain()
+    sf = _chain_squarefree(chain)
+    bound = _cauchy_bound(sf)
     # the Cauchy bound is strict, so -bound and bound are never roots
-    split(chain[0], chain, -bound, bound, _chain_variations(chain, -bound),
+    split(chain, sf, -bound, bound, _chain_variations(chain, -bound),
           _chain_variations(chain, bound))
     out.sort(key=lambda iv: (iv.lo, iv.hi))
     return out
 
 
 def refine_root(p: UniPoly, iv: Interval, max_width: RationalLike) -> Interval:
-    """Shrink an isolating interval by bisection to the requested width."""
+    """Shrink an isolating interval by bisection to the requested width.
+
+    The bisection reads the sign of p's squarefree part alone, taken
+    from p's own Sturm chain; a midpoint that is the root comes back as
+    a point interval.
+
+    >>> refine_root(UniPoly("x", [-1, 0, 4]), Interval.open(0, 1),
+    ...             Fraction(1, 1024)).text()
+    '[1/2, 1/2]'
+    """
     max_width = _frac(max_width)
     if iv.is_point():
         return iv
-    sf = _squarefree_int(p)
-    lo, hi = iv.lo, iv.hi
-    slo = _int_sign_at(sf, lo)
-    while hi - lo > max_width:
-        mid = (lo + hi) / 2
-        sm = _int_sign_at(sf, mid)
-        if sm == 0:
-            return Interval.point(mid)
-        if sm == slo:
-            lo = mid
-        else:
-            hi = mid
-    return Interval.open(lo, hi)
+    if p.is_zero():
+        raise ZeroPolynomial("squarefree part of the zero polynomial")
+    return _bisect_one(_chain_squarefree(p._sturm_chain()), iv.lo, iv.hi,
+                       max_width, Interval.real_line())
 
 
 def discriminant(p: UniPoly) -> Fraction:

@@ -63,6 +63,7 @@ from discatlas.models import (
 )
 
 atlas_mod = importlib.import_module("discatlas.atlas")
+exactpoly_mod = importlib.import_module("discatlas.exactpoly")
 
 F = Fraction
 B2 = SingularityClass("B", 2, 1)
@@ -263,6 +264,30 @@ def test_certify_segment_unisolated_crossing_is_inconclusive(monkeypatch):
                         lambda poly, iv: None)
     with pytest.raises(NotFound):
         certify_segment(B2, (0, -1), (0, 1))
+
+
+@pytest.mark.parametrize("label, a, b", [
+    # the first B+3 and F4+ cross-type pairs of perfbench/path_corpus.json
+    ("B+3", ("-49/27", "-31/10", "-21/13"), ("-192/43", "134/27", "-4/21")),
+    ("F4+", ("-122/49", "-5", "-218/47", "-5"),
+     ("-11/18", "-17/6", "49/13", "-48/35")),
+])
+def test_certify_segment_refusal_builds_one_sturm_chain(monkeypatch, label,
+                                                        a, b):
+    # the zero count, the isolation and the refinement of the witness all
+    # read the segment polynomial's own chain
+    built = []
+    chain_int = exactpoly_mod._sturm_chain_int
+
+    def counting(cs):
+        built.append(len(cs))
+        return chain_int(cs)
+
+    monkeypatch.setattr(exactpoly_mod, "_sturm_chain_int", counting)
+    res = certify_segment(SingularityClass.parse(label),
+                          tuple(map(F, a)), tuple(map(F, b)))
+    assert isinstance(res, SegmentFailure)
+    assert len(built) == 1
 
 
 def test_certify_segment_f4():

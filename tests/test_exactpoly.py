@@ -33,6 +33,7 @@ from discatlas.exactpoly import (
     squarefree_decomposition,
     sturm_count,
 )
+from discatlas import exactpoly as ep
 from discatlas.exactpoly import _int_resultant
 from elimination_oracle import (
     _mp_divide_exact,
@@ -234,6 +235,18 @@ def test_refine_root_shrinks():
     tight = refine_root(p, iv, F(1, 2 ** 30))
     assert tight.width() <= F(1, 2 ** 30)
     assert sturm_count(p, tight) == 1
+
+
+def test_refine_root_exact_hit_and_point():
+    p = UniPoly("x", [-1, 0, 4])                 # 4x^2 - 1
+    assert refine_root(p, Interval.open(0, 1), F(1, 1024)) \
+        == Interval.point(F(1, 2))
+    pt = Interval.point(F(1, 2))
+    assert refine_root(p, pt, F(1, 1024)) == pt
+    # the sign is read from the squarefree part, so a double root is
+    # refined the same way
+    assert refine_root(p * p, Interval.open(F(1, 3), 1), F(1, 1024)) \
+        == Interval.point(F(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +476,60 @@ def test_isolation_window_only_filters(pr, width, window):
     whole = isolate_real_roots(p, width)
     assert isolate_real_roots(p, width, window) \
         == [iv for iv in whole if _meets(iv, window)]
+
+
+def reference_isolate(p: UniPoly, max_width, interval: Interval):
+    """Isolation that evaluates the whole Sturm chain at every midpoint.
+
+    The runtime bisects a subtree that holds one root on the sign of
+    the squarefree part alone; this keeps the full-chain bisection it
+    replaced, so both must give the same intervals.
+    """
+    max_width = F(max_width)
+    cs, _ = p._int_coeffs()
+    if len(cs) <= 1:
+        return []
+    out = []
+
+    def split(cs, chain, lo, hi, vlo, vhi):
+        n = vlo - vhi
+        if n == 0 or not ep._meets(interval, lo, hi):
+            return
+        if n == 1 and hi - lo <= max_width:
+            out.append(Interval.open(lo, hi))
+            return
+        mid = (lo + hi) / 2
+        if ep._int_sign_at(cs, mid) == 0:
+            if ep._contains(interval, mid):
+                out.append(Interval.point(mid))
+            cs = ep._deflate_root(cs, mid)
+            if len(cs) <= 1:
+                return
+            chain = ep._sturm_chain_int(cs)
+            vlo = ep._chain_variations(chain, lo)
+            vhi = ep._chain_variations(chain, hi)
+        vmid = ep._chain_variations(chain, mid)
+        split(cs, chain, lo, mid, vlo, vmid)
+        split(cs, chain, mid, hi, vmid, vhi)
+
+    chain = ep._sturm_chain_int(cs)
+    g = chain[-1]
+    bound = ep._cauchy_bound(chain[0] if len(g) == 1
+                             else ep._int_divide_exact(chain[0], g))
+    split(chain[0], chain, -bound, bound, ep._chain_variations(chain, -bound),
+          ep._chain_variations(chain, bound))
+    out.sort(key=lambda iv: (iv.lo, iv.hi))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(rooted_poly(),
+       st.sampled_from([F(1, 128), F(1, 2 ** 24), F(1, 2 ** 80), F(2)]),
+       st.sampled_from(WINDOWS + [Interval.real_line()]))
+def test_isolation_matches_full_chain_reference(pr, width, window):
+    p, _ = pr
+    assert isolate_real_roots(p, width, window) \
+        == reference_isolate(p, width, window)
 
 
 @settings(max_examples=150, deadline=None)
