@@ -10,16 +10,15 @@ A path certificate is a polyline of rational waypoints together with,
 for every segment, the segment restriction of the product of the
 discriminant-defining polynomials and an exact count showing it has no
 root on the closed unit interval.  The count is ``sturm_count``: the
-endpoint values, then Descartes' rule of signs on the Moebius transform
-onto (0, 1), and a Sturm chain only when that rule shows a sign
-variation.  Since the two strata are exactly the zero sets of those
-polynomials, a zero count proves the segment, both ends included,
-stays off the discriminant; the certificate can be replayed by any
-exact root counter, and the path search tests membership only at the
-F4 jitter points it draws.  Only ``certify_segment`` tests its
-endpoints and isolates a witness, where the bisection meets [0, 1];
-the intervals there are those of whole-line isolation, so the
-restriction leaves it unchanged.
+endpoint values, then Descartes bisection from [0, 1], which needs no
+Sturm chain unless the polynomial may have a repeated factor.  Since
+the two strata are exactly the zero sets of those polynomials, a zero
+count proves the segment, both ends included, stays off the
+discriminant; the certificate can be replayed by any exact root
+counter, and the path search tests membership only at the F4 jitter
+points it draws.  Only ``certify_segment`` tests its endpoints and
+isolates a witness: the first root in [0, 1], as a point or a dyadic
+subinterval of [0, 1] of width at most 1/128.
 
 For every family the segment polynomial is the product Sigma0 * Sigma1
 of the two stratum polynomials ``models.segment_strata`` gives along
@@ -79,7 +78,6 @@ from .exactpoly import (
     _int_taylor_shift,
     isolate_real_roots,
     poly_from_roots,
-    refine_root,
     sturm_count,
 )
 from .models import (
@@ -311,7 +309,8 @@ def certify_segment(sc: SingularityClass, start, end
 
     Success means the segment-restricted product of the stratum-defining
     polynomials has Sturm count zero on the closed unit interval.  On
-    failure the witness is an isolating interval (in t) of a crossing.
+    failure the witness is an isolating interval (in t) of the first
+    crossing: a point or a dyadic subinterval of [0, 1].
     DiscriminantEndpoint is raised for an endpoint on the discriminant,
     NotFound when the polynomial vanishes identically.
 
@@ -331,26 +330,12 @@ def certify_segment(sc: SingularityClass, start, end
     if proof.roots_in_segment == 0:
         return PathCertificate(sc.label(), (start, end), (proof,))
     poly = proof.polynomial
-    for iv in isolate_real_roots(poly, Fraction(1, 128),
-                                 Interval.closed(0, 1)):
-        witness = _root_in_closed_unit(poly, iv)
-        if witness is not None:
-            return SegmentFailure(start, end, poly, witness)
-    raise NotFound(f"{proof.roots_in_segment} crossings in [0, 1] but none "
-                   "isolated there within the refinement budget")
-
-
-def _root_in_closed_unit(poly: UniPoly, iv: Interval) -> Interval | None:
-    """Refine an isolating interval until membership in [0, 1] is decided."""
-    for _ in range(256):
-        if iv.is_point():
-            return iv if 0 <= iv.lo <= 1 else None
-        if iv.hi <= 0 or iv.lo >= 1:
-            return None
-        if 0 <= iv.lo and iv.hi <= 1:
-            return iv
-        iv = refine_root(poly, iv, iv.width() / 4)
-    return None
+    crossings = isolate_real_roots(poly, Fraction(1, 128),
+                                   Interval.closed(0, 1))
+    if not crossings:
+        raise NotFound(f"{proof.roots_in_segment} crossings in [0, 1] but "
+                       "none isolated there")
+    return SegmentFailure(start, end, poly, crossings[0])
 
 
 # ---------------------------------------------------------------------------

@@ -17,21 +17,24 @@ Two polynomial carriers:
     terms keyed by exponent tuples.  Stored terms have nonzero
     coefficients.
 
-Real root decisions are exact and integer-only.  A root count first
-divides out every rational root sitting on a finite endpoint, to its
-full multiplicity, instead of nudging by an epsilon.  On a bounded
-interval Descartes' rule of signs on the Moebius transform
-(1+x)^n p((lo + hi*x)/(1+x)), built by integer Taylor shifts, proves
-most zero counts without a chain (Vincent-Collins-Akritas).  Otherwise
-one Sturm chain of the primitive polynomial itself decides: a signed
-pseudo-remainder sequence that strips integer content at every step, so
-coefficient growth stays linear rather than exponential, and ends in
-gcd(p, p'); at non-roots its variations count distinct roots.  Isolation
-bisects from the Cauchy bound with the same chain and skips every
-subtree outside a requested window; once a subtree holds one root, it
-is bisected on the sign of the squarefree part, chain[0] / chain[-1],
-alone.  Interval endpoints may be infinite; openness flags are honoured
-exactly.
+Real root decisions are exact and integer-only.  On the whole real
+line one Sturm chain of the primitive polynomial itself decides: a
+signed pseudo-remainder sequence that strips integer content at every
+step, so coefficient growth stays linear rather than exponential, and
+ends in gcd(p, p'); at non-roots its variations count distinct roots,
+and isolation bisects from the Cauchy bound with it.  On an interval
+with a finite end, an infinite end is replaced by the Cauchy bound,
+and every rational root on an end is divided out to its full
+multiplicity instead of nudged by an epsilon.  Descartes bisection (Vincent-Collins-Akritas)
+then starts from the interval itself: Descartes' rule of signs on the
+Moebius transform (1+x)^n p((lo + hi*x)/(1+x)), built by integer
+Taylor shifts, proves no root or exactly one, and otherwise the
+interval is halved.  That needs a squarefree polynomial: p itself when
+its reduction mod 2^61 - 1 proves it squarefree, and only otherwise
+the squarefree part chain[0] / chain[-1] of p's Sturm chain.  Either
+way, once a subtree holds one root it is bisected on the sign of the
+squarefree part alone.  Interval endpoints may be infinite; openness
+flags are honoured exactly.
 
 ``MultiPoly`` carries only ring operations, evaluation and restriction
 to a parameter segment: every stratum of the families is the
@@ -116,6 +119,11 @@ class UniPoly:
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("UniPoly is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, since the
+        # guard above refuses setattr; the cached chain is not carried
+        return UniPoly, (self.var, self.coeffs)
 
     # -- basic structure
 
@@ -576,12 +584,6 @@ class RootSignature:
     is_squarefree: bool
 
 
-@dataclass(frozen=True)
-class SquarefreeDecomposition:
-    gcd_with_derivative: UniPoly
-    squarefree_part: UniPoly
-
-
 def _int_divide_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Quotient a / b of integer polynomials, b dividing a in Q[x].
 
@@ -611,26 +613,6 @@ def _chain_squarefree(chain: Sequence[Sequence[int]]) -> Sequence[int]:
     return chain[0] if len(g) == 1 else _int_divide_exact(chain[0], g)
 
 
-def squarefree_decomposition(p: UniPoly) -> SquarefreeDecomposition:
-    """Split p into gcd(p, p') and the squarefree cofactor.
-
-    The product of the two parts equals p up to a nonzero rational
-    constant; both parts are primitive with positive leading
-    coefficient.
-    """
-    if p.is_zero():
-        raise ZeroPolynomial("squarefree decomposition of the zero polynomial")
-    cs, _ = p._int_coeffs()
-    if len(cs) == 1:
-        one = UniPoly(p.var, [1])
-        return SquarefreeDecomposition(one, one)
-    g = _int_gcd_poly(cs, _int_derivative(cs))
-    sf = _int_primitive(_int_divide_exact(cs, g))
-    if sf[-1] < 0:
-        sf = [-c for c in sf]
-    return SquarefreeDecomposition(UniPoly(p.var, g), UniPoly(p.var, sf))
-
-
 def _deflate_root(cs: list[int], r: Fraction) -> list[int]:
     """Divide out (den*x - num) to its full multiplicity; r must be a root."""
     lin = [-r.numerator, r.denominator]
@@ -649,21 +631,51 @@ def _int_taylor_shift(cs: Sequence[int], s: int) -> list[int]:
     return a
 
 
-def _descartes_no_root(cs: Sequence[int], lo: Fraction, hi: Fraction) -> bool:
-    """True when Descartes' rule proves p has no root in open (lo, hi).
+_MODP = (1 << 61) - 1
 
-    The Moebius transform (1+x)^n p((lo + hi*x)/(1+x)) maps the positive
-    half-line onto (lo, hi); its count of coefficient sign variations
-    bounds the number of roots there, so zero variations prove none.
-    Any other outcome decides nothing.
 
-    >>> _descartes_no_root([-1, 0, 1], Fraction(-1, 2), Fraction(1, 2))
-    True
+def _modp_squarefree(cs: Sequence[int]) -> bool:
+    """True only when the integer polynomial cs is squarefree.
+
+    p is reduced mod the prime q = 2^61 - 1.  A repeated factor f of p
+    keeps its degree mod q when q does not divide lc(p), because lc(f)
+    divides lc(p), and then divides gcd(p mod q, p' mod q).  So a
+    nonzero constant gcd in GF(q)[x] proves gcd(p, p') = 1 over Q;
+    False decides nothing.
+
+    >>> _modp_squarefree([-1, 0, 1]), _modp_squarefree([1, -2, 1])
+    (True, False)
     """
+    q = _MODP
+    a = [c % q for c in cs]
+    if not a or a[-1] == 0:
+        return False
+    b = _int_trim([i * c % q for i, c in enumerate(a)][1:])
+    while b:
+        # a <- a mod b in GF(q)[x]
+        db, inv = len(b) - 1, pow(b[-1], -1, q)
+        for k in range(len(a) - 1 - db, -1, -1):
+            f = a[k + db] * inv % q
+            if f:
+                for i in range(db):
+                    a[k + i] = (a[k + i] - f * b[i]) % q
+        a, b = b, _int_trim(a[:db])
+    return len(a) == 1
+
+
+def _cauchy_bound(cs: Sequence[int]) -> Fraction:
+    lead = abs(cs[-1])
+    m = max(abs(c) for c in cs[:-1]) if len(cs) > 1 else 0
+    return Fraction(m, lead) + 1
+
+
+def _unit_transform(cs: Sequence[int], lo: Fraction, hi: Fraction
+                    ) -> list[int]:
+    """A positive multiple of p(lo + (hi - lo)*y), which maps [0, 1]
+    onto [lo, hi], in integers."""
     n = len(cs) - 1
     ln, ld = lo.numerator, lo.denominator
-    # ld^n p(lo + u/ld), then u = ld*(hi - lo)*y: a positive multiple of
-    # q(y) = p(lo + (hi - lo)*y), which maps [0, 1] onto [lo, hi]
+    # ld^n p(lo + u/ld), then u = ld*(hi - lo)*y
     a = [c * ld ** (n - i) for i, c in enumerate(cs)] if ld != 1 else list(cs)
     if ln:
         a = _int_taylor_shift(a, ln)
@@ -671,22 +683,116 @@ def _descartes_no_root(cs: Sequence[int], lo: Fraction, hi: Fraction) -> bool:
     sn, sd = s.numerator, s.denominator
     if s != 1:
         a = [c * sn ** i * sd ** (n - i) for i, c in enumerate(a)]
-    # (1+x)^n q(1/(1+x)) is the reversed q shifted by one; reversal
-    # keeps the variation count of (1+x)^n q(x/(1+x))
-    return _variations(_sign(c) for c in _int_taylor_shift(a[::-1], 1)) == 0
+    return a
+
+
+def _descartes_bound(q: Sequence[int]) -> int:
+    """Sign variations of the Moebius transform (1+x)^n q(1/(1+x)).
+
+    It maps the positive half-line onto (0, 1), so the count bounds the
+    roots of q in (0, 1), counted with multiplicity, and has their
+    parity: 0 proves none and 1 proves exactly one, a simple root.  The
+    transform is the reversed q shifted by one.
+
+    >>> _descartes_bound([-1, 0, 4]), _descartes_bound([3, -16, 16])
+    (1, 2)
+    """
+    return _variations(_sign(c) for c in _int_taylor_shift(q[::-1], 1))
+
+
+def _vca(q: list[int], v: int, c: int, k: int,
+         out: list[tuple[int, int, bool]]) -> None:
+    """Isolate the roots of q in (0, 1) by Descartes bisection.
+
+    q is squarefree unless v, its Descartes bound, is 0 or 1.  The node
+    (c, k) is the interval (c/2^k, (c+1)/2^k), on which q is a positive
+    multiple of the parent polynomial.  Appends, left to right, (c, k,
+    False) for a node that holds exactly one root and (c, k, True) for
+    a root hit exactly at c/2^k (Collins & Akritas 1976; Rouillier &
+    Zimmermann 2004).
+    """
+    if v == 0:
+        return
+    if v == 1:
+        out.append((c, k, False))
+        return
+    n = len(q) - 1
+    left = [x << (n - i) for i, x in enumerate(q)]     # 2^n q(y/2)
+    right = _int_taylor_shift(left, 1)                 # 2^n q((y+1)/2)
+    hit = right[0] == 0
+    if hit:
+        # q(1/2) = 0, a simple root: divide it out of both halves
+        right = right[1:]
+        left = _int_divide_exact(left, [-1, 1])
+    _vca(left, _descartes_bound(left), 2 * c, k + 1, out)
+    if hit:
+        out.append((2 * c + 1, k + 1, True))
+    _vca(right, _descartes_bound(right), 2 * c + 1, k + 1, out)
+
+
+def _bounded_roots(p: UniPoly, interval: Interval):
+    """The distinct roots of p in an interval with a finite end.
+
+    Returns (sf, lo, hi, head, leaves, tail).  head and tail hold a
+    point for a root on the closed lower and upper end; leaves are the
+    ``_vca`` leaves of the open (lo, hi), in unit coordinates, and sf
+    is the polynomial they isolate: a leaf interval holds exactly one
+    root of p, a simple root of sf.
+
+    An infinite end is replaced by the Cauchy bound, and roots on the
+    ends are divided out.  Descartes bisection then starts from the
+    window: its root node alone decides no root or one.  Otherwise it
+    runs on p when the mod-q check proves p squarefree, and only else on
+    the squarefree part chain[0] / chain[-1] of p's own Sturm chain.
+    """
+    cs, _ = p._int_coeffs()
+    lo, hi = interval.lo, interval.hi
+    head: list[Interval] = []
+    tail: list[Interval] = []
+    if interval.is_point():
+        if _int_sign_at(cs, lo) == 0:
+            head.append(interval)
+        return cs, lo, hi, head, [], tail
+    if lo is None or hi is None:
+        # every root lies strictly inside the Cauchy bound
+        bound = _cauchy_bound(cs)
+        lo = -bound if lo is None else lo
+        hi = bound if hi is None else hi
+        if lo >= hi:
+            return cs, lo, hi, head, [], tail
+    if _int_sign_at(cs, lo) == 0:
+        if not interval.lo_open:
+            head.append(Interval.point(lo))
+        cs = _deflate_root(cs, lo)
+    if _int_sign_at(cs, hi) == 0:
+        if not interval.hi_open:
+            tail.append(Interval.point(hi))
+        cs = _deflate_root(cs, hi)
+    q = _unit_transform(cs, lo, hi)
+    v = _descartes_bound(q)
+    if v > 1 and not _modp_squarefree(cs):
+        cs = _chain_squarefree(p._sturm_chain())
+        for end in (lo, hi):
+            if _int_sign_at(cs, end) == 0:
+                cs = _deflate_root(cs, end)
+        q = _unit_transform(cs, lo, hi)
+        v = _descartes_bound(q)
+    leaves: list[tuple[int, int, bool]] = []
+    _vca(q, v, 0, 0, leaves)
+    return cs, lo, hi, head, leaves, tail
 
 
 def sturm_count(p: UniPoly, interval: Interval) -> int:
     """Number of distinct real roots of p in the interval.
 
     Endpoint openness is honoured exactly.  Multiple roots count once.
-    A root on a finite endpoint is counted (when closed) and divided out
-    to its full multiplicity.  On a bounded interval Descartes' rule on
-    the Moebius transform answers first; when it shows a sign variation,
-    the Sturm chain of the primitive integer polynomial decides.  That
-    chain ends in gcd(p, p') and is evaluated only at non-roots, where
-    it counts distinct roots; when no endpoint root was divided out it
-    is p's own chain, built once per polynomial.
+    On the whole real line p's own Sturm chain decides: it ends in
+    gcd(p, p'), and at the non-roots -oo and +oo its variations count
+    distinct roots.  On an interval with a finite end the count is
+    that of ``_bounded_roots``: a root on a closed end counts, and
+    Descartes bisection from the interval counts the rest, with no
+    Sturm chain unless p may have a repeated factor; no isolating
+    interval is formed.
 
     >>> p = poly_from_roots("x", [0, 1, 1, 2])
     >>> sturm_count(p, Interval.closed(0, 2))
@@ -695,35 +801,19 @@ def sturm_count(p: UniPoly, interval: Interval) -> int:
     1
     >>> sturm_count(p, Interval.real_line())
     3
-    >>> sturm_count(p, Interval.closed(Fraction(1, 4), Fraction(3, 4)))  # Descartes
+    >>> sturm_count(p, Interval.closed(Fraction(1, 4), Fraction(3, 4)))
     0
     """
     if p.is_zero():
         raise ZeroPolynomial("root counting on the zero polynomial")
-    cs, _ = p._int_coeffs()
-    if len(cs) == 1:
+    if p.degree() < 1:
         return 0
-    lo, hi = interval.lo, interval.hi
-    if interval.is_point():
-        return 1 if _int_sign_at(cs, lo) == 0 else 0
-    count, deflated = 0, False
-    if lo is not None and _int_sign_at(cs, lo) == 0:
-        count += 0 if interval.lo_open else 1
-        cs, deflated = _deflate_root(cs, lo), True
-    if hi is not None and _int_sign_at(cs, hi) == 0:
-        count += 0 if interval.hi_open else 1
-        cs, deflated = _deflate_root(cs, hi), True
-    if len(cs) == 1:
-        return count
-    if lo is not None and hi is not None and _descartes_no_root(cs, lo, hi):
-        return count
-    chain = _sturm_chain_int(cs) if deflated else p._sturm_chain()
-    va = (_chain_variations_inf(chain, False) if lo is None
-          else _chain_variations(chain, lo))
-    vb = (_chain_variations_inf(chain, True) if hi is None
-          else _chain_variations(chain, hi))
-    # the difference counts roots in (lo, hi]; hi is not a root here
-    return count + va - vb
+    if interval.lo is None and interval.hi is None:
+        chain = p._sturm_chain()
+        return (_chain_variations_inf(chain, False)
+                - _chain_variations_inf(chain, True))
+    _, _, _, head, leaves, tail = _bounded_roots(p, interval)
+    return len(head) + len(leaves) + len(tail)
 
 
 def root_signature(p: UniPoly) -> RootSignature:
@@ -754,36 +844,14 @@ def root_signature(p: UniPoly) -> RootSignature:
     )
 
 
-def _cauchy_bound(cs: Sequence[int]) -> Fraction:
-    lead = abs(cs[-1])
-    m = max(abs(c) for c in cs[:-1]) if len(cs) > 1 else 0
-    return Fraction(m, lead) + 1
-
-
-def _meets(window: Interval, lo: Fraction, hi: Fraction) -> bool:
-    """Whether the open interval (lo, hi) meets the window."""
-    return ((window.lo is None or hi > window.lo)
-            and (window.hi is None or lo < window.hi))
-
-
-def _contains(window: Interval, x: Fraction) -> bool:
-    """Whether the point x lies in the window."""
-    if window.lo is not None and (x < window.lo
-                                  or (x == window.lo and window.lo_open)):
-        return False
-    return window.hi is None or x < window.hi or (
-        x == window.hi and not window.hi_open)
-
-
 def _bisect_one(sf: Sequence[int], lo: Fraction, hi: Fraction,
-                max_width: Fraction, window: Interval) -> Interval | None:
-    """Bisect (lo, hi), which holds exactly one root of the squarefree sf,
-    down to ``max_width`` on the sign of sf alone.
+                max_width: Fraction) -> Interval:
+    """Bisect (lo, hi), which holds exactly one root of sf, a simple one
+    where sf changes sign, down to ``max_width`` on the sign of sf alone.
 
-    A simple root is where sf changes sign, so one evaluation per
-    midpoint decides the half that keeps the root.  A midpoint that is
-    the root comes back as a point, if it lies in the window; a half
-    that misses the window ends the search with None.
+    One evaluation per midpoint decides the half that keeps the root; a
+    midpoint that is the root comes back as a point.  lo must not be a
+    root of sf.
     """
     if hi - lo <= max_width:
         # most subtrees of a coarse isolation end here: spare sf(lo)
@@ -793,38 +861,40 @@ def _bisect_one(sf: Sequence[int], lo: Fraction, hi: Fraction,
         mid = (lo + hi) / 2
         sm = _int_sign_at(sf, mid)
         if sm == 0:
-            return Interval.point(mid) if _contains(window, mid) else None
+            return Interval.point(mid)
         if sm == slo:
             lo = mid
         else:
             hi = mid
-        if not _meets(window, lo, hi):
-            return None
     return Interval.open(lo, hi)
 
 
 def isolate_real_roots(p: UniPoly, max_width: RationalLike = Fraction(1, 16),
                        interval: Interval = Interval.real_line()
                        ) -> list[Interval]:
-    """Disjoint isolating intervals for the distinct real roots of p.
+    """Disjoint isolating intervals for the distinct real roots of p in
+    the interval.
 
     Intervals are sorted ascending, each of width at most ``max_width``
-    and containing exactly one root of the squarefree part, certified
-    by an endpoint sign change.  A rational root found exactly is
-    reported as a point interval.
+    and containing exactly one root of p, certified by a sign change of
+    the squarefree part.  A rational root found exactly, or on a closed
+    end of the interval, is reported as a point interval.
 
-    Bisection starts from the Cauchy bound of the squarefree part and
-    skips every subtree that misses ``interval``, so the result is
-    exactly the whole-line result restricted to the intervals that meet
-    ``interval``.  p's own Sturm chain splits the bound until a subtree
-    holds one root; that subtree is bisected on the sign of the
-    squarefree part alone, through the same midpoints.
+    On the whole real line, p's own Sturm chain splits from the Cauchy
+    bound of the squarefree part until a subtree holds one root.  On an
+    interval with a finite end, Descartes bisection starts from the
+    interval itself (``_bounded_roots``), so every returned interval
+    lies inside it and its midpoints are those of the interval: on
+    [0, 1] every end is dyadic.  Either way a subtree with one root is
+    then bisected on the sign of the squarefree part alone.
 
     >>> [iv.text() for iv in isolate_real_roots(UniPoly("x", [-2, 0, 1]), 1)]
     ['(-3/2, -3/4)', '(3/4, 3/2)']
+    >>> isolate_real_roots(UniPoly("x", [-2, 0, 1]), 1, Interval.closed(0, 1))
+    []
     >>> [iv.text() for iv in isolate_real_roots(
-    ...     UniPoly("x", [-2, 0, 1]), 1, Interval.closed(0, 1))]
-    ['(3/4, 3/2)']
+    ...     UniPoly("x", [-2, 0, 1]), Fraction(1, 8), Interval.closed(0, 2))]
+    ['(11/8, 3/2)']
     >>> isolate_real_roots(UniPoly("x", [0, 0, 1]))[0].text()
     '[0, 0]'
     """
@@ -835,6 +905,20 @@ def isolate_real_roots(p: UniPoly, max_width: RationalLike = Fraction(1, 16),
         raise ZeroPolynomial("isolating roots of the zero polynomial")
     if p.degree() < 1:
         return []
+    if interval.lo is not None or interval.hi is not None:
+        sf, lo, hi, roots, leaves, tail = _bounded_roots(p, interval)
+        w = hi - lo
+        for c, k, hit in leaves:
+            a = lo + w * Fraction(c, 1 << k)
+            if hit:
+                # a leaf may end at this root: sf must not vanish there
+                sf = _deflate_root(sf, a)
+                roots.append(Interval.point(a))
+            else:
+                roots.append(
+                    Interval.open(a, lo + w * Fraction(c + 1, 1 << k)))
+        return [iv if iv.is_point() else _bisect_one(sf, iv.lo, iv.hi, max_width)
+                for iv in roots + tail]
     out: list[Interval] = []
 
     def split(chain: list[list[int]], sf: Sequence[int], lo: Fraction,
@@ -842,19 +926,16 @@ def isolate_real_roots(p: UniPoly, max_width: RationalLike = Fraction(1, 16),
         # lo and hi are non-roots of chain[0], with chain variations vlo,
         # vhi; sf is the squarefree part of chain[0]
         n = vlo - vhi
-        if n == 0 or not _meets(interval, lo, hi):
+        if n == 0:
             return
         if n == 1:
-            iv = _bisect_one(sf, lo, hi, max_width, interval)
-            if iv is not None:
-                out.append(iv)
+            out.append(_bisect_one(sf, lo, hi, max_width))
             return
         mid = (lo + hi) / 2
         if _int_sign_at(sf, mid) == 0:
             # rational root hit exactly: emit it, deflate, recurse with a
             # fresh chain so the endpoint invariant is restored
-            if _contains(interval, mid):
-                out.append(Interval.point(mid))
+            out.append(Interval.point(mid))
             cs = _deflate_root(chain[0], mid)
             if len(cs) <= 1:
                 return
@@ -892,7 +973,7 @@ def refine_root(p: UniPoly, iv: Interval, max_width: RationalLike) -> Interval:
     if p.is_zero():
         raise ZeroPolynomial("squarefree part of the zero polynomial")
     return _bisect_one(_chain_squarefree(p._sturm_chain()), iv.lo, iv.hi,
-                       max_width, Interval.real_line())
+                       max_width)
 
 
 def discriminant(p: UniPoly) -> Fraction:
@@ -997,6 +1078,9 @@ class MultiPoly:
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("MultiPoly is immutable")
+
+    def __reduce__(self):
+        return MultiPoly, (self.vars, self.terms)
 
     @staticmethod
     def variables(names: Sequence[str]) -> tuple["MultiPoly", ...]:

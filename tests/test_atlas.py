@@ -2,13 +2,15 @@
 
 Certificates are the load-bearing artifact: a segment proof is the
 restricted product of the stratum polynomials together with a zero
-root count (Descartes, else Sturm) on the closed unit interval, so
+root count (Descartes bisection) on the closed unit interval, so
 every claim here reduces to integer arithmetic that the kernel tests
 already pin down.
 """
 
+import copy
 import importlib
 import json
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -260,8 +262,8 @@ def test_segment_strata_product_is_certificate_polynomial_on_corpus():
 
 
 def test_certify_segment_unisolated_crossing_is_inconclusive(monkeypatch):
-    monkeypatch.setattr(atlas_mod, "_root_in_closed_unit",
-                        lambda poly, iv: None)
+    monkeypatch.setattr(atlas_mod, "isolate_real_roots",
+                        lambda poly, width, window: [])
     with pytest.raises(NotFound):
         certify_segment(B2, (0, -1), (0, 1))
 
@@ -274,8 +276,8 @@ def test_certify_segment_unisolated_crossing_is_inconclusive(monkeypatch):
 ])
 def test_certify_segment_refusal_builds_one_sturm_chain(monkeypatch, label,
                                                         a, b):
-    # the zero count, the isolation and the refinement of the witness all
-    # read the segment polynomial's own chain
+    # a refusal once built exactly one chain, the segment polynomial's own;
+    # the Descartes bisection on [0, 1] now builds none, a stronger bound
     built = []
     chain_int = exactpoly_mod._sturm_chain_int
 
@@ -287,7 +289,50 @@ def test_certify_segment_refusal_builds_one_sturm_chain(monkeypatch, label,
     res = certify_segment(SingularityClass.parse(label),
                           tuple(map(F, a)), tuple(map(F, b)))
     assert isinstance(res, SegmentFailure)
-    assert len(built) == 1
+    assert built == []
+
+
+def test_certify_segment_refusal_builds_no_sturm_chain(monkeypatch):
+    # every cross-type segment of perfbench/path_corpus.json: the zero
+    # count and the witness come from Descartes bisection on [0, 1] of a
+    # polynomial the mod-q check proves squarefree, so no chain is built;
+    # each witness is a dyadic subinterval of [0, 1] of width <= 1/128
+    built = []
+    chain_int = exactpoly_mod._sturm_chain_int
+
+    def counting(cs):
+        built.append(len(cs))
+        return chain_int(cs)
+
+    monkeypatch.setattr(exactpoly_mod, "_sturm_chain_int", counting)
+    refusals = 0
+    for label, entry in CORPUS["classes"].items():
+        sc = SingularityClass.parse(label)
+        for _, _, a, b in entry["cross"]:
+            res = certify_segment(sc, tuple(map(F, a)), tuple(map(F, b)))
+            assert isinstance(res, SegmentFailure), (label, a, b)
+            w = res.witness
+            assert 0 <= w.lo <= w.hi <= 1 and w.hi - w.lo <= F(1, 128)
+            for end in (w.lo, w.hi):
+                assert end.denominator & (end.denominator - 1) == 0
+            assert sturm_count(res.polynomial, w) == 1
+            refusals += 1
+    assert refusals == 52
+    assert built == []
+
+
+def test_certificates_pickle_and_deepcopy():
+    # a worker pool could return either result kind: both survive pickle
+    # and copy.deepcopy, polynomials included
+    fail = certify_segment(B2, (0, -1), (0, 1))
+    cert = certify_segment(B2, (0, -1), (0, -4))
+    assert isinstance(fail, SegmentFailure)
+    assert isinstance(cert, PathCertificate)
+    fail.polynomial._sturm_chain()
+    for obj in (fail, cert):
+        for back in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert back == obj
+            assert back.json_obj() == obj.json_obj()
 
 
 def test_certify_segment_f4():

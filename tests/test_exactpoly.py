@@ -8,7 +8,10 @@ eliminant, so this file earns its keep before any discriminant
 geometry is trusted.
 """
 
+import copy
+import pickle
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -30,7 +33,6 @@ from discatlas.exactpoly import (
     restrict_to_segment,
     resultant_uni,
     root_signature,
-    squarefree_decomposition,
     sturm_count,
 )
 from discatlas import exactpoly as ep
@@ -253,6 +255,31 @@ def test_refine_root_exact_hit_and_point():
 # squarefree
 
 
+@dataclass(frozen=True)
+class SquarefreeDecomposition:
+    gcd_with_derivative: UniPoly
+    squarefree_part: UniPoly
+
+
+def squarefree_decomposition(p: UniPoly) -> SquarefreeDecomposition:
+    """Split p into gcd(p, p') and the squarefree cofactor.
+
+    The product of the two parts equals p up to a nonzero rational
+    constant; both parts are primitive with positive leading
+    coefficient.  The runtime reads the squarefree part off a Sturm
+    chain; this is the direct route, by the integer gcd.
+    """
+    cs, _ = p._int_coeffs()
+    if len(cs) == 1:
+        one = UniPoly(p.var, [1])
+        return SquarefreeDecomposition(one, one)
+    g = ep._int_gcd_poly(cs, ep._int_derivative(cs))
+    sf = ep._int_primitive(ep._int_divide_exact(cs, g))
+    if sf[-1] < 0:
+        sf = [-c for c in sf]
+    return SquarefreeDecomposition(UniPoly(p.var, g), UniPoly(p.var, sf))
+
+
 def test_squarefree_decomposition_examples():
     p = poly_from_roots("x", [1, 1, -2])
     d = squarefree_decomposition(p)
@@ -452,38 +479,82 @@ def test_sturm_count_matches_known_roots(pr, lo, hi, lo_open, hi_open):
     assert sturm_count(p, iv) == sum(1 for r in distinct if inside(r))
 
 
+def _in_window(w: Interval, x: Fraction) -> bool:
+    return ((w.lo is None or x > w.lo or (x == w.lo and not w.lo_open))
+            and (w.hi is None or x < w.hi or (x == w.hi and not w.hi_open)))
+
+
 WINDOWS = [Interval.closed(0, 1), Interval.open(0, 1),
            Interval.closed(F(-1, 2), F(3, 2)), Interval(None, F(0), True, False),
            Interval.point(1)]
 
 
-def _meets(iv: Interval, w: Interval) -> bool:
-    if iv.is_point():
-        x = iv.lo
-        return ((w.lo is None or x > w.lo or (x == w.lo and not w.lo_open))
-                and (w.hi is None or x < w.hi or (x == w.hi and not w.hi_open)))
-    # open (lo, hi) meets w iff the open overlap of the two spans is nonempty
-    lo = iv.lo if w.lo is None else max(iv.lo, w.lo)
-    hi = iv.hi if w.hi is None else min(iv.hi, w.hi)
-    return lo < hi or (w.is_point() and iv.lo < w.lo < iv.hi)
+@st.composite
+def window(draw):
+    """Closed, open, half-open, half-bounded and point windows whose ends
+    are often roots or dyadic bisection midpoints."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(WINDOWS))
+    lo, hi = draw(endpoint), draw(endpoint)
+    if lo is None and hi is None:
+        hi = draw(root_value)
+    if lo is not None and hi is not None and lo > hi:
+        lo, hi = hi, lo
+    if lo == hi:
+        return Interval.point(lo)
+    return Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
 
 
-@settings(max_examples=200, deadline=None)
-@given(rooted_poly(), st.sampled_from([F(1, 128), F(1, 16), F(1, 3), F(2)]),
-       st.sampled_from(WINDOWS))
-def test_isolation_window_only_filters(pr, width, window):
-    p, _ = pr
-    whole = isolate_real_roots(p, width)
-    assert isolate_real_roots(p, width, window) \
-        == [iv for iv in whole if _meets(iv, window)]
+@st.composite
+def times_positive_quadratic(draw):
+    """rooted_poly() times a*((x - m)^2 + c), c > 0, which adds no real
+    root.  a = 2^61 - 1 puts that prime in the leading coefficient, so
+    the mod-q squarefree check cannot decide and the Sturm chain must."""
+    p, distinct = draw(rooted_poly())
+    m = draw(root_value)
+    c = draw(st.fractions(min_value=F(1, 8), max_value=2, max_denominator=8))
+    a = draw(st.sampled_from([1, 3, ep._MODP]))
+    return p * UniPoly("x", [a * (m * m + c), -2 * a * m, a]), distinct
+
+
+@settings(max_examples=300, deadline=None)
+@given(times_positive_quadratic(), window(),
+       st.sampled_from([F(1, 128), F(1, 16), F(1, 3), F(2)]))
+@example((poly_from_roots("x", [0, F(1, 2), F(1, 2), 1]), [0, F(1, 2), 1]),
+         Interval.closed(0, 1), F(1, 128))
+@example((poly_from_roots("x", [F(1, 4), F(1, 2), F(3, 4)], ep._MODP),
+          [F(1, 4), F(1, 2), F(3, 4)]), Interval.open(0, 1), F(1, 128))
+@example((poly_from_roots("x", [F(1, 8), F(1, 2), F(2, 3)]),
+          [F(1, 8), F(1, 2), F(2, 3)]), Interval.closed(0, 1), F(1, 128))
+def test_isolation_window_contract(pr, w, width):
+    # every interval lies in the window, holds exactly one root of p
+    # there and no other root, and there is one interval per root in
+    # the window: the count sturm_count gives
+    p, distinct = pr
+    inside = [r for r in distinct if _in_window(w, r)]
+    assert sturm_count(p, w) == len(inside)
+    ivs = isolate_real_roots(p, width, w)
+    assert len(ivs) == len(inside)
+    for iv, r in zip(ivs, inside):
+        if iv.is_point():
+            assert iv.lo == r
+        else:
+            assert [x for x in distinct if iv.lo < x < iv.hi] == [r]
+            assert iv.hi - iv.lo <= width
+            assert (w.lo is None or iv.lo >= w.lo) \
+                and (w.hi is None or iv.hi <= w.hi)
+    for a, b in zip(ivs, ivs[1:]):
+        assert a.hi <= b.lo
 
 
 def reference_isolate(p: UniPoly, max_width, interval: Interval):
-    """Isolation that evaluates the whole Sturm chain at every midpoint.
+    """Whole-line isolation that evaluates the whole Sturm chain at every
+    midpoint, pruned to the subtrees that meet ``interval``.
 
     The runtime bisects a subtree that holds one root on the sign of
     the squarefree part alone; this keeps the full-chain bisection it
-    replaced, so both must give the same intervals.
+    replaced, so on the real line both must give the same intervals.
+    On a window it returns the whole-line intervals that meet it.
     """
     max_width = F(max_width)
     cs, _ = p._int_coeffs()
@@ -491,16 +562,20 @@ def reference_isolate(p: UniPoly, max_width, interval: Interval):
         return []
     out = []
 
+    def meets(lo, hi):
+        return ((interval.lo is None or hi > interval.lo)
+                and (interval.hi is None or lo < interval.hi))
+
     def split(cs, chain, lo, hi, vlo, vhi):
         n = vlo - vhi
-        if n == 0 or not ep._meets(interval, lo, hi):
+        if n == 0 or not meets(lo, hi):
             return
         if n == 1 and hi - lo <= max_width:
             out.append(Interval.open(lo, hi))
             return
         mid = (lo + hi) / 2
         if ep._int_sign_at(cs, mid) == 0:
-            if ep._contains(interval, mid):
+            if _in_window(interval, mid):
                 out.append(Interval.point(mid))
             cs = ep._deflate_root(cs, mid)
             if len(cs) <= 1:
@@ -526,10 +601,27 @@ def reference_isolate(p: UniPoly, max_width, interval: Interval):
 @given(rooted_poly(),
        st.sampled_from([F(1, 128), F(1, 2 ** 24), F(1, 2 ** 80), F(2)]),
        st.sampled_from(WINDOWS + [Interval.real_line()]))
-def test_isolation_matches_full_chain_reference(pr, width, window):
-    p, _ = pr
-    assert isolate_real_roots(p, width, window) \
-        == reference_isolate(p, width, window)
+def test_isolation_matches_full_chain_reference(pr, width, w):
+    # on the real line the intervals are the full-chain bisection's; on
+    # a window the reference keeps every interval that meets it, and the
+    # windowed isolation holds the same roots: those of the reference
+    # intervals whose root lies in the window, in the same order
+    p, distinct = pr
+    ref = reference_isolate(p, width, w)
+    got = isolate_real_roots(p, width, w)
+    if w == Interval.real_line():
+        assert got == ref
+        return
+
+    def root_of(iv):
+        if iv.is_point():
+            return iv.lo
+        hits = [r for r in distinct if iv.lo < r < iv.hi]
+        assert len(hits) == 1
+        return hits[0]
+
+    assert [root_of(iv) for iv in got] \
+        == [r for r in map(root_of, ref) if _in_window(w, r)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -578,6 +670,18 @@ def _int_mul(p, q):
         for j, y in enumerate(q):
             out[i + j] += x * y
     return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_poly(1, 5), int_poly(0, 4))
+@example([1, ep._MODP], [1])                # p = 1 mod q: lc q^2
+@example([1, 1], [ep._MODP, 0, ep._MODP])   # every coefficient q*k
+def test_modp_squarefree_never_passes_a_repeated_factor(f, g):
+    p = _int_mul(_int_mul(f, f), g)
+    assert not ep._modp_squarefree(p)
+    # and it proves squarefreeness where the reduction keeps it
+    assert ep._modp_squarefree(f) <= (
+        len(ep._int_gcd_poly(f, ep._int_derivative(f))) == 1)
 
 
 @st.composite
@@ -699,6 +803,23 @@ def test_unipoly_text_roundtrip_form():
     p = UniPoly("x", [2, 0, -1])
     assert p.text() == "-x^2 + 2"
     assert UniPoly("x", []).text() == "0"
+
+
+def test_polynomials_pickle_and_deepcopy():
+    # __reduce__ rebuilds through the constructor; the cached chain is
+    # not carried and is rebuilt on first use
+    p = poly_from_roots("x", [F(1, 3), -2, -2])
+    assert sturm_count(p, Interval.real_line()) == 2
+    assert p._chain is not None
+    x, y = MultiPoly.variables(("x", "y"))
+    m = x * x - y * F(2, 3)
+    for obj in (p, m):
+        for back in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj),
+                     copy.copy(obj)):
+            assert back == obj and type(back) is type(obj)
+    back = pickle.loads(pickle.dumps(p))
+    assert back._chain is None
+    assert back._sturm_chain() == p._sturm_chain()
 
 
 def test_multipoly_canonical_text_sorted():
