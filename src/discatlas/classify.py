@@ -38,9 +38,10 @@ the wall y = -a/c it lies on, so the number of crossings below the wall
 decides every sign: the sign of P(-a/c) gives it for one crossing, one
 Sturm count of P on (-oo, -a/c) for three.  With no oval every
 crossing is a branch crossing.  Only oval cases isolate roots, once,
-of P*g: P and g share no root off the wall, and a Sturm count of g on
-each isolating interval tells the roots of g from the crossings, so
-the crossings are ordered against the roots r1 < r2 < r3 of g.
+of the cubic g, to its roots r1 < r2 < r3.  A crossing has g > 0, so
+none lies in [r1, r2], where the upper end s of r1's isolating
+interval lies: one root count of P on (s, +oo) gives the number k of
+oval crossings, the last k in ascending order.
 
 The descriptor records the boundary crossings in ascending order, each
 tagged Branch or Oval by which support interval of g it falls in and
@@ -230,6 +231,10 @@ def classify_f4(sc: SingularityClass, lam) -> F4Descriptor:
     'B+:A'
     >>> classify_f4(sc, Parameter.of(3, -3, 0, 3)).key()
     'B+:L'
+    >>> classify_f4(sc, Parameter.of(1, -1, 0, 0)).key()
+    'B+O+O+:C'
+    >>> classify_f4(sc, Parameter.of(7, -2, -6, 1)).key()
+    'B+B+B+:R'
     """
     if sc.family != "F4":
         raise ValueError("classify_f4 handles the F4 classes")
@@ -277,29 +282,23 @@ def classify_f4(sc: SingularityClass, lam) -> F4Descriptor:
         # g has one real root: no oval, every crossing is on the branch
         return F4Descriptor(tuple(("B", s) for s in signs), "A")
 
-    # P and g share no root off the wall (g = (a + c*y)^2 at a root of
-    # P), so the roots of P*g are simple: the three of g, r1 < r2 < r3,
-    # and the crossings; each crossing has g > 0, so it lies left of r1
-    # (branch) or between r2 and r3 (oval)
+    # g is a downward cubic with roots r1 < r2 < r3, and each crossing
+    # has g = (a + c*y)^2 > 0 off the wall, so it lies left of r1
+    # (branch) or in (r2, r3) (oval), never in [r1, r2], where the
+    # upper end s of r1's isolating interval lies.  Any isolating
+    # intervals will do, so the width allowed is that of g's Cauchy
+    # interval: the bisection stops as soon as each root is alone.
     g = UniPoly("y", [a * a - 4 * d, 2 * a * c - 4 * b, c * c, -4])
-    Pg = P * g
-    tags: list[tuple[str, str]] = []
-    g_ivs: list[Interval] = []
-    # any isolating intervals order the roots, so the width allowed is
-    # that of the Cauchy interval (P*g has leading coefficient -4): the
-    # bisection stops as soon as each root is alone
-    for iv in isolate_real_roots(Pg, 2 + max(map(abs, Pg.coeffs)) / 2):
-        if sturm_count(g, iv):
-            g_ivs.append(iv)
-        else:
-            tags.append(("O" if g_ivs else "B", signs[len(tags)]))
-    if any(kind == "O" for kind, _ in tags):
-        return F4Descriptor(tuple(tags), "C")
+    r = isolate_real_roots(g, 2 + max(map(abs, g.coeffs)) / 2)
+    k = sturm_count(P, Interval.open(r[0].hi, None))
+    tags = tuple(("B" if i < n - k else "O", s) for i, s in enumerate(signs))
+    if k:
+        return F4Descriptor(tags, "C")
     # no crossing lies on the oval support [r2, r3] and P(r2) =
     # (a + c*r2)^2 / 4, so (a + c*y)^2 >= 4*P > 0 there: the midline
     # x = -(a + c*y)/2 keeps one sign on it, and r2 <= y_mid <= r3
-    y_mid = (g_ivs[1].hi + g_ivs[2].lo) / 2
-    return F4Descriptor(tuple(tags), "R" if a + c * y_mid < 0 else "L")
+    y_mid = (r[1].hi + r[2].lo) / 2
+    return F4Descriptor(tags, "R" if a + c * y_mid < 0 else "L")
 
 
 def classify(sc: SingularityClass, lam) -> LowerSetType:

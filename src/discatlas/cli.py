@@ -249,11 +249,7 @@ def _cmd_certify(pos, flags):
         res = certify_segment(sc, start, end)
         _emit(res.json_obj())
         return 0
-    try:
-        cert = certify_path(sc, start, end, rng_seed=seed, budget=budget)
-    except NotFound as e:
-        _emit({"certified": False, "inconclusive": True, "reason": str(e)})
-        return 3
+    cert = certify_path(sc, start, end, rng_seed=seed, budget=budget)
     _emit(cert.json_obj())
     return 0
 

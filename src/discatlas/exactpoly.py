@@ -44,10 +44,7 @@ discriminants are univariate, by the subresultant pseudo-remainder
 sequence on integer coefficients; no Sylvester determinant is formed.
 
 Values are immutable and operations are pure: nothing here mutates an
-argument.  The one memo is a polynomial's own Sturm chain, a pure
-function of its coefficients: a ``UniPoly`` builds it on first use, so
-a count, an isolation and the refinements of one polynomial share it,
-and it is never shared beyond that polynomial.
+argument.
 """
 
 from __future__ import annotations
@@ -107,7 +104,7 @@ class UniPoly:
     True
     """
 
-    __slots__ = ("var", "coeffs", "_chain")
+    __slots__ = ("var", "coeffs")
 
     def __init__(self, var: str, coeffs: Iterable[RationalLike]):
         cs = [_frac(c) for c in coeffs]
@@ -115,14 +112,13 @@ class UniPoly:
             cs.pop()
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_chain", None)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("UniPoly is immutable")
 
     def __reduce__(self):
         # pickle and copy rebuild through the constructor, since the
-        # guard above refuses setattr; the cached chain is not carried
+        # guard above refuses setattr
         return UniPoly, (self.var, self.coeffs)
 
     # -- basic structure
@@ -237,17 +233,6 @@ class UniPoly:
             return [], 1
         den = _ilcm(*[c.denominator for c in self.coeffs])
         return [c.numerator * (den // c.denominator) for c in self.coeffs], den
-
-    def _sturm_chain(self) -> list[list[int]]:
-        """The Sturm chain of the integer coefficients, built on first use.
-
-        A pure function of ``coeffs``, so it is kept on the polynomial
-        and dies with it; callers must not mutate it.
-        """
-        if self._chain is None:
-            object.__setattr__(self, "_chain",
-                               _sturm_chain_int(self._int_coeffs()[0]))
-        return self._chain
 
 
 def poly_from_roots(var: str, roots: Sequence[RationalLike],
@@ -745,7 +730,7 @@ def _bounded_roots(p: UniPoly, interval: Interval):
     runs on p when the mod-q check proves p squarefree, and only else on
     the squarefree part chain[0] / chain[-1] of p's own Sturm chain.
     """
-    cs, _ = p._int_coeffs()
+    cs = p_cs = p._int_coeffs()[0]
     lo, hi = interval.lo, interval.hi
     head: list[Interval] = []
     tail: list[Interval] = []
@@ -771,7 +756,7 @@ def _bounded_roots(p: UniPoly, interval: Interval):
     q = _unit_transform(cs, lo, hi)
     v = _descartes_bound(q)
     if v > 1 and not _modp_squarefree(cs):
-        cs = _chain_squarefree(p._sturm_chain())
+        cs = _chain_squarefree(_sturm_chain_int(p_cs))
         for end in (lo, hi):
             if _int_sign_at(cs, end) == 0:
                 cs = _deflate_root(cs, end)
@@ -809,7 +794,7 @@ def sturm_count(p: UniPoly, interval: Interval) -> int:
     if p.degree() < 1:
         return 0
     if interval.lo is None and interval.hi is None:
-        chain = p._sturm_chain()
+        chain = _sturm_chain_int(p._int_coeffs()[0])
         return (_chain_variations_inf(chain, False)
                 - _chain_variations_inf(chain, True))
     _, _, _, head, leaves, tail = _bounded_roots(p, interval)
@@ -946,7 +931,7 @@ def isolate_real_roots(p: UniPoly, max_width: RationalLike = Fraction(1, 16),
         split(chain, sf, lo, mid, vlo, vmid)
         split(chain, sf, mid, hi, vmid, vhi)
 
-    chain = p._sturm_chain()
+    chain = _sturm_chain_int(p._int_coeffs()[0])
     sf = _chain_squarefree(chain)
     bound = _cauchy_bound(sf)
     # the Cauchy bound is strict, so -bound and bound are never roots
@@ -972,8 +957,8 @@ def refine_root(p: UniPoly, iv: Interval, max_width: RationalLike) -> Interval:
         return iv
     if p.is_zero():
         raise ZeroPolynomial("squarefree part of the zero polynomial")
-    return _bisect_one(_chain_squarefree(p._sturm_chain()), iv.lo, iv.hi,
-                       max_width)
+    return _bisect_one(_chain_squarefree(_sturm_chain_int(p._int_coeffs()[0])),
+                       iv.lo, iv.hi, max_width)
 
 
 def discriminant(p: UniPoly) -> Fraction:

@@ -432,6 +432,29 @@ def _f4_oracle_points(sign: int, n: int, seed: int) -> list[Parameter]:
     return out
 
 
+# A root of g at y = 0, the first bisection midpoint of its isolation:
+# the first two make r1's isolating interval the point [0, 0] (types 6
+# and 4), the last two end it at r2 = 0 (types 6 and 5).
+_F4_EXACT_HITS = (Parameter.of(1, -1, -3, F(1, 4)), Parameter.of(6, -2, -6, 9),
+                  Parameter.of(6, -10, -3, 9), Parameter.of(2, 0, 1, 1))
+
+
+def _f4_side_jitter(sign: int, n: int, seed: int) -> list[Parameter]:
+    """Points within 1/64 of each coordinate of the two off-slice seeds.
+
+    Most keep the seed's type 7 or 8, three crossings and a sided oval,
+    which uniform samples almost never reach; the rest fall into the
+    neighbouring types across a nearby stratum.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _, lam in f4_side_seeds():
+        for _ in range(n):
+            p = Parameter.of(*(v + F(rng.randint(-8, 8), 512) for v in lam))
+            out.append(f4_reduce(p) if sign < 0 else p)
+    return out
+
+
 def _outcome(classifier, sc, lam):
     try:
         desc = classifier(sc, lam)
@@ -445,15 +468,19 @@ def _outcome(classifier, sc, lam):
 @pytest.mark.parametrize("sc", [F4P, F4M], ids=["F4+", "F4-"])
 def test_classify_f4_matches_isolation_oracle(sc):
     seen = Counter()
-    for lam in _f4_oracle_points(sc.sign, 2100, seed=7 + sc.sign):
+    hits = [f4_reduce(p) if sc.sign < 0 else p for p in _F4_EXACT_HITS]
+    for lam in (_f4_oracle_points(sc.sign, 2100, seed=7 + sc.sign) + hits
+                + _f4_side_jitter(sc.sign, 40, seed=11 + sc.sign)):
         got = _outcome(classify_f4, sc, lam)
         assert got == _outcome(_classify_f4_by_isolation, sc, lam), lam
         seen[got[1:] if len(got) == 3 else got] += 1
     # every path of the classifier was taken: each stratum, the wall, no
-    # oval with one and three crossings, and each oval state
+    # oval with one and three crossings, and each oval state with each
+    # crossing count it admits
     for case in [("DiscriminantParameter", Membership.SIGMA0),
                  ("DiscriminantParameter", Membership.SIGMA1),
                  ("DiscriminantParameter", Membership.BOTH),
                  ("NonGenericConfiguration",),
-                 (1, "A"), (3, "A"), (1, "L"), (1, "R"), (3, "C")]:
+                 (1, "A"), (3, "A"), (1, "L"), (1, "R"), (3, "L"), (3, "R"),
+                 (3, "C")]:
         assert seen[case] >= 5, (case, seen)
