@@ -54,8 +54,8 @@ certificate is never evidence of disconnection.
 
 from __future__ import annotations
 
+import itertools as it
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -256,14 +256,16 @@ def valid_signatures(sc: SingularityClass) -> list[BCSignature]:
     return out
 
 
-_F4_REPRESENTATIVES: dict[int, Parameter] = {}
+def _f4_seeds(sc: SingularityClass) -> dict[int, Parameter]:
+    """Each F4 type id's seed in the class of sc, types ascending.
 
-
-def _f4_representative(tid: int) -> Parameter:
-    if not _F4_REPRESENTATIVES:
-        for t, lam in F4_SEEDS + f4_side_seeds():
-            _F4_REPRESENTATIVES[t] = lam
-    return _F4_REPRESENTATIVES[tid]
+    The seeds live in the plus class; the reduction is the
+    type-preserving bijection onto the minus class.
+    """
+    seeds = F4_SEEDS + f4_side_seeds()
+    if sc.sign < 0:
+        return {tid: f4_reduce(lam) for tid, lam in seeds}
+    return dict(seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +497,7 @@ def certify_path(sc: SingularityClass, start, end, rng_seed: int = 0,
     bud = [budget]
     proofs = _f4_route(sc, start, end, 4, bud, rng, radius)
     if proofs is None and bud[0] > 0:
-        tid = canonical_type_id(t0)
-        rep = _f4_representative(tid)
-        if sc.sign < 0:
-            rep = f4_reduce(rep)
+        rep = _f4_seeds(sc)[canonical_type_id(t0)]
         left = _f4_route(sc, start, rep, 3, bud, rng, radius)
         if left is not None:
             right = _f4_route(sc, rep, end, 3, bud, rng, radius)
@@ -561,22 +560,12 @@ def _grid_points(cfg: SamplingConfig, dim: int) -> list[Parameter]:
         return []
     r = cfg.box_radius
     axis = [(-r) + 2 * r * Fraction(k, res - 1) for k in range(res)]
-    out = []
-    import itertools as it
-
-    for tup in it.product(axis, repeat=dim):
-        out.append(Parameter(tuple(tup)))
-    return out
+    return [Parameter(tup) for tup in it.product(axis, repeat=dim)]
 
 
 def _seed_parameters(sc: SingularityClass) -> list[Parameter]:
     if sc.family == "F4":
-        seeds = [lam for _, lam in F4_SEEDS + f4_side_seeds()]
-        # the seeds live in the plus class; the reduction is the
-        # type-preserving bijection onto the minus class
-        if sc.sign < 0:
-            seeds = [f4_reduce(lam) for lam in seeds]
-        return seeds
+        return list(_f4_seeds(sc).values())
     return [construct_representative(sc, sig) for sig in valid_signatures(sc)]
 
 
@@ -622,6 +611,9 @@ def enumerate_components(sc: SingularityClass,
     tasks = [(sc.label(), tuple(p.values), f"jitter:{config.rng_seed}:{i}")
              for i, p in enumerate(params)]
     if jobs > 1:
+        # imported here so that serial runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             results = list(ex.map(_atlas_task, tasks,
                                   chunksize=max(1, len(tasks) // (jobs * 8))))

@@ -359,6 +359,7 @@ F4_SEEDS: tuple[tuple[int, Parameter], ...] = (
 )
 
 
+@lru_cache(maxsize=1)
 def f4_side_seeds() -> tuple[tuple[int, Parameter], ...]:
     """The two off-slice seeds, built from the cuspidal edge of Sigma_0."""
     return (

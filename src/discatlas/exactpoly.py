@@ -831,12 +831,14 @@ def root_signature(p: UniPoly) -> RootSignature:
 
 def _bisect_one(sf: Sequence[int], lo: Fraction, hi: Fraction,
                 max_width: Fraction) -> Interval:
-    """Bisect (lo, hi), which holds exactly one root of sf, a simple one
-    where sf changes sign, down to ``max_width`` on the sign of sf alone.
+    """Bisect (lo, hi), on which sf changes sign, down to ``max_width``
+    on the sign of sf alone.
 
-    One evaluation per midpoint decides the half that keeps the root; a
-    midpoint that is the root comes back as a point.  lo must not be a
-    root of sf.
+    lo must not be a root of sf.  One evaluation per midpoint keeps the
+    upper half when sf(mid) has the sign of sf(lo) and the lower half
+    otherwise, so the sign change stays inside; a midpoint that is a
+    root comes back as a point.  When (lo, hi) holds one root of sf,
+    the result isolates it.
     """
     if hi - lo <= max_width:
         # most subtrees of a coarse isolation end here: spare sf(lo)

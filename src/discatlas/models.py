@@ -392,6 +392,13 @@ def _int_point(den: int, lam: Parameter) -> list[int]:
     return [v.numerator * (den // v.denominator) for v in lam]
 
 
+def _cubic_discriminant(A, B, C, D):
+    """Discriminant of A*y^3 + B*y^2 + C*y + D, for coefficients that
+    are integers or polynomials in the parameters."""
+    return (B * B * C * C - 4 * A * C ** 3 - 4 * B ** 3 * D
+            - 27 * A * A * D * D + 18 * A * B * C * D)
+
+
 def _int_strata(sc: SingularityClass, V: Sequence[int], den: int
                 ) -> tuple[int, int]:
     """Both values of ``stratum_values`` at lambda = V / den, in integers.
@@ -418,12 +425,9 @@ def _int_strata(sc: SingularityClass, V: Sequence[int], den: int
         if sc.sign < 0:
             # Delta_0 at the plus-class reduction (-a, b, c, -d)
             al, de = -al, -de
-        A = -4 * den * den
-        B = ga * ga
-        C = 2 * al * ga - 4 * den * be
-        D = al * al - 4 * den * de
-        disc = (B * B * C * C - 4 * A * C ** 3 - 4 * B ** 3 * D
-                - 27 * A * A * D * D + 18 * A * B * C * D)
+        disc = _cubic_discriminant(-4 * den * den, ga * ga,
+                                   2 * al * ga - 4 * den * be,
+                                   al * al - 4 * den * de)
         return -disc // (16 * den), s1
     mu = sc.mu
     lead = _bc_lead(sc) * den
@@ -495,11 +499,11 @@ def f4_sigma0_eliminant() -> MultiPoly:
 
     Delta_0 = -disc_y(g)/16 for the plus-class cubic
     g(y) = (a + c*y)^2 - 4*(y^3 + b*y + d) = A*y^3 + B*y^2 + C*y + D,
-    A = -4, B = c^2, C = 2*a*c - 4*b, D = a^2 - 4*d, by the cubic
-    discriminant B^2*C^2 - 4*A*C^3 - 4*B^3*D - 27*A^2*D^2 + 18*A*B*C*D.
-    It is primitive with positive leading sign in lex order
-    a > b > c > d.  Points with Delta_0 = 0 are exactly those whose
-    deformation has an interior critical point on the zero level.
+    A = -4, B = c^2, C = 2*a*c - 4*b, D = a^2 - 4*d, by
+    ``_cubic_discriminant``.  It is primitive with positive leading
+    sign in lex order a > b > c > d.  Points with Delta_0 = 0 are
+    exactly those whose deformation has an interior critical point on
+    the zero level.
 
     >>> f4_sigma0_eliminant().eval((-1, -3, 1, 2))
     Fraction(0, 1)
@@ -507,12 +511,7 @@ def f4_sigma0_eliminant() -> MultiPoly:
     '27*a^4 + a^3*c^3 + 30*a^2*b*c^'
     """
     a, b, c, d = MultiPoly.variables(F4_PARAMS)
-    A = -4
-    B = c * c
-    C = 2 * a * c - 4 * b
-    D = a * a - 4 * d
-    disc = (B * B * C * C - 4 * A * C ** 3 - 4 * B ** 3 * D
-            - 27 * A * A * D * D + 18 * A * B * C * D)
+    disc = _cubic_discriminant(-4, c * c, 2 * a * c - 4 * b, a * a - 4 * d)
     return disc * Fraction(-1, 16)
 
 

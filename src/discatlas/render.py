@@ -9,6 +9,12 @@ integer isqrt, every emitted point is checked exactly against
 |f| < 10^-6, and all coordinates are formatted with fixed precision,
 making the output byte-deterministic.
 
+B and F4 share one sweep: along one axis t they are the two sheets
+of +-sqrt(dom(t)) for a domain polynomial dom (-s*h(x) for B, the
+discriminant in x of the quadratic for F4).  Where dom changes sign
+between two sweep values the sheets join at a branch end, bisected
+45 times on the signs of dom's integer coefficients.
+
 The lower-value set W = {f <= 0} is shaded by exact signs on the
 viewport grid, and the boundary line x = 0 is dashed.  Every grid row
 is read from one integer row polynomial: f restricted to the row
@@ -35,7 +41,7 @@ from .models import (
     deformation_polynomial,
     segment_strata,
 )
-from .exactpoly import UniPoly, _int_grid_values, _int_sign_at
+from .exactpoly import UniPoly, _bisect_one, _int_grid_values, _int_sign_at
 
 RESIDUAL_BOUND = Fraction(1, 10 ** 6)
 _SQRT_BITS = 40
@@ -107,35 +113,72 @@ def _residual_ok(F, x: Fraction, y: Fraction) -> bool:
     return abs(F.eval((x, y))) < RESIDUAL_BOUND
 
 
-def _refine_edge(val, lo: Fraction, hi: Fraction) -> Fraction | None:
-    """Bisect a sign change of val on [lo, hi] down to width 2^-45."""
-    vlo, vhi = val(lo), val(hi)
-    if vlo == 0:
+def _branch_end(cs: list[int], lo: Fraction, hi: Fraction
+                ) -> Fraction | None:
+    """Where the integer polynomial cs changes sign on [lo, hi].
+
+    A root at an end comes back as it is, equal end signs give None,
+    and otherwise 45 halvings of (lo, hi) end at their midpoint.
+    """
+    slo, shi = _int_sign_at(cs, lo), _int_sign_at(cs, hi)
+    if slo == 0:
         return lo
-    if vhi == 0:
+    if shi == 0:
         return hi
-    if (vlo > 0) == (vhi > 0):
+    if slo == shi:
         return None
-    target = (hi - lo) / (1 << 45)
-    while hi - lo > target:
-        mid = (lo + hi) / 2
-        vm = val(mid)
-        if vm == 0:
-            return mid
-        if (vm > 0) == (vlo > 0):
-            lo, vlo = mid, vm
+    return _bisect_one(cs, lo, hi, (hi - lo) / 2 ** 45).midpoint()
+
+
+def _two_sheets(F, dom: UniPoly, ts: list[Fraction], sheet, emit) -> None:
+    """Emit the two sheets sheet(t, +-sqrt(dom(t))) of a zero set.
+
+    A run of sweep values t with dom(t) >= 0 gives one polyline per
+    sheet; where dom changes sign between two sweep values, both
+    sheets end at the join point sheet(e, 0), e the branch end.  Only
+    points with |f| < 10^-6 are kept.
+    """
+    cs, _ = dom._int_coeffs()
+    plus: list[tuple[Fraction, Fraction]] = []
+    minus: list[tuple[Fraction, Fraction]] = []
+
+    def join(lo: Fraction, hi: Fraction):
+        e = _branch_end(cs, lo, hi)
+        if e is not None:
+            pt = sheet(e, Fraction(0))
+            if _residual_ok(F, *pt):
+                plus.append(pt)
+                minus.append(pt)
+
+    prev = None
+    for t in ts:
+        v = dom(t)
+        if v >= 0:
+            if not plus and prev is not None:
+                join(prev, t)
+            r = dyadic_sqrt(v)
+            for line, pt in ((plus, sheet(t, r)), (minus, sheet(t, -r))):
+                if _residual_ok(F, *pt):
+                    line.append(pt)
         else:
-            hi = mid
-    return (lo + hi) / 2
+            if plus:
+                join(prev, t)
+            emit(plus)
+            emit(minus[::-1])
+            plus, minus = [], []
+        prev = t
+    emit(plus)
+    emit(minus[::-1])
 
 
 def curve_points(sc: SingularityClass, lam, vp: Viewport
                  ) -> list[list[tuple[Fraction, Fraction]]]:
     """Polylines of the zero set, as exact rational plot points.
 
-    Every returned point satisfies |f(x, y)| < 10^-6 exactly.  Branches
-    are split where their domain condition fails; at such edges the
-    tangency ordinate is refined by bisection so curves close up.
+    Every returned point satisfies |f(x, y)| < 10^-6 exactly.  B and F4
+    are two sheets over one swept axis, split where their domain
+    polynomial turns negative; at such edges the branch end is
+    bisected so curves close up.
     """
     lam = Parameter.coerce(lam)
     F = deformation_polynomial(sc, lam)
@@ -147,38 +190,8 @@ def curve_points(sc: SingularityClass, lam, vp: Viewport
 
     if sc.family == "B":
         h = boundary_polynomial(sc, lam)
-        s = sc.sign
-
-        def val(x: Fraction) -> Fraction:
-            return -s * h(x)
-
-        upper: list[tuple[Fraction, Fraction]] = []
-        lower: list[tuple[Fraction, Fraction]] = []
-        prev_x = None
-        for x in vp.xs():
-            v = val(x)
-            if v >= 0:
-                if not upper and prev_x is not None:
-                    edge = _refine_edge(val, prev_x, x)
-                    if edge is not None and _residual_ok(F, edge, Fraction(0)):
-                        upper.append((edge, Fraction(0)))
-                        lower.append((edge, Fraction(0)))
-                y = dyadic_sqrt(v)
-                if _residual_ok(F, x, y):
-                    upper.append((x, y))
-                    lower.append((x, -y))
-            else:
-                if upper:
-                    edge = _refine_edge(val, prev_x, x)
-                    if edge is not None and _residual_ok(F, edge, Fraction(0)):
-                        upper.append((edge, Fraction(0)))
-                        lower.append((edge, Fraction(0)))
-                emit(upper)
-                emit(list(reversed(lower)))
-                upper, lower = [], []
-            prev_x = x
-        emit(upper)
-        emit(list(reversed(lower)))
+        _two_sheets(F, UniPoly("x", [-sc.sign * c for c in h.coeffs]),
+                    vp.xs(), lambda x, r: (x, r), emit)
 
     elif sc.family == "C":
         h = boundary_polynomial(sc, lam)
@@ -201,50 +214,11 @@ def curve_points(sc: SingularityClass, lam, vp: Viewport
     else:
         a, b, c, d = lam
         s = sc.sign
-        P = UniPoly("y", [d, b, 0, 1])
-
-        def disc(y: Fraction) -> Fraction:
-            t = a + c * y
-            return t * t - 4 * s * P(y)
-
-        plus: list[tuple[Fraction, Fraction]] = []
-        minus: list[tuple[Fraction, Fraction]] = []
-        prev_y = None
-
-        def tangent_point(edge: Fraction) -> tuple[Fraction, Fraction]:
-            return (-(a + c * edge) / (2 * s), edge)
-
-        for y in vp.ys():
-            v = disc(y)
-            if v >= 0:
-                if not plus and prev_y is not None:
-                    edge = _refine_edge(disc, prev_y, y)
-                    if edge is not None:
-                        pt = tangent_point(edge)
-                        if _residual_ok(F, *pt):
-                            plus.append(pt)
-                            minus.append(pt)
-                r = dyadic_sqrt(v)
-                xp = (-(a + c * y) + r) / (2 * s)
-                xm = (-(a + c * y) - r) / (2 * s)
-                if _residual_ok(F, xp, y):
-                    plus.append((xp, y))
-                if _residual_ok(F, xm, y):
-                    minus.append((xm, y))
-            else:
-                if plus:
-                    edge = _refine_edge(disc, prev_y, y)
-                    if edge is not None:
-                        pt = tangent_point(edge)
-                        if _residual_ok(F, *pt):
-                            plus.append(pt)
-                            minus.append(pt)
-                emit(plus)
-                emit(list(reversed(minus)))
-                plus, minus = [], []
-            prev_y = y
-        emit(plus)
-        emit(list(reversed(minus)))
+        # (a + c*y)^2 - 4*s*(y^3 + b*y + d), the discriminant in x
+        dom = UniPoly("y", [a * a - 4 * s * d, 2 * a * c - 4 * s * b,
+                            c * c, -4 * s])
+        _two_sheets(F, dom, vp.ys(),
+                    lambda y, r: ((-(a + c * y) + r) / (2 * s), y), emit)
 
     return polylines
 

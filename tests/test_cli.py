@@ -218,6 +218,21 @@ def test_atlas_stdout_report(capsys):
     assert set(payload["realized"]) == {"p0q0", "p1q1", "p2q0", "p0q2"}
 
 
+def test_atlas_grid_samples_every_node(capsys):
+    # 4 signature seeds plus the 3 x 3 grid over [-5, 5]^2; the three
+    # nodes with h(0) = 0 lie on Sigma1, and (0, 0) on Sigma0 too
+    code, out, _ = invoke(capsys, "atlas", "B+2", "--grid", "3",
+                          "--samples", "0")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["total_samples"] == 13
+    assert payload["config"]["grid_resolution"] == 3
+    assert payload["rejections"] == {"Sigma0": 0, "Sigma1": 2, "Both": 1,
+                                     "NonGeneric": 0}
+    assert {k: v["count"] for k, v in payload["realized"].items()} == \
+        {"p0q0": 2, "p0q2": 2, "p1q1": 4, "p2q0": 2}
+
+
 def test_atlas_out_file_and_jobs(tmp_path, capsys):
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"
@@ -403,6 +418,14 @@ def test_negative_rationals_not_swallowed_as_flags(capsys):
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def _env_with_src():
+    """The environment with the source tree first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
 @pytest.mark.parametrize("argv,code,stdout", [
     (["classify", "B+2", "0", "-1"], 0,
      '{"membership":"NonSingular","type":{"p":1,"q":1}}\n'),
@@ -412,12 +435,21 @@ SRC = Path(__file__).resolve().parent.parent / "src"
      '"reason":"budget of 0 segments exhausted"}\n'),
 ], ids=["classify", "inconclusive"])
 def test_python_m_discatlas(argv, code, stdout):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    env = _env_with_src()
     r = subprocess.run([sys.executable, "-m", "discatlas", *argv],
                        capture_output=True, text=True, env=env, timeout=120)
     assert (r.returncode, r.stdout, r.stderr) == (code, stdout, "")
+
+
+def test_cli_import_loads_no_process_pool():
+    # only atlas --jobs N > 1 needs the pool, so no other call should
+    # pay for loading multiprocessing
+    env = _env_with_src()
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, discatlas.cli; "
+         "print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "False\n", "")
 
 
 def test_certify_homotopy_runs_without_mpmath():
@@ -427,9 +459,7 @@ def test_certify_homotopy_runs_without_mpmath():
     end = ["-99/26", "-71/15", "-15/8"]
     code = ("import sys; sys.modules['mpmath'] = None; "
             "from discatlas.cli import run; sys.exit(run(sys.argv[1:]))")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    env = _env_with_src()
     r = subprocess.run([sys.executable, "-c", code, "certify", "B-3",
                         *start, *end],
                        capture_output=True, text=True, env=env, timeout=120)

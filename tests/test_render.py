@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from discatlas.exactpoly import MultiPoly
+from discatlas.exactpoly import MultiPoly, poly_from_roots
 from discatlas.models import (
     Parameter,
     SingularityClass,
@@ -27,6 +27,7 @@ from discatlas.classify import F4_SEEDS, classify_f4, f4_side_seeds
 from discatlas.cli import run
 from discatlas.render import (
     RESIDUAL_BOUND,
+    _branch_end,
     _slice_grids,
     BadAxes,
     EmptyViewport,
@@ -133,6 +134,54 @@ def test_boundary_crossings_counter():
     assert boundary_crossings([[(-1, 0), (0, 1), (1, 2)]]) == 1
     assert boundary_crossings([[(1, 0), (2, 1)]]) == 0
     assert boundary_crossings([[(-1, 0), (1, 1), (-2, 2)]]) == 2
+
+
+def reference_refine_edge(val, lo, hi):
+    """Branch-end bisection on Fraction values of ``val``.
+
+    The sweep once joined its sheets at this point; the runtime now
+    bisects the domain polynomial's integer signs, and both must land
+    on the same rational after the same 45 halvings.
+    """
+    vlo, vhi = val(lo), val(hi)
+    if vlo == 0:
+        return lo
+    if vhi == 0:
+        return hi
+    if (vlo > 0) == (vhi > 0):
+        return None
+    target = (hi - lo) / (1 << 45)
+    while hi - lo > target:
+        mid = (lo + hi) / 2
+        vm = val(mid)
+        if vm == 0:
+            return mid
+        if (vm > 0) == (vlo > 0):
+            lo, vlo = mid, vm
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+half = st.integers(min_value=-8, max_value=8).map(lambda k: F(k, 2))
+quarter = st.integers(min_value=-20, max_value=20).map(lambda k: F(k, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(half, min_size=1, max_size=5), st.sampled_from([1, -1, 3]),
+       quarter, st.integers(min_value=1, max_value=24).map(lambda k: F(k, 4)))
+@example([F(0)], 1, F(-1), F(2))                # first midpoint a root
+@example([F(-1), F(3)], -1, F(-1), F(2))        # lower end a root
+@example([F(2)], 3, F(-1), F(3))                # upper end a root
+@example([F(1), F(1)], 1, F(0), F(3))           # double root: None
+@example([F(4)], 1, F(-1), F(1))                # no root: None
+def test_branch_end_matches_fraction_bisection(roots, lead, lo, width):
+    p = poly_from_roots("y", roots, lead)
+    hi = lo + width
+    got = _branch_end(p._int_coeffs()[0], lo, hi)
+    assert got == reference_refine_edge(p, lo, hi)
+    if got is not None:
+        assert lo <= got <= hi
     assert boundary_crossings([]) == 0
 
 
