@@ -5,6 +5,11 @@ finitely many connected components, one per topological type of the
 lower-value set.  This module assembles the census for a class
 (seeded constructively, then backed by grid and random sampling) and
 produces machine-checkable connectivity proofs between parameters.
+The census runs in integers: every point is an integer vector V with a
+common denominator den, random samples are drawn that way, and each is
+classified by the integer entry of ``classify``.  Rationals are built
+only for the representatives the report prints and for the rare nudge
+off the F4 label wall.
 
 A path certificate is a polyline of rational waypoints together with,
 for every segment, the segment restriction of the product of the
@@ -58,13 +63,16 @@ import itertools as it
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from .classify import (
     BCSignature,
     DiscriminantParameter,
     F4_SEEDS,
+    LowerSetType,
     NonGenericConfiguration,
+    _classify_point,
     canonical_type_id,
     classify,
     classify_f4,
@@ -86,6 +94,7 @@ from .models import (
     SeedNotSmallEnough,
     SingularityClass,
     _bc_lead,
+    _cleared,
     boundary_polynomial,
     discriminant_membership,
     f4_reduce,
@@ -543,15 +552,24 @@ def search_f4_oval_side_seed(side: str, y0=1, budget: int = 60) -> Parameter:
 # enumeration
 
 
-def _sample_parameter(cfg: SamplingConfig, dim: int, index: int) -> Parameter:
+def _sample_point(cfg: SamplingConfig, dim: int, index: int
+                  ) -> tuple[list[int], int]:
+    """The index-th random sample as (V, den), lambda = V / den.
+
+    Each coordinate draws a denominator d in [1, denominator_bound] and
+    a numerator in [-bound, bound], bound = floor(box_radius * d); den
+    is the lcm of the drawn d, not reduced against the numerators.
+    """
     rng = random.Random(f"{cfg.rng_seed}:{index}")
-    r = cfg.box_radius
-    vals = []
+    rn, rd = cfg.box_radius.numerator, cfg.box_radius.denominator
+    nums, dens = [], []
     for _ in range(dim):
-        den = rng.randint(1, cfg.denominator_bound)
-        bound = int(r * den)
-        vals.append(Fraction(rng.randint(-bound, bound), den))
-    return Parameter(tuple(vals))
+        d = rng.randint(1, cfg.denominator_bound)
+        bound = rn * d // rd
+        nums.append(rng.randint(-bound, bound))
+        dens.append(d)
+    den = lcm(*dens)
+    return [v * (den // d) for v, d in zip(nums, dens)], den
 
 
 def _grid_points(cfg: SamplingConfig, dim: int) -> list[Parameter]:
@@ -569,26 +587,34 @@ def _seed_parameters(sc: SingularityClass) -> list[Parameter]:
     return [construct_representative(sc, sig) for sig in valid_signatures(sc)]
 
 
-def _atlas_task(args) -> tuple[int, str, dict | None, tuple]:
-    label, values, jitter_tag = args
-    sc = SingularityClass.parse(label)
-    lam = Parameter(values)
+def _text_point(V, den: int) -> list[str]:
+    return [str(Fraction(v, den)) for v in V]
+
+
+def _atlas_task(args) -> tuple[str, LowerSetType | None, list[int], int]:
+    """Classify one census point (sc, V, den, jitter_tag).
+
+    Returns the type key, the type, and the point it was read at; a
+    rejected point gives its rejection key and no type.
+    """
+    sc, V, den, jitter_tag = args
     try:
-        t = classify(sc, lam)
+        t = _classify_point(sc, V, den)
     except DiscriminantParameter as e:
-        return (0, e.membership.value, None, values)
+        return e.membership.value, None, V, den
     except NonGenericConfiguration:
         # the label wall has measure zero; one deterministic nudge
         rng = random.Random(jitter_tag)
         lam = Parameter(tuple(
-            v + Fraction(rng.randint(1, 64), 4096) * (1 if rng.random() < 0.5
-                                                      else -1)
-            for v in lam))
+            Fraction(v, den) + Fraction(rng.randint(1, 64), 4096)
+            * (1 if rng.random() < 0.5 else -1)
+            for v in V))
         try:
             t = classify(sc, lam)
         except (DiscriminantParameter, NonGenericConfiguration):
-            return (0, "NonGeneric", None, values)
-    return (1, type_key(t), t.json_obj(), tuple(lam.values))
+            return "NonGeneric", None, V, den
+        V, den = _cleared(lam)
+    return type_key(t), t, V, den
 
 
 def enumerate_components(sc: SingularityClass,
@@ -601,15 +627,22 @@ def enumerate_components(sc: SingularityClass,
     seeds plus the two cuspidal-edge seeds.  Grid and random samples
     add independent evidence and the rejection tally.  The report is
     deterministic for a given config, independent of ``jobs``.
+
+    Every point travels as an integer vector V and a denominator den,
+    lambda = V / den: seeds and grid nodes are cleared once, and random
+    samples are drawn that way.  Each is classified through the integer
+    entry ``classify._classify_point``, and rationals are printed only
+    for each type's first representative and, for F4, its first c = 0
+    representative (V[2] = 0).
     """
     config = config or SamplingConfig()
     dim = sc.parameter_count
-    params = _seed_parameters(sc)
-    params += _grid_points(config, dim)
-    params += [_sample_parameter(config, dim, i)
+    fixed = _seed_parameters(sc) + _grid_points(config, dim)
+    points = [_cleared(lam) for lam in fixed]
+    points += [_sample_point(config, dim, i)
                for i in range(config.random_count)]
-    tasks = [(sc.label(), tuple(p.values), f"jitter:{config.rng_seed}:{i}")
-             for i, p in enumerate(params)]
+    tasks = [(sc, V, den, f"jitter:{config.rng_seed}:{i}")
+             for i, (V, den) in enumerate(points)]
     if jobs > 1:
         # imported here so that serial runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -622,23 +655,23 @@ def enumerate_components(sc: SingularityClass,
 
     realized: dict[str, dict] = {}
     rejections = {"Sigma0": 0, "Sigma1": 0, "Both": 0, "NonGeneric": 0}
-    for ok, key, tjson, used in results:
-        lam = Parameter(used)
-        if not ok:
+    for key, t, V, den in results:
+        if t is None:
             rejections[key] += 1
             continue
-        if key not in realized:
-            realized[key] = {
+        entry = realized.get(key)
+        if entry is None:
+            entry = realized[key] = {
                 "count": 0,
-                "type": tjson,
-                "representative": lam.text_list(),
+                "type": t.json_obj(),
+                "representative": _text_point(V, den),
             }
             if sc.family == "F4":
-                realized[key]["representative_c0"] = None
-        realized[key]["count"] += 1
-        if sc.family == "F4" and realized[key]["representative_c0"] is None \
-                and lam[2] == 0:
-            realized[key]["representative_c0"] = lam.text_list()
+                entry["representative_c0"] = None
+        entry["count"] += 1
+        if sc.family == "F4" and entry["representative_c0"] is None \
+                and V[2] == 0:
+            entry["representative_c0"] = _text_point(V, den)
 
     def sort_key(k: str):
         if k.startswith("type"):
@@ -652,7 +685,7 @@ def enumerate_components(sc: SingularityClass,
         expected=expected,
         realized=realized,
         rejections=rejections,
-        total_samples=len(params),
+        total_samples=len(points),
         match=(len(realized) == expected),
         config=config,
     )

@@ -24,24 +24,31 @@ wall where the crossing-sign labels degenerate (the topology does not
 change across that wall, which is why the catalogue below quotients
 some labels away).
 
-Exact work per sample.  A B/C sample builds one Sturm chain of h,
-after dividing out a root at 0; its variations at -oo, 0 and +oo give
-(p, q), and its last member is gcd(h, h'), so a squarefree h with
-h(0) != 0 is nonsingular with no further test.  Only the measure-zero
-rest goes to the membership test, which tells a real multiple root from
-a complex pair.  For F4 the signs of the two stratum values from
-models._int_strata decide membership and count real roots: Delta_0 =
--disc(g)/16 and Sigma_1 = -disc(P), so a zero puts the parameter on
-that stratum, Sigma_1 > 0 means one crossing (three otherwise), and
-Delta_0 > 0 means no oval.  The f_x sign of a crossing is the side of
-the wall y = -a/c it lies on, so the number of crossings below the wall
-decides every sign: the sign of P(-a/c) gives it for one crossing, one
-Sturm count of P on (-oo, -a/c) for three.  With no oval every
-crossing is a branch crossing.  Only oval cases isolate roots, once,
-of the cubic g, to its roots r1 < r2 < r3.  A crossing has g > 0, so
-none lies in [r1, r2], where the upper end s of r1's isolating
-interval lies: one root count of P on (s, +oo) gives the number k of
-oval crossings, the last k in ascending order.
+Exact work per sample.  Every classifier runs in integers on the
+cleared point V = den * lambda, through one entry, _classify_point;
+the public classify, classify_bc and classify_f4 check the family and
+the arity, clear the denominators once and call it, and the census
+calls it on the integer points it draws.  A B/C sample builds one
+Sturm chain of H = den * h, after dividing out a root at 0; its
+variations at -oo, 0 and +oo give (p, q), and its last member is
+gcd(H, H'), so a squarefree h with h(0) != 0 is nonsingular with no
+further test.  Only the measure-zero rest builds rationals, for the
+membership test, which tells a real multiple root from a complex pair.
+For F4 the signs of the two stratum values from models._int_strata
+decide membership and count real roots: Delta_0 = -disc(g)/16 and
+Sigma_1 = -disc(P), so a zero puts the parameter on that stratum,
+Sigma_1 > 0 means one crossing (three otherwise), and Delta_0 > 0
+means no oval.  The f_x sign of a crossing is the side of the wall
+y = -a/c it lies on, so the number of crossings below the wall decides
+every sign: for one crossing it is the sign of P(-a/c), one integer
+expression; for three it is read from the sign variations of
+den * P(-a/c + y), which Descartes' rule makes exact because all three
+roots are real.  With no oval every crossing is a branch crossing.
+Only oval cases isolate roots, once, of the integer cubic G = den^2 * g,
+to its roots r1 < r2 < r3.  A crossing has g > 0, so none lies in
+[r1, r2], where the upper end s of r1's isolating interval lies: the
+number k of oval crossings, the last k in ascending order, is 0 for a
+sole crossing and otherwise the sign variations of den * P(s + y).
 
 The descriptor records the boundary crossings in ascending order, each
 tagged Branch or Oval by which support interval of g it falls in and
@@ -78,25 +85,23 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from typing import Sequence
 
 from .exactpoly import (
-    Interval,
-    UniPoly,
-    isolate_real_roots,
-    root_signature,
-    sturm_count,
+    _cauchy_bound,
+    _int_root_signature,
+    _isolate_line,
+    _real_rooted_above,
 )
 from .models import (
     Membership,
     Parameter,
     SingularityClass,
+    _bc_lead,
     _check_arity,
-    _int_point,
+    _cleared,
     _int_strata,
-    boundary_polynomial,
     discriminant_membership,
-    f4_reduce,
     f4_seed_oval_side,
 )
 
@@ -198,6 +203,11 @@ def type_key(t: LowerSetType) -> str:
     return f"type{canonical_type_id(t)}"
 
 
+def _point(sc: SingularityClass, lam) -> tuple[list[int], int]:
+    # the public classifiers' one conversion: arity, then (V, den)
+    return _cleared(_check_arity(sc, Parameter.coerce(lam)))
+
+
 def classify_bc(sc: SingularityClass, lam) -> BCSignature:
     """Signature (p, q) of a nonsingular B- or C-class parameter.
 
@@ -207,16 +217,7 @@ def classify_bc(sc: SingularityClass, lam) -> BCSignature:
     """
     if sc.family not in ("B", "C"):
         raise ValueError("classify_bc handles B and C classes")
-    lam = Parameter.coerce(lam)
-    sig = root_signature(boundary_polynomial(sc, lam))
-    if sig.zero_is_root or not sig.is_squarefree:
-        # measure zero: h(0) = 0 lies on a stratum, but a multiple root
-        # may be a complex pair, which lies on neither
-        member = discriminant_membership(sc, lam)
-        if member is not Membership.NON_SINGULAR:
-            raise DiscriminantParameter(
-                f"{sc.label()} parameter lies on {member.value}", member)
-    return BCSignature(sig.neg, sig.pos)
+    return _classify_point(sc, *_point(sc, lam))
 
 
 def classify_f4(sc: SingularityClass, lam) -> F4Descriptor:
@@ -238,26 +239,59 @@ def classify_f4(sc: SingularityClass, lam) -> F4Descriptor:
     """
     if sc.family != "F4":
         raise ValueError("classify_f4 handles the F4 classes")
-    lam = _check_arity(sc, Parameter.coerce(lam))
-    den = lcm(*(v.denominator for v in lam))
+    return _classify_point(sc, *_point(sc, lam))
+
+
+def classify(sc: SingularityClass, lam) -> LowerSetType:
+    """Topological type of a nonsingular parameter of any family."""
+    return _classify_point(sc, *_point(sc, lam))
+
+
+def _classify_point(sc: SingularityClass, V: Sequence[int], den: int
+                    ) -> LowerSetType:
+    """Type of the parameter lambda = V / den, in integers.
+
+    The one classification entry: V is an integer vector of the class's
+    arity and den > 0 any common denominator, not only the least one,
+    since the type depends on lambda alone.  Raises
+    DiscriminantParameter or NonGenericConfiguration as ``classify``.
+    """
+    if sc.family == "F4":
+        return _f4_descriptor(sc, V, den)
+    # den * h, constant term first
+    sig = _int_root_signature([*reversed(V), _bc_lead(sc) * den])
+    if sig.zero_is_root or not sig.is_squarefree:
+        # measure zero: h(0) = 0 lies on a stratum, but a multiple root
+        # may be a complex pair, which lies on neither
+        lam = Parameter(tuple(Fraction(v, den) for v in V))
+        member = discriminant_membership(sc, lam)
+        if member is not Membership.NON_SINGULAR:
+            raise DiscriminantParameter(
+                f"{sc.label()} parameter lies on {member.value}", member)
+    return BCSignature(sig.neg, sig.pos)
+
+
+def _f4_descriptor(sc: SingularityClass, V: Sequence[int], den: int
+                   ) -> F4Descriptor:
     # positive multiples of Delta_0 = -disc(g)/16 and Sigma_1 = -disc(P)
-    s0, s1 = _int_strata(sc, _int_point(den, lam), den)
+    s0, s1 = _int_strata(sc, V, den)
     member = Membership.of(s0 == 0, s1 == 0)
     if member is not Membership.NON_SINGULAR:
         raise DiscriminantParameter(
             f"{sc.label()} parameter lies on {member.value}", member)
+    # den * (a, b, c, d) at the plus-class reduction (-a, b, c, -d)
+    al, be, ga, de = V
     if sc.sign < 0:
-        lam = f4_reduce(lam)
-    a, b, c, d = lam
-    P = UniPoly("y", [d, b, 0, 1])
+        al, de = -al, -de
+    P = [de, be, 0, den]  # den * P, constant term first
 
     # nongeneric wall: f_x = a + c*y vanishes at some boundary root
-    if c == 0:
-        if a == 0:
+    if ga == 0:
+        if al == 0:
             raise NonGenericConfiguration("f_x vanishes on the boundary")
     else:
-        wall = -a / c
-        at_wall = P(wall)
+        # ga^4 * den * P(-al/ga), which has the sign of P at the wall
+        at_wall = ga * (de * ga ** 3 - al * (den * al * al + be * ga * ga))
         if at_wall == 0:
             raise NonGenericConfiguration(
                 "f_x vanishes at a boundary crossing")
@@ -265,16 +299,16 @@ def classify_f4(sc: SingularityClass, lam) -> F4Descriptor:
     # a real cubic with a nonzero discriminant has one real root when
     # the discriminant is negative and three when it is positive
     n = 1 if s1 > 0 else 3
-    if c == 0:
+    if ga == 0:
         below = 0
     elif n == 1:
         below = 0 if at_wall < 0 else 1  # P < 0 left of its sole root
     else:
-        below = sturm_count(P, Interval.open(None, wall))
+        below = 3 - _real_rooted_above(P, Fraction(-al, ga))
 
     def fx_sign(i: int) -> str:
         # f_x = c*(y - wall) at the i-th crossing y; the sign of a if c = 0
-        s = a if c == 0 else (c if i >= below else -c)
+        s = al if ga == 0 else (ga if i >= below else -ga)
         return "+" if s > 0 else "-"
 
     signs = [fx_sign(i) for i in range(n)]
@@ -285,12 +319,16 @@ def classify_f4(sc: SingularityClass, lam) -> F4Descriptor:
     # g is a downward cubic with roots r1 < r2 < r3, and each crossing
     # has g = (a + c*y)^2 > 0 off the wall, so it lies left of r1
     # (branch) or in (r2, r3) (oval), never in [r1, r2], where the
-    # upper end s of r1's isolating interval lies.  Any isolating
-    # intervals will do, so the width allowed is that of g's Cauchy
-    # interval: the bisection stops as soon as each root is alone.
-    g = UniPoly("y", [a * a - 4 * d, 2 * a * c - 4 * b, c * c, -4])
-    r = isolate_real_roots(g, 2 + max(map(abs, g.coeffs)) / 2)
-    k = sturm_count(P, Interval.open(r[0].hi, None))
+    # upper end s of r1's isolating interval lies.  G = den^2 * g has
+    # the same roots.  Any isolating intervals will do, so the width
+    # allowed is that of the Cauchy interval: the bisection stops as
+    # soon as each root is alone.  A sole crossing lies left of r1,
+    # since P < 0 left of it makes g > 0 there; three crossings are all
+    # real roots of P, so the k above s are counted without bisection.
+    G = [al * al - 4 * den * de, 2 * al * ga - 4 * den * be, ga * ga,
+         -4 * den * den]
+    r = _isolate_line(G, 2 * _cauchy_bound(G))
+    k = 0 if n == 1 else _real_rooted_above(P, r[0].hi)
     tags = tuple(("B" if i < n - k else "O", s) for i, s in enumerate(signs))
     if k:
         return F4Descriptor(tags, "C")
@@ -298,14 +336,7 @@ def classify_f4(sc: SingularityClass, lam) -> F4Descriptor:
     # (a + c*r2)^2 / 4, so (a + c*y)^2 >= 4*P > 0 there: the midline
     # x = -(a + c*y)/2 keeps one sign on it, and r2 <= y_mid <= r3
     y_mid = (r[1].hi + r[2].lo) / 2
-    return F4Descriptor(tags, "R" if a + c * y_mid < 0 else "L")
-
-
-def classify(sc: SingularityClass, lam) -> LowerSetType:
-    """Dispatch to the family classifier."""
-    if sc.family == "F4":
-        return classify_f4(sc, lam)
-    return classify_bc(sc, lam)
+    return F4Descriptor(tags, "R" if al + ga * y_mid < 0 else "L")
 
 
 def canonical_type_id(d: F4Descriptor) -> int:

@@ -685,6 +685,20 @@ def _descartes_bound(q: Sequence[int]) -> int:
     return _variations(_sign(c) for c in _int_taylor_shift(q[::-1], 1))
 
 
+def _real_rooted_above(cs: Sequence[int], x: Fraction) -> int:
+    """Roots above x of an integer polynomial whose roots are all real.
+
+    They are the positive roots of p(x + y), and for a polynomial with
+    only real roots Descartes' rule of signs is exact: the sign
+    variations of p(x + y) count them, with multiplicity, and a root at
+    x itself is not counted.  So no bisection runs.
+
+    >>> _real_rooted_above([-6, 11, -6, 1], Fraction(3, 2))   # 1, 2, 3
+    2
+    """
+    return _variations(_sign(c) for c in _unit_transform(cs, x, x + 1))
+
+
 def _vca(q: list[int], v: int, c: int, k: int,
          out: list[tuple[int, int, bool]]) -> None:
     """Isolate the roots of q in (0, 1) by Descartes bisection.
@@ -804,23 +818,33 @@ def sturm_count(p: UniPoly, interval: Interval) -> int:
 def root_signature(p: UniPoly) -> RootSignature:
     """Distinct real root counts split by sign, plus squarefreeness.
 
-    One Sturm chain answers all of it.  A root at 0 is divided out to
-    its full multiplicity first, so -oo, 0 and +oo are non-roots of the
-    chained polynomial q and the variation differences count its
-    distinct negative and positive roots.  The chain ends in gcd(q, q'),
-    a constant exactly when q is squarefree.
+    One Sturm chain answers all of it (``_int_root_signature``).
 
     >>> root_signature(poly_from_roots("x", [-2, 0, 0, 3]))
     RootSignature(neg=1, pos=1, zero_is_root=True, is_squarefree=False)
     """
     if p.is_zero():
         raise ZeroPolynomial("signature of the zero polynomial")
-    cs, _ = p._int_coeffs()
+    return _int_root_signature(p._int_coeffs()[0])
+
+
+def _int_root_signature(cs: Sequence[int]) -> RootSignature:
+    """``root_signature`` of a nonzero integer coefficient list.
+
+    A root at 0 is divided out to its full multiplicity first, so -oo, 0
+    and +oo are non-roots of the chained polynomial q and the variation
+    differences count its distinct negative and positive roots; at 0
+    each member's sign is that of its constant term.  The chain ends in
+    gcd(q, q'), a constant exactly when q is squarefree.
+
+    >>> _int_root_signature([-6, -1, 1])
+    RootSignature(neg=1, pos=1, zero_is_root=False, is_squarefree=True)
+    """
     k = 0
     while cs[k] == 0:
         k += 1
     chain = _sturm_chain_int(cs[k:])
-    v0 = _chain_variations(chain, Fraction(0))
+    v0 = _variations(_sign(q[0]) for q in chain)
     return RootSignature(
         neg=_chain_variations_inf(chain, False) - v0,
         pos=v0 - _chain_variations_inf(chain, True),
@@ -906,6 +930,13 @@ def isolate_real_roots(p: UniPoly, max_width: RationalLike = Fraction(1, 16),
                     Interval.open(a, lo + w * Fraction(c + 1, 1 << k)))
         return [iv if iv.is_point() else _bisect_one(sf, iv.lo, iv.hi, max_width)
                 for iv in roots + tail]
+    return _isolate_line(p._int_coeffs()[0], max_width)
+
+
+def _isolate_line(cs: Sequence[int], max_width: RationalLike
+                  ) -> list[Interval]:
+    """``isolate_real_roots`` on the whole real line, for an integer
+    coefficient list of degree at least 1."""
     out: list[Interval] = []
 
     def split(chain: list[list[int]], sf: Sequence[int], lo: Fraction,
@@ -933,7 +964,7 @@ def isolate_real_roots(p: UniPoly, max_width: RationalLike = Fraction(1, 16),
         split(chain, sf, lo, mid, vlo, vmid)
         split(chain, sf, mid, hi, vmid, vhi)
 
-    chain = _sturm_chain_int(p._int_coeffs()[0])
+    chain = _sturm_chain_int(cs)
     sf = _chain_squarefree(chain)
     bound = _cauchy_bound(sf)
     # the Cauchy bound is strict, so -bound and bound are never roots

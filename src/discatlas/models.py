@@ -392,6 +392,12 @@ def _int_point(den: int, lam: Parameter) -> list[int]:
     return [v.numerator * (den // v.denominator) for v in lam]
 
 
+def _cleared(lam: Parameter) -> tuple[list[int], int]:
+    """(V, den) with lam = V / den, den the lcm of lam's denominators."""
+    den = lcm(*(v.denominator for v in lam))
+    return _int_point(den, lam), den
+
+
 def _cubic_discriminant(A, B, C, D):
     """Discriminant of A*y^3 + B*y^2 + C*y + D, for coefficients that
     are integers or polynomials in the parameters."""

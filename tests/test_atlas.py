@@ -16,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from discatlas.exactpoly import (
     Interval,
@@ -55,6 +56,8 @@ from discatlas.models import (
     Membership,
     Parameter,
     SingularityClass,
+    _cleared,
+    _int_strata,
     boundary_polynomial,
     discriminant_membership,
     f4_reduce,
@@ -553,6 +556,72 @@ def test_verify_against_table1_failure_lists_missing():
     cmp_ = verify_against_table1(broken)
     assert not cmp_["match"]
     assert cmp_["missing"] == ["p1q1"] and cmp_["extra"] == []
+
+
+def reference_sample_parameter(cfg: SamplingConfig, dim: int, index: int
+                               ) -> Parameter:
+    """The census sampler as it drew in Fractions.
+
+    The runtime makes the same two randint calls per coordinate but
+    returns an integer vector V and a common denominator den, building
+    no Fraction; V / den must be these values.
+    """
+    rng = random.Random(f"{cfg.rng_seed}:{index}")
+    r = cfg.box_radius
+    vals = []
+    for _ in range(dim):
+        den = rng.randint(1, cfg.denominator_bound)
+        bound = int(r * den)
+        vals.append(Fraction(rng.randint(-bound, bound), den))
+    return Parameter(tuple(vals))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12) | st.fractions(min_value=F(1, 64), max_value=12,
+                                         max_denominator=64),
+       st.integers(1, 200), st.integers(0, 2 ** 31), st.integers(0, 10 ** 6),
+       st.integers(2, 7))
+@example(F(5, 2), 64, 0, 0, 3)    # a non-integer box floors the bound
+@example(F(1, 64), 1, 0, 0, 2)    # every bound is 0
+def test_sample_point_matches_fraction_sampler(box, den_bound, seed, index,
+                                               dim):
+    cfg = SamplingConfig(box_radius=box, denominator_bound=den_bound,
+                         rng_seed=seed)
+    V, den = atlas_mod._sample_point(cfg, dim, index)
+    assert all(type(v) is int for v in V) and den >= 1
+    assert tuple(F(v, den) for v in V) \
+        == reference_sample_parameter(cfg, dim, index).values
+
+
+def test_census_reaches_boundary_polynomial_only_off_generic_points(
+        monkeypatch):
+    # the census classifies B and C in integers: only a point with
+    # h(0) = 0 or disc h = 0 may build the Fraction carrier h, for the
+    # membership test that tells a real multiple root from a complex pair
+    models_mod = importlib.import_module("discatlas.models")
+    classify_mod = importlib.import_module("discatlas.classify")
+    reached = []
+    original = models_mod.boundary_polynomial
+
+    def recording(sc, lam):
+        reached.append(Parameter.coerce(lam).values)
+        return original(sc, lam)
+
+    monkeypatch.setattr(models_mod, "boundary_polynomial", recording)
+    monkeypatch.setattr(classify_mod, "boundary_polynomial", recording,
+                        raising=False)
+    sc = SingularityClass.parse("B+5")
+    cfg = SamplingConfig()
+    rep = enumerate_components(sc, cfg)
+    monkeypatch.undo()
+    points = [_cleared(lam) for lam in atlas_mod._seed_parameters(sc)]
+    points += [atlas_mod._sample_point(cfg, sc.parameter_count, i)
+               for i in range(cfg.random_count)]
+    assert rep.total_samples == len(points)
+    off_generic = {tuple(F(v, den) for v in V) for V, den in points
+                   if 0 in _int_strata(sc, V, den)}
+    assert off_generic and set(reached) == off_generic
+    assert sum(rep.rejections.values()) == len(off_generic)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from discatlas.exactpoly import (
     refine_root,
     sturm_count,
 )
+from discatlas.atlas import SamplingConfig
 from discatlas.classify import (
     BCSignature,
     CatalogMissing,
@@ -29,6 +30,7 @@ from discatlas.classify import (
     F4Descriptor,
     F4_SEEDS,
     NonGenericConfiguration,
+    _classify_point,
     candidate_descriptors,
     canonical_type_id,
     classify,
@@ -46,6 +48,8 @@ from discatlas.models import (
     discriminant_membership,
     f4_reduce,
 )
+
+atlas_mod = importlib.import_module("discatlas.atlas")
 
 F = Fraction
 F4P = SingularityClass("F4", 4, 1)
@@ -269,6 +273,59 @@ def test_classify_dispatch_and_serialization():
 def test_classify_rejects_wrong_arity(label):
     with pytest.raises(ArityMismatch):
         classify(SingularityClass.parse(label), Parameter.of(1, 2))
+
+
+@pytest.mark.parametrize("label", ["B+3", "C-4", "F4+", "F4-"])
+def test_family_classifiers_check_arity_then_family(label):
+    # each public classifier checks its input before clearing
+    # denominators: a wrong length is ArityMismatch, and the other
+    # family's classifier is a plain ValueError
+    sc = SingularityClass.parse(label)
+    own, other = ((classify_f4, classify_bc) if sc.family == "F4"
+                  else (classify_bc, classify_f4))
+    for fn in (classify, own):
+        for n in (sc.parameter_count - 1, sc.parameter_count + 1):
+            with pytest.raises(ArityMismatch):
+                fn(sc, [F(1, 2)] * n)
+    with pytest.raises(ValueError) as err:
+        other(sc, [1] * sc.parameter_count)
+    assert type(err.value) is ValueError
+
+
+def _result(fn, *args):
+    # the type, or what the classifier raised
+    try:
+        return fn(*args)
+    except DiscriminantParameter as e:
+        return ("DiscriminantParameter", e.membership)
+    except NonGenericConfiguration:
+        return ("NonGenericConfiguration",)
+
+
+@pytest.mark.parametrize("label", ["B+3", "C-4", "B-6", "C+7", "F4+", "F4-"])
+def test_classify_point_is_scale_invariant(label):
+    # the census den is the lcm of unreduced denominators, so the
+    # integer entry must give the same type, or raise the same
+    # membership, for every common denominator k*den, and agree with
+    # classify at V/den; small boxes and denominator bounds put many
+    # points on a stratum or the label wall
+    sc = SingularityClass.parse(label)
+    seen = Counter()
+    for box, bound, n in ((2, 1, 60), (5, 2, 40), (5, 64, 20)):
+        cfg = SamplingConfig(box_radius=box, random_count=n,
+                             denominator_bound=bound, rng_seed=3)
+        for i in range(n):
+            V, den = atlas_mod._sample_point(cfg, sc.parameter_count, i)
+            got = _result(_classify_point, sc, V, den)
+            lam = Parameter(tuple(F(v, den) for v in V))
+            assert got == _result(classify, sc, lam), (V, den)
+            for k in range(1, 51):
+                assert _result(_classify_point, sc, [k * v for v in V],
+                               k * den) == got, (V, den, k)
+            seen[got[0] if isinstance(got, tuple) else "type"] += 1
+    assert seen["DiscriminantParameter"] and seen["type"], seen
+    if sc.family == "F4":
+        assert seen["NonGenericConfiguration"], seen
 
 
 def test_catalog_id_unknown_type_guard():

@@ -174,7 +174,10 @@ def test_certify_discriminant_endpoint(capsys):
 # stdout of the benchmark's census calls (F4 at 250 samples, seeds 0-2;
 # B+5, C-6 and B-7 at 100) as SHA-256, and the full classify output of
 # the eight F4 seeds of each sign, recorded before the F4 classifier
-# read its stratum signs from models._int_strata
+# read its stratum signs from models._int_strata; then four censuses
+# recorded before the sampler drew integer points: a non-integer box
+# (B+3), a non-integer box with --den (F4-), a grid (C+4), and an
+# integer F4+ box where many samples take the label-wall nudge
 CENSUS_PINS = json.loads(
     (Path(__file__).parent / "census_pins.json").read_text())
 

@@ -455,6 +455,19 @@ def test_root_signature_is_the_two_half_line_counts(pr):
     assert sig.is_squarefree == (gcd_uni(p, p.derivative()).degree() == 0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(root_value, min_size=1, max_size=6), root_value,
+       st.sampled_from([1, -3, ep._MODP]))
+@example([F(1), F(2), F(3)], F(2), 1)
+@example([F(-1), F(1, 2), F(1, 2)], F(0), -3)
+def test_real_rooted_above_counts_with_multiplicity(roots, x, lead):
+    # Descartes' rule is exact when every root is real: the variations
+    # of p(x + y) are the roots above x, with multiplicity, and a root
+    # at x is not counted
+    cs, _ = poly_from_roots("x", roots, lead)._int_coeffs()
+    assert ep._real_rooted_above(cs, x) == sum(1 for r in roots if r > x)
+
+
 endpoint = st.none() | root_value
 
 
