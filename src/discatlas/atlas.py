@@ -49,6 +49,11 @@ combination is too: the exact path avoids the discriminant.  The
 polyline approximates it with denominator-bounded waypoints, and every
 segment is then certified independently; the leg from the end point
 is reflected, since b -> a restricts to p(1 - t) where a -> b gives p(t).
+The homotopy runs in integers: the reals are integers over 2^bits,
+the cofactor comes from one integer pseudo-division, and at a dyadic
+t each waypoint is one integer product over one common denominator,
+snapped to 2^-32 by integer round-half-even on the first rung of the
+bits ladder.  No UniPoly or Fraction product is formed per waypoint.
 
 For F4 the component geometry is thick, so a straight segment is tried
 first, then recursive midpoint subdivision with seeded rational
@@ -83,9 +88,10 @@ from .exactpoly import (
     Interval,
     UniPoly,
     _int_mul,
+    _int_pseudo_quo,
+    _int_reduced,
     _int_taylor_shift,
     isolate_real_roots,
-    poly_from_roots,
     sturm_count,
 )
 from .models import (
@@ -357,13 +363,16 @@ def _bc_root_data(h: UniPoly, sig: BCSignature, bits: int):
     """Dyadic real roots of h and the cofactor that carries no real root.
 
     The reals are the midpoints of isolating intervals of width 2^-bits,
-    rounded to 2^-bits; the cofactor is the quotient of h by the monic
-    polynomial with those roots.  Returns None when the rounded roots
-    lose their order or signs, or the cofactor has a real root, in
-    which case the caller retries with more bits.
+    rounded to 2^-bits and returned as their integer numerators R_i over
+    2^bits.  The cofactor is the quotient of h by the monic polynomial
+    with those roots, taken by integer pseudo-division by M = prod(2^bits
+    * x - R_i) with the remainder dropped, and returned reduced as an
+    integer coefficient list with a positive denominator.  Returns None
+    when the rounded roots lose their order or signs, or the cofactor
+    has a real root, in which case the caller retries with more bits.
     """
     scale = 1 << bits
-    reals = [Fraction(round(iv.midpoint() * scale), scale)
+    reals = [round(iv.midpoint() * scale)
              for iv in isolate_real_roots(h, Fraction(1, scale))]
     if sum(1 for r in reals if r < 0) != sig.p:
         return None
@@ -371,35 +380,62 @@ def _bc_root_data(h: UniPoly, sig: BCSignature, bits: int):
         return None
     if any(reals[i] >= reals[i + 1] for i in range(len(reals) - 1)):
         return None
-    rest = h.divmod(poly_from_roots(h.var, reals))[0]
-    if sturm_count(rest, Interval.real_line()) != 0:
+    H, hden = h._int_coeffs()
+    M = [1]
+    for r in reals:
+        M = _int_mul(M, [-r, scale])
+    # lc(M)^e * H = Q*M + R with e = deg H - deg M + 1 and lc(M) =
+    # 2^(bits*k), so the quotient of h by M / lc(M) is Q over
+    # hden * lc(M)^(e - 1)
+    e = len(H) - len(M) + 1
+    rest = _int_reduced(_int_pseudo_quo(H, M), hden * M[-1] ** (e - 1))
+    if sturm_count(UniPoly(h.var, rest[0]), Interval.real_line()) != 0:
         return None
     return reals, rest
 
 
-def _bc_root_path(sc: SingularityClass, reals, rest: UniPoly,
-                  sig: BCSignature, snap_bits: int | None
-                  ) -> Callable[[Fraction], Parameter]:
+def _bc_root_path(sc: SingularityClass, reals: list[int],
+                  rest: tuple[list[int], int], sig: BCSignature, bits: int,
+                  snap_bits: int | None) -> Callable[[Fraction], Parameter]:
+    """The waypoint map t -> lambda(t) of the root-space homotopy, in
+    integers.
+
+    At t = tn/td the moved roots (1-t)*R_i/2^bits + t*T_i are integers
+    N_i over D = 2^bits * td, so prod(D*x - N_i) is an integer
+    polynomial with lead D^k; the cofactor path (1-t)*rest +
+    t*lead*prod(x^2 + m) is an integer polynomial over td times rest's
+    denominator.  One integer product then gives h_t over one
+    denominator, and each coefficient is snapped to 2^-snap_bits by
+    integer round-half-even, as ``round`` rounds a Fraction.
+    """
     mu = sc.mu
-    var = rest.var
-    target_reals = ([Fraction(-i) for i in range(sig.p, 0, -1)]
-                    + [Fraction(j) for j in range(1, sig.q + 1)])
-    target_rest = UniPoly(var, [_bc_lead(sc)])
-    for m in range(1, rest.degree() // 2 + 1):
-        target_rest = target_rest * UniPoly(var, [m, 0, 1])
+    cs_rest, den_rest = rest
+    targets = [-i for i in range(sig.p, 0, -1)] + list(range(1, sig.q + 1))
+    target_rest = [_bc_lead(sc)]
+    for m in range(1, (len(cs_rest) - 1) // 2 + 1):
+        target_rest = _int_mul(target_rest, [m, 0, 1])
 
     def lam_at(t: Fraction) -> Parameter:
-        moved = [(1 - t) * r0 + t * r1 for r0, r1 in zip(reals, target_reals)]
-        hpoly = (poly_from_roots(var, moved)
-                 * (rest * (1 - t) + target_rest * t))
-        cs = hpoly.coeffs
-        if snap_bits is not None:
+        tn, td = t.numerator, t.denominator
+        D = td << bits
+        hpoly = [(td - tn) * a + tn * den_rest * b
+                 for a, b in zip(cs_rest, target_rest)]
+        for r0, r1 in zip(reals, targets):
+            hpoly = _int_mul(hpoly, [-((td - tn) * r0 + (tn * r1 << bits)), D])
+        den = D ** len(reals) * td * den_rest
+        if snap_bits is None:
+            cs = [Fraction(c, den) for c in hpoly]
+        else:
             # product denominators grow like 2^(bits*mu); quantising the
             # assembled coefficients keeps the certificate arithmetic
             # small, and exactness never depends on the waypoint being
             # on the ideal path
-            scale = 1 << snap_bits
-            cs = [Fraction(round(c * scale), scale) for c in cs]
+            cs = []
+            for c in hpoly:
+                q, r = divmod(c << snap_bits, den)
+                if 2 * r > den or (2 * r == den and q & 1):
+                    q += 1
+                cs.append(Fraction(q, 1 << snap_bits))
         return Parameter(tuple(cs[mu - k] for k in range(1, mu + 1)))
 
     return lam_at
@@ -413,7 +449,7 @@ def _certify_bc_leg(sc: SingularityClass, src: Parameter, sig: BCSignature
         data = _bc_root_data(h, sig, bits)
         if data is None:
             continue
-        lam_at = _bc_root_path(sc, *data, sig, snap)
+        lam_at = _bc_root_path(sc, *data, sig, bits, snap)
         proofs: list[SegmentProof] = []
 
         def attempt(a: Parameter, b: Parameter, ta, tb, depth: int) -> bool:

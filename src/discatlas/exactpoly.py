@@ -33,8 +33,12 @@ interval is halved.  That needs a squarefree polynomial: p itself when
 its reduction mod 2^61 - 1 proves it squarefree, and only otherwise
 the squarefree part chain[0] / chain[-1] of p's Sturm chain.  Either
 way, once a subtree holds one root it is bisected on the sign of the
-squarefree part alone.  Interval endpoints may be infinite; openness
-flags are honoured exactly.
+squarefree part alone, with both ends kept as integer numerators over
+one denominator that doubles with each halving, so a midpoint costs
+one homogeneous integer Horner sign and no Fraction.  Interval
+endpoints may be infinite; openness flags are honoured exactly.
+Polynomial text is written from each coefficient's numerator and
+denominator.
 
 ``MultiPoly`` carries only ring operations, evaluation and restriction
 to a parameter segment: every stratum of the families is the
@@ -218,7 +222,7 @@ class UniPoly:
     def text(self) -> str:
         """Canonical ASCII form, terms sorted by descending exponent."""
         return _terms_text(
-            [((e,), c) for e, c in enumerate(self.coeffs) if c != 0],
+            [((e,), c) for e, c in enumerate(self.coeffs) if c],
             (self.var,),
         )
 
@@ -389,24 +393,30 @@ def _int_reduced(cs: Sequence[int], den: int) -> tuple[list[int], int]:
     return [c // g for c in cs], den // g
 
 
-def _int_grid_values(cs: Sequence[int], den: int, m: int) -> list[Fraction]:
-    """The exact values cs(i/m) / den at i = 0, 1, ..., m (den > 0).
+def _int_grid_numerators(cs: Sequence[int], m: int) -> list[int]:
+    """The integers m^deg * cs(i/m) at i = 0, 1, ..., m.
 
-    m^deg * cs(i/m) is an integer polynomial in i, so each value costs
-    one integer Horner pass and one reduced Fraction.
+    m^deg * cs(i/m) is an integer polynomial in i, so each costs one
+    integer Horner pass; each has the sign of cs(i/m).
     """
     if not cs:
-        return [Fraction(0)] * (m + 1)
+        return [0] * (m + 1)
     d = len(cs) - 1
     scaled = [c * m ** (d - k) for k, c in enumerate(cs)][::-1]
-    q = den * m ** d
     out = []
     for i in range(m + 1):
         acc = 0
         for c in scaled:
             acc = acc * i + c
-        out.append(Fraction(acc, q))
+        out.append(acc)
     return out
+
+
+def _int_grid_values(cs: Sequence[int], den: int, m: int) -> list[Fraction]:
+    """The exact values cs(i/m) / den at i = 0, 1, ..., m (den > 0), one
+    reduced Fraction of ``_int_grid_numerators`` each."""
+    q = den * m ** max(len(cs) - 1, 0)
+    return [Fraction(v, q) for v in _int_grid_numerators(cs, m)]
 
 
 def _int_pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -423,6 +433,27 @@ def _int_pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
             for i in range(db):
                 r[k + i] -= lead * b[i]
     return _int_trim(r)
+
+
+def _int_pseudo_quo(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Pseudo-quotient q of a by b: lc(b)^(deg a - deg b + 1) * a = q*b + r
+    with deg r < deg b, so q / lc(b)^(deg a - deg b + 1) is the quotient
+    in Q[x].  a must have degree >= deg b.
+
+    >>> _int_pseudo_quo([1, 0, 0, 1], [1, 2])     # 8*(x^3 + 1) by 2x + 1
+    [1, -2, 4]
+    """
+    db, lb = len(b) - 1, b[-1]
+    r = list(a)
+    q: list[int] = []   # highest power first
+    for k in range(len(a) - 1 - db, -1, -1):
+        lead = r.pop()
+        q = [c * lb for c in q] + [lead]
+        r = [c * lb for c in r]
+        if lead:
+            for i in range(db):
+                r[k + i] -= lead * b[i]
+    return q[::-1]
 
 
 def _int_pseudo_rem_signed(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -454,14 +485,19 @@ def _sturm_chain_int(cs: Sequence[int]) -> list[list[int]]:
     return chain
 
 
-def _int_sign_at(cs: Sequence[int], x: Fraction) -> int:
-    n, d = x.numerator, x.denominator
+def _int_sign_hom(cs: Sequence[int], num: int, den: int) -> int:
+    """Sign of cs at num / den (den > 0), by the homogeneous Horner sum
+    den^deg * cs(num / den) in integers."""
     acc = 0
     dp = 1
     for c in reversed(cs):
-        acc = acc * n + c * dp
-        dp *= d
+        acc = acc * num + c * dp
+        dp *= den
     return _sign(acc)
+
+
+def _int_sign_at(cs: Sequence[int], x: Fraction) -> int:
+    return _int_sign_hom(cs, x.numerator, x.denominator)
 
 
 def _int_sign_at_inf(cs: Sequence[int], positive: bool) -> int:
@@ -485,7 +521,8 @@ def _variations(signs: Iterable[int]) -> int:
 def _chain_variations(chain: Sequence[Sequence[int]], x) -> int:
     if x is None:
         raise ValueError("use _chain_variations_inf")
-    return _variations(_int_sign_at(p, x) for p in chain)
+    n, d = x.numerator, x.denominator
+    return _variations(_int_sign_hom(p, n, d) for p in chain)
 
 
 def _chain_variations_inf(chain: Sequence[Sequence[int]], positive: bool) -> int:
@@ -863,21 +900,32 @@ def _bisect_one(sf: Sequence[int], lo: Fraction, hi: Fraction,
     otherwise, so the sign change stays inside; a midpoint that is a
     root comes back as a point.  When (lo, hi) holds one root of sf,
     the result isolates it.
+
+    The ends are kept as integer numerators a < b over one common
+    denominator D.  Each halving doubles D, so the midpoint is a + b
+    over the doubled D, and its sign is one homogeneous integer Horner
+    pass (Rouillier & Zimmermann 2004).  The midpoints are those of
+    rational bisection, and a Fraction is formed only for the result.
     """
-    if hi - lo <= max_width:
+    dlo, dhi = lo.denominator, hi.denominator
+    D = dlo * dhi // _igcd(dlo, dhi)
+    a, b = lo.numerator * (D // dlo), hi.numerator * (D // dhi)
+    wn, wd = max_width.numerator, max_width.denominator
+    if (b - a) * wd <= wn * D:
         # most subtrees of a coarse isolation end here: spare sf(lo)
         return Interval.open(lo, hi)
-    slo = _int_sign_at(sf, lo)
-    while hi - lo > max_width:
-        mid = (lo + hi) / 2
-        sm = _int_sign_at(sf, mid)
+    slo = _int_sign_hom(sf, a, D)
+    while (b - a) * wd > wn * D:
+        m = a + b
+        D <<= 1
+        sm = _int_sign_hom(sf, m, D)
         if sm == 0:
-            return Interval.point(mid)
+            return Interval.point(Fraction(m, D))
         if sm == slo:
-            lo = mid
+            a, b = m, b << 1
         else:
-            hi = mid
-    return Interval.open(lo, hi)
+            a, b = a << 1, m
+    return Interval.open(Fraction(a, D), Fraction(b, D))
 
 
 def isolate_real_roots(p: UniPoly, max_width: RationalLike = Fraction(1, 16),
@@ -1039,6 +1087,8 @@ def gcd_uni(f: UniPoly, g: UniPoly) -> UniPoly:
 
 def _terms_text(terms: Sequence[tuple[tuple[int, ...], Fraction]],
                 names: tuple[str, ...]) -> str:
+    # each magnitude is written from the numerator and denominator in
+    # the form str() gives a Fraction, with no new Fraction per term
     if not terms:
         return "0"
     items = sorted(terms, key=lambda t: t[0], reverse=True)
@@ -1048,16 +1098,18 @@ def _terms_text(terms: Sequence[tuple[tuple[int, ...], Fraction]],
             n if e == 1 else f"{n}^{e}"
             for n, e in zip(names, expo) if e != 0
         )
+        num, den = c.numerator, c.denominator
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
         if not mono:
-            body = str(abs(c))
-        elif abs(c) == 1:
+            body = mag
+        elif mag == "1":
             body = mono
         else:
-            body = f"{abs(c)}*{mono}"
+            body = f"{mag}*{mono}"
         if not parts:
-            parts.append(body if c > 0 else f"-{body}")
+            parts.append(body if num > 0 else f"-{body}")
         else:
-            parts.append(f"{'+' if c > 0 else '-'} {body}")
+            parts.append(f"{'+' if num > 0 else '-'} {body}")
     return " ".join(parts)
 
 

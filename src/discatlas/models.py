@@ -457,7 +457,9 @@ def segment_strata(sc: SingularityClass, start, end
     ``_int_strata`` gives both values times den^degree.  A stratum
     polynomial of degree n in lambda has degree at most n in t, so the
     nodes t = 0..D for the larger degree D (2*mu - 2 for B and C, 7 for
-    F4) determine both; each interpolant is divided by den^degree once.
+    F4) are computed once, and each stratum is interpolated from its own
+    first n + 1 of them (h(0) of B and C is linear in t, Sigma1 of F4
+    cubic) and divided by den^n once.
 
     >>> segment_strata(SingularityClass.parse("B+2"),
     ...                Parameter.of(0, -1), Parameter.of(0, -4))
@@ -472,7 +474,7 @@ def segment_strata(sc: SingularityClass, start, end
              for k in range(max(degrees) + 1)]
     out = []
     for vals, n in zip(zip(*nodes), degrees):
-        cs, scale = _interpolate(vals)
+        cs, scale = _interpolate(vals[:n + 1])
         out.append(_int_reduced(cs, scale * den ** n))
     return out[0], out[1]
 

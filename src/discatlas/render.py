@@ -19,7 +19,10 @@ The lower-value set W = {f <= 0} is shaded by exact signs on the
 viewport grid, and the boundary line x = 0 is dashed.  Every grid row
 is read from one integer row polynomial: f restricted to the row
 ordinate is a polynomial in x with its denominators cleared once, and
-each node costs one integer Horner sign.  Parameter slices contour
+each node costs one integer Horner sign.  A run of nodes in W is
+drawn from its grid indices: each pixel coordinate is one int/int
+true division, which rounds as float() of the rational position
+does.  Parameter slices contour
 the two stratum-defining polynomials with marching squares in two
 distinct strokes; each grid row is a parameter segment, whose Sigma0
 and Sigma1 come from ``models.segment_strata`` (the same segment math
@@ -41,7 +44,14 @@ from .models import (
     deformation_polynomial,
     segment_strata,
 )
-from .exactpoly import UniPoly, _bisect_one, _int_grid_values, _int_sign_at
+from .exactpoly import (
+    UniPoly,
+    _bisect_one,
+    _int_grid_numerators,
+    _int_grid_values,
+    _int_sign_at,
+    _unit_transform,
+)
 
 RESIDUAL_BOUND = Fraction(1, 10 ** 6)
 _SQRT_BITS = 40
@@ -238,39 +248,53 @@ def boundary_crossings(polylines) -> int:
     return n
 
 
-def lower_region_rects(sc: SingularityClass, lam, vp: Viewport
-                       ) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
-    """Cell rectangles (x0, y0, x1, y1) covering sampled {f <= 0} runs.
+def _lower_runs(sc: SingularityClass, lam: Parameter, vp: Viewport
+                ) -> list[tuple[int, int, int]]:
+    """Runs (j, i0, i1) of grid nodes in {f <= 0}: row j, columns i0..i1.
 
     Each grid row is one polynomial in x: grouped by x-exponent, the
     terms of f give coefficients that are polynomials in y, so a row
-    costs one evaluation per exponent, one cleared denominator and an
-    integer Horner sign per node.
+    costs one evaluation per exponent and one cleared denominator.  Its
+    integer transform onto the unit interval, a positive multiple of
+    row(xmin + (xmax - xmin)*u), is read at the grid nodes u = i/m by
+    integer Horner passes, so no node forms a Fraction.
     """
-    lam = Parameter.coerce(lam)
     F = deformation_polynomial(sc, lam)
     cols: list[list] = [[] for _ in range(1 + max(i for i, _ in F.terms))]
     for (i, j), c in F.terms.items():
         cols[i].extend([0] * (j + 1 - len(cols[i])))
         cols[i][j] = c
     col_polys = [UniPoly("y", col) for col in cols]
+    m = vp.samples - 1
+    runs = []
+    for j, y in enumerate(vp.ys()):
+        row, _ = UniPoly("x", [q(y) for q in col_polys])._int_coeffs()
+        i0 = None
+        for i, v in enumerate(_int_grid_numerators(
+                _unit_transform(row, vp.xmin, vp.xmax), m)):
+            if v <= 0:
+                if i0 is None:
+                    i0 = i
+            elif i0 is not None:
+                runs.append((j, i0, i - 1))
+                i0 = None
+        if i0 is not None:
+            runs.append((j, i0, m))
+    return runs
+
+
+def lower_region_rects(sc: SingularityClass, lam, vp: Viewport
+                       ) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
+    """Cell rectangles (x0, y0, x1, y1) covering sampled {f <= 0} runs.
+
+    The rectangles are the runs of ``_lower_runs``, each widened by
+    half a grid step on every side.
+    """
     xs, ys = vp.xs(), vp.ys()
     dx = (vp.xmax - vp.xmin) / (vp.samples - 1)
     dy = (vp.ymax - vp.ymin) / (vp.samples - 1)
-    rects = []
-    for y in ys:
-        row, _ = UniPoly("x", [q(y) for q in col_polys])._int_coeffs()
-        run_start = None
-        for i, x in enumerate(xs + [None]):
-            inside = x is not None and _int_sign_at(row, x) <= 0
-            if inside and run_start is None:
-                run_start = x
-            elif not inside and run_start is not None:
-                x_end = xs[i - 1]
-                rects.append((run_start - dx / 2, y - dy / 2,
-                              x_end + dx / 2, y + dy / 2))
-                run_start = None
-    return rects
+    return [(xs[i0] - dx / 2, ys[j] - dy / 2, xs[i1] + dx / 2, ys[j] + dy / 2)
+            for j, i0, i1 in _lower_runs(sc, Parameter.coerce(lam), vp)]
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +346,16 @@ def render_zero_set(sc: SingularityClass, lam, vp: Viewport | None = None
     lam = Parameter.coerce(lam)
     vp = vp or default_viewport(sc, lam)
     parts = [_svg_header(vp)]
-    rects = lower_region_rects(sc, lam, vp)
     parts.append('<g fill="#9ecae1" fill-opacity="0.45" stroke="none">')
-    for x0, y0, x1, y1 in rects:
-        px0, py1 = vp.to_px(x0, y0)
-        px1, py0 = vp.to_px(x1, y1)
+    # a run's rectangle spans (i0 - 1/2 .. i1 + 1/2) grid steps across
+    # and (j - 1/2 .. j + 1/2) up: each pixel is one int/int true
+    # division, correctly rounded like float() of the rational position
+    m = 2 * (vp.samples - 1)
+    for j, i0, i1 in _lower_runs(sc, lam, vp):
+        px0 = (2 * i0 - 1) / m * vp.width
+        px1 = (2 * i1 + 1) / m * vp.width
+        py0 = (m - 2 * j - 1) / m * vp.height
+        py1 = (m - 2 * j + 1) / m * vp.height
         parts.append(f'<rect x="{_fmt(px0)}" y="{_fmt(py0)}" '
                      f'width="{_fmt(px1 - px0)}" '
                      f'height="{_fmt(py1 - py0)}"/>')

@@ -23,6 +23,8 @@ from discatlas.exactpoly import (
     UniPoly,
     _interpolate,
     discriminant,
+    isolate_real_roots,
+    poly_from_roots,
     restrict_to_segment,
     sturm_count,
 )
@@ -56,6 +58,7 @@ from discatlas.models import (
     Membership,
     Parameter,
     SingularityClass,
+    _bc_lead,
     _cleared,
     _int_strata,
     boundary_polynomial,
@@ -485,6 +488,198 @@ def test_path_certificate_json_shape():
     seg = obj["segments"][0]
     assert seg["roots_in_unit_interval"] == 0
     assert seg["polynomial"] == "-36*t^2 - 24*t - 4"
+
+
+# ---------------------------------------------------------------------------
+# root-space waypoints in integers
+
+
+def reference_bc_root_data(h, sig, bits):
+    """The Fraction root data the integer ``_bc_root_data`` replaced:
+    dyadic reals as Fractions, and the cofactor by ``UniPoly.divmod``
+    by ``poly_from_roots``, remainder dropped."""
+    scale = 1 << bits
+    reals = [F(round(iv.midpoint() * scale), scale)
+             for iv in isolate_real_roots(h, F(1, scale))]
+    if sum(1 for r in reals if r < 0) != sig.p:
+        return None
+    if sum(1 for r in reals if r > 0) != sig.q:
+        return None
+    if any(reals[i] >= reals[i + 1] for i in range(len(reals) - 1)):
+        return None
+    rest = h.divmod(poly_from_roots(h.var, reals))[0]
+    if sturm_count(rest, Interval.real_line()) != 0:
+        return None
+    return reals, rest
+
+
+def reference_lam_at(sc, reals, rest, sig, snap_bits):
+    """The Fraction waypoint map the integer ``_bc_root_path`` replaced:
+    ``poly_from_roots`` of the moved roots times the cofactor path, as
+    UniPoly products, each coefficient snapped with ``round``."""
+    mu = sc.mu
+    var = rest.var
+    target_reals = ([F(-i) for i in range(sig.p, 0, -1)]
+                    + [F(j) for j in range(1, sig.q + 1)])
+    target_rest = UniPoly(var, [_bc_lead(sc)])
+    for m in range(1, rest.degree() // 2 + 1):
+        target_rest = target_rest * UniPoly(var, [m, 0, 1])
+
+    def lam_at(t):
+        moved = [(1 - t) * r0 + t * r1 for r0, r1 in zip(reals, target_reals)]
+        hpoly = (poly_from_roots(var, moved)
+                 * (rest * (1 - t) + target_rest * t))
+        cs = hpoly.coeffs
+        if snap_bits is not None:
+            scale = 1 << snap_bits
+            cs = [F(round(c * scale), scale) for c in cs]
+        return Parameter(tuple(cs[mu - k] for k in range(1, mu + 1)))
+
+    return lam_at
+
+
+BC_RUNGS = ((24, 32), (80, None), (200, None))
+DYADIC_TS = [F(k, 8) for k in range(9)] + [F(5, 32), F(201, 256)]
+
+
+def _same_root_data(sc, lam):
+    # the integer root data and waypoints of lam against the Fraction
+    # reference, on every rung of the bits ladder; returns the rungs
+    # whose data exist
+    h = boundary_polynomial(sc, lam)
+    sig = classify_bc(sc, lam)
+    sig = BCSignature(sig.p, sig.q)
+    used = []
+    for bits, snap in BC_RUNGS:
+        ref = reference_bc_root_data(h, sig, bits)
+        got = atlas_mod._bc_root_data(h, sig, bits)
+        assert (got is None) == (ref is None), (sc.label(), bits)
+        if got is None:
+            continue
+        reals, (cs, den) = got
+        assert [F(r, 1 << bits) for r in reals] == ref[0]
+        assert UniPoly(h.var, [F(c, den) for c in cs]) == ref[1]
+        lam_at = atlas_mod._bc_root_path(sc, reals, (cs, den), sig, bits, snap)
+        ref_at = reference_lam_at(sc, *ref, sig, snap)
+        for t in DYADIC_TS:
+            assert lam_at(t) == ref_at(t), (sc.label(), bits, t)
+        used.append(bits)
+    return used
+
+
+def test_waypoints_match_fraction_reference_on_corpus():
+    # the start of every B/C same-type pair of perfbench/path_corpus.json,
+    # one pair per signature, on every rung: reals, cofactor and the
+    # waypoints at t = k/2^j equal the Fraction reference's
+    rungs, starts = set(), 0
+    for label, entry in CORPUS["classes"].items():
+        if label.startswith("F4"):
+            continue
+        sc = SingularityClass.parse(label)
+        for _, start, _ in entry["pairs"]:
+            rungs.update(_same_root_data(
+                sc, Parameter.coerce([F(v) for v in start])))
+            starts += 1
+    assert starts == 188
+    assert rungs == {24, 80, 200}
+
+
+@pytest.mark.parametrize("k", [4, 5, -5, -6])
+def test_waypoint_snap_ties_round_half_to_even(k):
+    # rest = x^2 + (2k + 1)/2^33 * x + 1: at t = 0 the waypoint is rest,
+    # and its x coefficient sits exactly halfway between k/2^32 and
+    # (k + 1)/2^32, so it snaps to the even one of the two: the floor k
+    # for k = 4 and -6, k + 1 for k = 5 and -5
+    sc = SingularityClass.parse("B+2")
+    den = 1 << 33
+    rest = ([den, 2 * k + 1, den], den)
+    lam_at = atlas_mod._bc_root_path(sc, [], rest, BCSignature(0, 0), 24, 32)
+    ref_at = reference_lam_at(sc, [], UniPoly("x", [F(c, den) for c in rest[0]]),
+                              BCSignature(0, 0), 32)
+    even = k if k % 2 == 0 else k + 1
+    assert lam_at(F(0)).values == (F(even, 1 << 32), F(1))
+    assert lam_at(F(0)) == ref_at(F(0))
+
+
+# one B pair and one C pair of perfbench/path_corpus.json whose straight
+# segment crosses the discriminant; h has a complex pair at both ends
+UNSNAPPED_PAIRS = [
+    ("B-3", ("-129/53", "9/2", "-42/13"), ("-99/26", "-71/15", "-15/8")),
+    ("C+5", ("1545/256", "3075/256", "3059/256", "5595/512", "3011/512"),
+     ("8/3", "-31/27", "7/32", "14/3", "16/9")),
+]
+
+
+@pytest.mark.parametrize("label, a, b", UNSNAPPED_PAIRS)
+def test_unsnapped_rung_certifies_with_reference_waypoints(monkeypatch,
+                                                           label, a, b):
+    # with the 24-bit rung refused, both legs run on the 80-bit rung,
+    # whose waypoints are not snapped; no pinned certificate reaches it
+    sc = SingularityClass.parse(label)
+    a, b = (Parameter.coerce([F(v) for v in p]) for p in (a, b))
+    root_data, root_path = atlas_mod._bc_root_data, atlas_mod._bc_root_path
+    drawn = []
+
+    def refuse_24(h, sig, bits):
+        return None if bits == 24 else root_data(h, sig, bits)
+
+    def recording(sc_, reals, rest, sig, bits, snap):
+        assert (bits, snap) == (80, None)
+        lam_at = root_path(sc_, reals, rest, sig, bits, snap)
+        ref_at = reference_lam_at(
+            sc_, [F(r, 1 << bits) for r in reals],
+            UniPoly("x", [F(c, rest[1]) for c in rest[0]]), sig, snap)
+
+        def moved(t):
+            lam = lam_at(t)
+            drawn.append((lam, ref_at(t)))
+            return lam
+
+        return moved
+
+    monkeypatch.setattr(atlas_mod, "_bc_root_data", refuse_24)
+    monkeypatch.setattr(atlas_mod, "_bc_root_path", recording)
+    assert isinstance(certify_segment(sc, a, b), SegmentFailure)
+    cert = certify_path(sc, a, b)
+    assert cert.waypoints[0] == a and cert.waypoints[-1] == b
+    for proof in cert.segments:
+        assert proof.roots_in_segment == 0
+        assert proof == certify_segment(sc, proof.start, proof.end).segments[0]
+    assert drawn and all(got == want for got, want in drawn)
+    assert set(cert.waypoints[1:-1]) <= {got for got, _ in drawn}
+
+
+def test_bc_homotopy_forms_no_unipoly_product(monkeypatch):
+    # the first B+6 same-type pair of perfbench/path_corpus.json whose
+    # straight segment fails: both legs of the root-space homotopy run,
+    # and no waypoint or cofactor is built from UniPoly products
+    sc = SingularityClass.parse("B+6")
+    a = Parameter.coerce([F(v) for v in
+                          ("4", "45/26", "-19/28", "-13/11", "-60/43", "5/8")])
+    b = Parameter.coerce([F(v) for v in
+                          ("-31/50", "-111/26", "1/4", "-47/14", "-2/15",
+                           "53/16")])
+    calls = []
+    mul = UniPoly.__mul__
+    from_roots = exactpoly_mod.poly_from_roots
+
+    def counting_mul(self, other):
+        calls.append("mul")
+        return mul(self, other)
+
+    def counting_from_roots(*args, **kw):
+        calls.append("poly_from_roots")
+        return from_roots(*args, **kw)
+
+    monkeypatch.setattr(UniPoly, "__mul__", counting_mul)
+    monkeypatch.setattr(UniPoly, "__rmul__", counting_mul)
+    monkeypatch.setattr(exactpoly_mod, "poly_from_roots", counting_from_roots)
+    monkeypatch.setattr(atlas_mod, "poly_from_roots", counting_from_roots,
+                        raising=False)
+    assert atlas_mod._segment_proof(sc, a, b).roots_in_segment > 0
+    cert = certify_path(sc, a, b)
+    assert len(cert.segments) > 1
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

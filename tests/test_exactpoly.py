@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from discatlas.exactpoly import (
     ArityMismatch,
@@ -635,6 +635,63 @@ def test_isolation_matches_full_chain_reference(pr, width, w):
 
     assert [root_of(iv) for iv in got] \
         == [r for r in map(root_of, ref) if _in_window(w, r)]
+
+
+def reference_bisect_one(sf, lo, hi, max_width):
+    """The Fraction bisection the integer ``_bisect_one`` replaced, with
+    signs read from Fraction evaluation of sf: each midpoint is
+    (lo + hi) / 2 in lowest terms."""
+    val = UniPoly("x", sf)
+    if hi - lo <= max_width:
+        return Interval.open(lo, hi)
+    slo = val(lo) > 0
+    while hi - lo > max_width:
+        mid = (lo + hi) / 2
+        vm = val(mid)
+        if vm == 0:
+            return Interval.point(mid)
+        if (vm > 0) == slo:
+            lo = mid
+        else:
+            hi = mid
+    return Interval.open(lo, hi)
+
+
+@st.composite
+def bisection_case(draw):
+    """(sf, lo, hi, max_width): ends with unrelated denominators, roots
+    that may sit on a dyadic point of (lo, hi), so some midpoint hits
+    one exactly, and the widths the runtime asks for."""
+    lo = draw(st.fractions(min_value=-3, max_value=3, max_denominator=12))
+    hi = lo + draw(st.fractions(min_value=F(1, 16), max_value=5,
+                                max_denominator=16))
+    roots = draw(st.lists(st.fractions(min_value=-4, max_value=4,
+                                       max_denominator=8), max_size=4))
+    if draw(st.booleans()):
+        j = draw(st.integers(min_value=1, max_value=12))
+        k = draw(st.integers(min_value=1, max_value=(1 << j) - 1))
+        roots.append(lo + (hi - lo) * F(k, 1 << j))
+    lead = draw(st.sampled_from([1, -1, 3]))
+    cs = poly_from_roots("x", roots, lead)._int_coeffs()[0]
+    assume(ep._int_sign_at(cs, lo) != 0)
+    width = draw(st.sampled_from(["45", F(1, 128), F(1, 1 << 24)]))
+    if width == "45":
+        width = (hi - lo) / (1 << 45)
+    return cs, lo, hi, width
+
+
+@settings(max_examples=300, deadline=None)
+@given(bisection_case())
+@example(([-1, 2], F(0), F(1), F(1, 128)))              # first midpoint a root
+@example(([-3, 8], F(1, 3), F(1, 2), F(1, 1 << 24)))    # 3/8, second midpoint
+@example(([-1, 0, 3], F(-2, 3), F(4, 5), F(1, 128)))    # no root hit
+@example(([5, -7], F(1, 3), F(11, 5), F(28, 15) / (1 << 45)))
+@example(([-1, 2], F(0), F(1, 256), F(1, 128)))          # already narrow
+def test_bisect_one_matches_fraction_reference(case):
+    # interval for interval, point results included
+    sf, lo, hi, width = case
+    assert ep._bisect_one(sf, lo, hi, width) \
+        == reference_bisect_one(sf, lo, hi, width)
 
 
 @settings(max_examples=150, deadline=None)
