@@ -412,13 +412,6 @@ def _int_grid_numerators(cs: Sequence[int], m: int) -> list[int]:
     return out
 
 
-def _int_grid_values(cs: Sequence[int], den: int, m: int) -> list[Fraction]:
-    """The exact values cs(i/m) / den at i = 0, 1, ..., m (den > 0), one
-    reduced Fraction of ``_int_grid_numerators`` each."""
-    q = den * m ** max(len(cs) - 1, 0)
-    return [Fraction(v, q) for v in _int_grid_numerators(cs, m)]
-
-
 def _int_pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Exact pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b.
 
@@ -694,7 +687,8 @@ def _cauchy_bound(cs: Sequence[int]) -> Fraction:
 def _unit_transform(cs: Sequence[int], lo: Fraction, hi: Fraction
                     ) -> list[int]:
     """A positive multiple of p(lo + (hi - lo)*y), which maps [0, 1]
-    onto [lo, hi], in integers."""
+    onto [lo, hi], in integers: (ld*sd)^n times it, for n = len(cs) - 1,
+    ld the denominator of lo and sd that of ld*(hi - lo)."""
     n = len(cs) - 1
     ln, ld = lo.numerator, lo.denominator
     # ld^n p(lo + u/ld), then u = ld*(hi - lo)*y

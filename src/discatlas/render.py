@@ -16,23 +16,30 @@ between two sweep values the sheets join at a branch end, bisected
 45 times on the signs of dom's integer coefficients.
 
 The lower-value set W = {f <= 0} is shaded by exact signs on the
-viewport grid, and the boundary line x = 0 is dashed.  Every grid row
-is read from one integer row polynomial: f restricted to the row
-ordinate is a polynomial in x with its denominators cleared once, and
-each node costs one integer Horner sign.  A run of nodes in W is
-drawn from its grid indices: each pixel coordinate is one int/int
-true division, which rounds as float() of the rational position
-does.  Parameter slices contour
-the two stratum-defining polynomials with marching squares in two
-distinct strokes; each grid row is a parameter segment, whose Sigma0
-and Sigma1 come from ``models.segment_strata`` (the same segment math
-as the path certificates) and are evaluated exactly at the nodes.
+viewport grid, and the boundary line x = 0 is dashed.  A run of nodes
+in W is drawn from its grid indices: each pixel coordinate is one
+int/int true division, which rounds as float() of the rational
+position does.  Parameter slices contour the two stratum-defining
+polynomials with marching squares in two distinct strokes.
+
+Both grids are exact and mostly integer additions.  Along a grid
+column each grid value is a polynomial in the row index j: f in y of
+degree deg_y f, and a stratum of total degree n in the parameters,
+which are affine in the grid indices.  Only the first degree + 1 rows
+are computed directly, as integer numerators over one common
+denominator: a shading row is f restricted to its ordinate, an
+integer polynomial in x read at the nodes by integer Horner passes; a
+slice row is the parameter segment from (xmin, y) to (xmax, y), whose
+Sigma0 and Sigma1 come from ``models.segment_strata`` (the same
+segment math as the path certificates).  Every later row is a sum of
+integer differences down each column (``_extend_rows``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -40,6 +47,7 @@ from pathlib import Path
 from .models import (
     Parameter,
     SingularityClass,
+    _strata_degrees,
     boundary_polynomial,
     deformation_polynomial,
     segment_strata,
@@ -48,7 +56,6 @@ from .exactpoly import (
     UniPoly,
     _bisect_one,
     _int_grid_numerators,
-    _int_grid_values,
     _int_sign_at,
     _unit_transform,
 )
@@ -90,10 +97,11 @@ class Viewport:
         return [self.xmin + (self.xmax - self.xmin) * Fraction(i, n - 1)
                 for i in range(n)]
 
-    def ys(self) -> list[Fraction]:
+    def ys(self, count: int | None = None) -> list[Fraction]:
+        """The grid ordinates, or only the first count of them."""
         n = self.samples
         return [self.ymin + (self.ymax - self.ymin) * Fraction(j, n - 1)
-                for j in range(n)]
+                for j in range(n if count is None else min(count, n))]
 
     def to_px(self, x, y) -> tuple[float, float]:
         fx = (x - self.xmin) / (self.xmax - self.xmin)
@@ -248,16 +256,53 @@ def boundary_crossings(polylines) -> int:
     return n
 
 
+def _extend_rows(rows: list[list[int]], count: int) -> list[list[int]]:
+    """The first count rows of an integer table whose columns are
+    polynomials in the row index of degree below len(rows).
+
+    Given rows fix every column, and each later row is the last one
+    plus its backward differences (Knuth, TAOCP vol. 2, 4.6.4), so it
+    costs len(rows) - 1 integer additions per column.
+
+    >>> _extend_rows([[0, 1], [1, 3], [4, 5]], 5)
+    [[0, 1], [1, 3], [4, 5], [9, 7], [16, 9]]
+    """
+    if count <= len(rows):
+        return rows[:count]
+    out = list(rows)
+    # diffs[k] is the k-th backward difference at the last row
+    diffs = [rows[-1]]
+    for _ in range(len(rows) - 1):
+        rows = [[b - a for a, b in zip(r, s)] for r, s in zip(rows, rows[1:])]
+        diffs.append(rows[-1])
+    for _ in range(count - len(out)):
+        for k in range(len(diffs) - 2, -1, -1):
+            diffs[k] = list(map(operator.add, diffs[k], diffs[k + 1]))
+        out.append(diffs[0])
+    return out
+
+
+def _common_rows(rows: list[tuple[list[int], int]]
+                 ) -> tuple[list[list[int]], int]:
+    """Rows of numerators over their own denominators, (v, q), as
+    numerators over one common denominator L: (v * L/q, L)."""
+    den = math.lcm(*(q for _, q in rows))
+    return [[v * (den // q) for v in vals] for vals, q in rows], den
+
+
 def _lower_runs(sc: SingularityClass, lam: Parameter, vp: Viewport
                 ) -> list[tuple[int, int, int]]:
     """Runs (j, i0, i1) of grid nodes in {f <= 0}: row j, columns i0..i1.
 
-    Each grid row is one polynomial in x: grouped by x-exponent, the
-    terms of f give coefficients that are polynomials in y, so a row
-    costs one evaluation per exponent and one cleared denominator.  Its
-    integer transform onto the unit interval, a positive multiple of
-    row(xmin + (xmax - xmin)*u), is read at the grid nodes u = i/m by
-    integer Horner passes, so no node forms a Fraction.
+    Only rows j = 0..deg_y f are evaluated.  Each is one polynomial in
+    x: grouped by x-exponent, the terms of f give coefficients that are
+    polynomials in y, so a row costs one evaluation per exponent and
+    one cleared denominator den.  Its integer transform onto the unit
+    interval, read at the grid nodes u = i/m by integer Horner passes,
+    is f at the nodes times den * (ld*sd*m)^n, for the row degree n, ld
+    the denominator of xmin and sd that of ld*(xmax - xmin).  Over one
+    common denominator these rows extend to the whole grid, because f
+    along a column has degree deg_y f in j; only signs are read.
     """
     F = deformation_polynomial(sc, lam)
     cols: list[list] = [[] for _ in range(1 + max(i for i, _ in F.terms))]
@@ -266,12 +311,19 @@ def _lower_runs(sc: SingularityClass, lam: Parameter, vp: Viewport
         cols[i][j] = c
     col_polys = [UniPoly("y", col) for col in cols]
     m = vp.samples - 1
+    ld = vp.xmin.denominator
+    scale = ld * (ld * (vp.xmax - vp.xmin)).denominator * m
+    first = []
+    for y in vp.ys(max(map(len, cols))):
+        row, den = UniPoly("x", [q(y) for q in col_polys])._int_coeffs()
+        first.append((_int_grid_numerators(
+            _unit_transform(row, vp.xmin, vp.xmax), m),
+            den * scale ** max(len(row) - 1, 0)))
     runs = []
-    for j, y in enumerate(vp.ys()):
-        row, _ = UniPoly("x", [q(y) for q in col_polys])._int_coeffs()
+    for j, vals in enumerate(_extend_rows(_common_rows(first)[0],
+                                          vp.samples)):
         i0 = None
-        for i, v in enumerate(_int_grid_numerators(
-                _unit_transform(row, vp.xmin, vp.xmax), m)):
+        for i, v in enumerate(vals):
             if v <= 0:
                 if i0 is None:
                     i0 = i
@@ -399,23 +451,22 @@ _MS_EDGES = {1: (3, 0), 2: (0, 1), 3: (3, 1), 4: (1, 2), 6: (0, 2),
              13: (1, 0), 14: (0, 3)}
 
 
-def _contour_segments(vals, xs, ys):
-    """Marching squares segments for the zero level of a value grid."""
+def _contour_segments(fv, fx, fy):
+    """Marching squares segments for the zero level of a float grid
+    fv[j][i] at the nodes (fx[i], fy[j])."""
     segs = []
-    fv = [[float(v) for v in row] for row in vals]
-    fx = [float(x) for x in xs]
-    fy = [float(y) for y in ys]
 
     def cross(va, vb, pa, pb):
         t = va / (va - vb)
         return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
 
-    for j in range(len(ys) - 1):
-        for i in range(len(xs) - 1):
+    for j in range(len(fy) - 1):
+        for i in range(len(fx) - 1):
             c = [fv[j][i], fv[j][i + 1], fv[j + 1][i + 1], fv[j + 1][i]]
             p = [(fx[i], fy[j]), (fx[i + 1], fy[j]),
                  (fx[i + 1], fy[j + 1]), (fx[i], fy[j + 1])]
-            m = sum(1 << k for k in range(4) if c[k] > 0)
+            m = ((c[0] > 0) | (c[1] > 0) << 1 | (c[2] > 0) << 2
+                 | (c[3] > 0) << 3)
             if m in (0, 15):
                 continue
 
@@ -438,25 +489,47 @@ def _contour_segments(vals, xs, ys):
     return segs
 
 
-def _slice_grids(sc: SingularityClass, fixed: dict, axes, vp: Viewport
-                 ) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    """Exact Sigma0 and Sigma1 values at every slice grid node, by rows.
+def _float_nodes(lo: Fraction, hi: Fraction, m: int) -> list[float]:
+    """float(lo + (hi - lo)*i/m) at i = 0..m, each one int/int true
+    division of the node's exact numerator and denominator.
 
-    A row is the parameter segment from (xmin, y) to (xmax, y), and its
-    i-th node is the segment point t = i / (samples - 1): one
-    ``segment_strata`` call per row, then integer evaluations.
+    >>> _float_nodes(Fraction(-1, 3), Fraction(1), 2)
+    [-0.3333333333333333, 0.3333333333333333, 1.0]
+    """
+    w = hi - lo
+    den = lo.denominator * w.denominator * m
+    a, b = lo.numerator * w.denominator * m, w.numerator * lo.denominator
+    return [(a + b * i) / den for i in range(m + 1)]
+
+
+def _slice_grids(sc: SingularityClass, fixed: dict, axes, vp: Viewport
+                 ) -> tuple[tuple[list[list[int]], int],
+                            tuple[list[list[int]], int]]:
+    """Exact Sigma0 and Sigma1 at every slice grid node, by rows: for
+    each stratum the integer numerators grid[j][i] and one common
+    denominator L, the value at node (i, j) being grid[j][i] / L.
+
+    Row j is the parameter segment from (xmin, y_j) to (xmax, y_j), and
+    its i-th node is the segment point t = i / (samples - 1).  A
+    stratum of total degree n in the parameters is a polynomial of
+    degree at most n in j along each column, so only rows j = 0..D,
+    D the larger degree, cost a ``segment_strata`` call and integer
+    evaluations; each stratum's first n + 1 rows extend to the rest.
     """
     names = sc.parameter_names
     m = vp.samples - 1
-    grid0, grid1 = [], []
-    for yv in vp.ys():
-        start, end = (Parameter(tuple({**fixed, axes[0]: xv, axes[1]: yv}[n]
-                                      for n in names))
-                      for xv in (vp.xmin, vp.xmax))
-        s0, s1 = segment_strata(sc, start, end)
-        grid0.append(_int_grid_values(*s0, m))
-        grid1.append(_int_grid_values(*s1, m))
-    return grid0, grid1
+    degrees = _strata_degrees(sc)
+    rows = [segment_strata(sc, *(Parameter(tuple(
+                {**fixed, axes[0]: xv, axes[1]: yv}[n] for n in names))
+                for xv in (vp.xmin, vp.xmax)))
+            for yv in vp.ys(max(degrees) + 1)]
+    out = []
+    for k, n in enumerate(degrees):
+        grid, den = _common_rows(
+            [(_int_grid_numerators(cs, m), q * m ** max(len(cs) - 1, 0))
+             for cs, q in (r[k] for r in rows[:n + 1])])
+        out.append((_extend_rows(grid, vp.samples), den))
+    return out[0], out[1]
 
 
 def render_parameter_slice(sc: SingularityClass, fixed: dict, axes,
@@ -476,17 +549,25 @@ def render_parameter_slice(sc: SingularityClass, fixed: dict, axes,
         raise BadAxes(f"fixed assignment must cover exactly {rest}")
     fixed = {k: Fraction(v) for k, v in fixed.items()}
     vp = vp or SLICE_VIEWPORT
-    xs, ys = vp.xs(), vp.ys()
+    fx = _float_nodes(vp.xmin, vp.xmax, vp.samples - 1)
+    fy = _float_nodes(vp.ymin, vp.ymax, vp.samples - 1)
+    # Viewport.to_px on float points, whose Fraction operands Python
+    # turns into these floats: the same operations, the same bytes
+    x0, xw = float(vp.xmin), float(vp.xmax - vp.xmin)
+    y1, yh = float(vp.ymax), float(vp.ymax - vp.ymin)
     parts = [_svg_header(vp)]
     parts.extend(_axis_lines(vp))
-    for grid, stroke in zip(_slice_grids(sc, fixed, axes, vp),
-                            ("#b2182b", "#2166ac")):
+    for (grid, den), stroke in zip(_slice_grids(sc, fixed, axes, vp),
+                                   ("#b2182b", "#2166ac")):
+        # int/int true division rounds as float(Fraction(v, den))
+        fv = [[v / den for v in row] for row in grid]
         parts.append(f'<g stroke="{stroke}" stroke-width="1.4" fill="none">')
-        for (xa, ya), (xb, yb) in _contour_segments(grid, xs, ys):
-            pa = vp.to_px(xa, ya)
-            pb = vp.to_px(xb, yb)
-            parts.append(f'<line x1="{_fmt(pa[0])}" y1="{_fmt(pa[1])}" '
-                         f'x2="{_fmt(pb[0])}" y2="{_fmt(pb[1])}"/>')
+        for (xa, ya), (xb, yb) in _contour_segments(fv, fx, fy):
+            parts.append(
+                f'<line x1="{_fmt((xa - x0) / xw * vp.width)}" '
+                f'y1="{_fmt((y1 - ya) / yh * vp.height)}" '
+                f'x2="{_fmt((xb - x0) / xw * vp.width)}" '
+                f'y2="{_fmt((y1 - yb) / yh * vp.height)}"/>')
         parts.append("</g>")
     parts.append(f'<text x="{vp.width - 24}" y="{vp.height - 8}" '
                  f'font-size="12" fill="#333333">{axes[0]}</text>')

@@ -21,10 +21,12 @@ from discatlas.models import (
     deformation_polynomial,
     f4_sigma0_eliminant,
     f4_sigma1_polynomial,
+    segment_strata,
     stratum_values,
 )
 from discatlas.classify import F4_SEEDS, classify_f4, f4_side_seeds
 from discatlas.cli import run
+import discatlas.render as render_module
 from discatlas.render import (
     RESIDUAL_BOUND,
     _branch_end,
@@ -395,9 +397,22 @@ C5_ZERO_ROW = (SingularityClass.parse("C-5"), {"l1": F(1, 2), "l2": F(-2),
                                       samples=17))
 
 
+# deg_y f = 16 rows plus one exceed the 16 grid rows, so every row is
+# computed directly and none is extended
+C16_ALL_DIRECT = (SingularityClass.parse("C+16"),
+                  Parameter(tuple(F(k % 5 - 2, 1 + k % 3) for k in range(16))),
+                  Viewport(-2, 2, -F(3, 2), F(3, 2), samples=16))
+# Sigma0 of B+9 has degree 16: likewise no slice row is extended
+B9_ALL_DIRECT = (SingularityClass.parse("B+9"),
+                 {f"l{k}": F(k % 3 - 1, 2) for k in range(1, 10)
+                  if k not in (8, 9)},
+                 ("l8", "l9"), Viewport(-2, 2, -2, 2, samples=16))
+
+
 @settings(max_examples=40, deadline=None)
 @given(shading_cases())
 @example(C4_ZERO_ROW)
+@example(C16_ALL_DIRECT)
 def test_row_shading_matches_per_node_eval(case):
     sc, lam, vp = case
     assert lower_region_rects(sc, lam, vp) == per_node_rects(sc, lam, vp)
@@ -409,10 +424,34 @@ def test_row_shading_matches_per_node_eval(case):
 @example(C5_ZERO_ROW)
 @example((F4M, {"b": F(-2, 3), "d": F(1, 5)}, ("a", "c"),
           Viewport(-F(7, 3), F(7, 3), -F(7, 3), F(7, 3), samples=19)))
+@example(B9_ALL_DIRECT)
 def test_row_slice_grids_match_per_node_stratum_values(case):
     sc, fixed, axes, vp = case
-    assert _slice_grids(sc, fixed, axes, vp) \
-        == per_node_slice_grids(sc, fixed, axes, vp)
+    assert [[[F(v, den) for v in row] for row in grid]
+            for grid, den in _slice_grids(sc, fixed, axes, vp)] \
+        == list(per_node_slice_grids(sc, fixed, axes, vp))
+
+
+@pytest.mark.parametrize("label, axes, fixed, calls", [
+    ("B+4", ("l1", "l2"), {"l3": 1, "l4": 1}, 7),
+    ("C-4", ("l1", "l2"), {"l3": 1, "l4": -1}, 7),
+    ("F4+", ("b", "d"), {"a": 1, "c": 1}, 8),
+])
+def test_slice_grids_segment_strata_calls(monkeypatch, label, axes, fixed,
+                                          calls):
+    # only rows 0..D of the larger stratum degree D are segments; the
+    # other 33 - (D + 1) rows are sums of differences
+    sc = SingularityClass.parse(label)
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return segment_strata(*args)
+
+    monkeypatch.setattr(render_module, "segment_strata", counted)
+    fixed = {k: F(v) for k, v in fixed.items()}
+    _slice_grids(sc, fixed, axes, Viewport(-3, 3, -3, 3, samples=33))
+    assert len(seen) == calls
 
 
 def test_identically_zero_rows():
@@ -425,5 +464,5 @@ def test_identically_zero_rows():
     for sc, fixed, axes, vp in (B3_ZERO_ROW, C5_ZERO_ROW):
         grids = _slice_grids(sc, fixed, axes, vp)
         row = vp.ys().index(0)
-        at_zero = grids[1] if sc.family == "B" else grids[0]
+        at_zero, _ = grids[1] if sc.family == "B" else grids[0]
         assert at_zero[row] == [0] * vp.samples
