@@ -595,14 +595,27 @@ def _sample_point(cfg: SamplingConfig, dim: int, index: int
     Each coordinate draws a denominator d in [1, denominator_bound] and
     a numerator in [-bound, bound], bound = floor(box_radius * d); den
     is the lcm of the drawn d, not reduced against the numerators.
+    Each draw is ``Random.randint``'s: k = n.bit_length() bits from
+    ``getrandbits`` for a range of n integers, redrawn while >= n, so
+    the stream and the points are randint's, without its call layers.
     """
-    rng = random.Random(f"{cfg.rng_seed}:{index}")
+    bits = random.Random(f"{cfg.rng_seed}:{index}").getrandbits
     rn, rd = cfg.box_radius.numerator, cfg.box_radius.denominator
+    nd = cfg.denominator_bound
+    kd = nd.bit_length()
     nums, dens = [], []
     for _ in range(dim):
-        d = rng.randint(1, cfg.denominator_bound)
+        d = bits(kd)
+        while d >= nd:
+            d = bits(kd)
+        d += 1
         bound = rn * d // rd
-        nums.append(rng.randint(-bound, bound))
+        n = 2 * bound + 1
+        k = n.bit_length()
+        v = bits(k)
+        while v >= n:
+            v = bits(k)
+        nums.append(v - bound)
         dens.append(d)
     den = lcm(*dens)
     return [v * (den // d) for v, d in zip(nums, dens)], den

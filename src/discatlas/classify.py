@@ -44,20 +44,23 @@ every sign: for one crossing it is the sign of P(-a/c), one integer
 expression; for three it is read from the sign variations of
 den * P(-a/c + y), which Descartes' rule makes exact because all three
 roots are real.  With no oval every crossing is a branch crossing.
-Only oval cases isolate roots, once, of the integer cubic G = den^2 * g,
-to its roots r1 < r2 < r3.  A crossing has g > 0, so none lies in
-[r1, r2], where the upper end s of r1's isolating interval lies: the
-number k of oval crossings, the last k in ascending order, is 0 for a
-sole crossing and otherwise the sign variations of den * P(s + y).
+An oval case needs one rational point s in (r1, r2) and one t in
+(r2, r3), for the roots r1 < r2 < r3 of the integer cubic
+G = den^2 * g, and isolates no root: G's critical points c1 < c2
+separate its roots, r1 < c1 < r2 < c2 < r3, and integer square roots
+of the discriminant of G' at growing powers of two approach them from
+inside [c1, c2] until G(s) < 0 < G(t).  A crossing has g > 0, so none
+lies in [r1, r2]: the number k of oval crossings, the last k in
+ascending order, is 0 for a sole crossing and otherwise the sign
+variations of den * P(s + y).  So no F4 sample builds a Sturm chain.
 
 The descriptor records the boundary crossings in ascending order, each
 tagged Branch or Oval by which support interval of g it falls in and
 by the sign of f_x there, plus the oval state: Absent, Crossed (the
 oval meets the boundary, necessarily in exactly two of the crossings),
 or Left/Right of the boundary.  The side is the sign of the midline
-x = -(a + c*y)/2 sampled at an exact rational point of [r2, r3]
-between their isolating intervals; an uncrossed oval has P > 0 on its
-support, so the two sheets have equal sign and the midline cannot
+x = -(a + c*y)/2 at t; an uncrossed oval has P > 0 on its support
+[r2, r3], so the two sheets have equal sign and the midline cannot
 vanish there.
 
 Only eight descriptor classes occur, matching the eight connected
@@ -85,12 +88,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import Sequence
 
 from .exactpoly import (
-    _cauchy_bound,
     _int_root_signature,
-    _isolate_line,
+    _int_sign_hom,
     _real_rooted_above,
 )
 from .models import (
@@ -304,7 +307,8 @@ def _f4_descriptor(sc: SingularityClass, V: Sequence[int], den: int
     elif n == 1:
         below = 0 if at_wall < 0 else 1  # P < 0 left of its sole root
     else:
-        below = 3 - _real_rooted_above(P, Fraction(-al, ga))
+        # the wall -al/ga over a positive denominator
+        below = 3 - _real_rooted_above(P, -al if ga > 0 else al, abs(ga))
 
     def fx_sign(i: int) -> str:
         # f_x = c*(y - wall) at the i-th crossing y; the sign of a if c = 0
@@ -318,25 +322,53 @@ def _f4_descriptor(sc: SingularityClass, V: Sequence[int], den: int
 
     # g is a downward cubic with roots r1 < r2 < r3, and each crossing
     # has g = (a + c*y)^2 > 0 off the wall, so it lies left of r1
-    # (branch) or in (r2, r3) (oval), never in [r1, r2], where the
-    # upper end s of r1's isolating interval lies.  G = den^2 * g has
-    # the same roots.  Any isolating intervals will do, so the width
-    # allowed is that of the Cauchy interval: the bisection stops as
-    # soon as each root is alone.  A sole crossing lies left of r1,
-    # since P < 0 left of it makes g > 0 there; three crossings are all
-    # real roots of P, so the k above s are counted without bisection.
+    # (branch) or in (r2, r3) (oval), never in [r1, r2].  G = den^2 * g
+    # has the same roots, and its critical points c1 < c2, the local
+    # minimum and maximum, satisfy r1 < c1 < r2 < c2 < r3.  So a point
+    # s in [c1, c2] with G(s) < 0 lies in (r1, r2), and one t in
+    # [c1, c2] with G(t) > 0 lies in (r2, r3).  A sole crossing lies
+    # left of r1, since P < 0 left of it makes g > 0 there; three
+    # crossings are all real roots of P, so the k above s are counted
+    # without bisection.
     G = [al * al - 4 * den * de, 2 * al * ga - 4 * den * be, ga * ga,
          -4 * den * den]
-    r = _isolate_line(G, 2 * _cauchy_bound(G))
-    k = 0 if n == 1 else _real_rooted_above(P, r[0].hi)
+    sn, tn, sd = _f4_oval_points(G)
+    k = 0 if n == 1 else _real_rooted_above(P, sn, sd)
     tags = tuple(("B" if i < n - k else "O", s) for i, s in enumerate(signs))
     if k:
         return F4Descriptor(tags, "C")
     # no crossing lies on the oval support [r2, r3] and P(r2) =
     # (a + c*r2)^2 / 4, so (a + c*y)^2 >= 4*P > 0 there: the midline
-    # x = -(a + c*y)/2 keeps one sign on it, and r2 <= y_mid <= r3
-    y_mid = (r[1].hi + r[2].lo) / 2
-    return F4Descriptor(tags, "R" if al + ga * y_mid < 0 else "L")
+    # x = -(a + c*y)/2 keeps one sign on it, read at t = tn / sd
+    return F4Descriptor(tags, "R" if al * sd + ga * tn < 0 else "L")
+
+
+def _f4_oval_points(G: Sequence[int]) -> tuple[int, int, int]:
+    """Points s = sn / sd in (r1, r2) and t = tn / sd in (r2, r3) of a
+    cubic G with a negative lead and three simple real roots r1 < r2 < r3.
+
+    G's critical points are (g2 -+ sqrt(D)) / m for m = -3*g3 > 0 and
+    D = g2^2 - 3*g1*g3 > 0.  With S = 2^e, the integer square root
+    q = isqrt(D*S^2) >= 1 gives s = (g2*S - q)/(m*S) and
+    t = (g2*S + q)/(m*S): s lies in [c1, g2/m) and t in (g2/m, c2], so
+    both lie in [c1, c2], where G increases.  They are kept once
+    G(s) < 0 < G(t); each e tightens them towards c1 and c2, where
+    G(c1) < 0 < G(c2), so the loop ends.
+
+    >>> _f4_oval_points([0, 3, 0, -1])    # 3y - y^3: c1 = -1, c2 = 1
+    (-3, 3, 3)
+    """
+    g1, g2, g3 = G[1], G[2], G[3]
+    m = -3 * g3
+    D = g2 * g2 - 3 * g1 * g3
+    e = 0
+    while True:
+        q = isqrt(D << 2 * e)
+        sd = m << e
+        sn, tn = (g2 << e) - q, (g2 << e) + q
+        if _int_sign_hom(G, sn, sd) < 0 < _int_sign_hom(G, tn, sd):
+            return sn, tn, sd
+        e += 1
 
 
 def canonical_type_id(d: F4Descriptor) -> int:

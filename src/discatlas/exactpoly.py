@@ -466,15 +466,52 @@ def _int_pseudo_rem_signed(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def _sturm_chain_int(cs: Sequence[int]) -> list[list[int]]:
-    chain = [_int_primitive(cs)]
-    d = _int_trim(_int_derivative(chain[0]))
-    if d:
-        chain.append(_int_primitive(d))
-    while len(chain[-1]) > 1:
-        r = _int_pseudo_rem_signed(chain[-2], chain[-1])
+    """Sturm chain of an integer polynomial with a nonzero leading
+    coefficient: its primitive part, the primitive derivative, then
+    each member the primitive negated remainder of the two before it.
+
+    One loop step per member folds the exact pseudo-remainder, its
+    content and the Sturm sign together.  The pseudo-remainder of a by
+    b is lc(b)^(deg a - deg b + 1) times the rational remainder, so
+    dividing it by its content, with the sign of
+    -lc(b)^(deg a - deg b + 1), leaves a positive multiple of the
+    negated remainder.  When the degree drops by one, the generic step,
+    the pseudo-quotient q1*x + q0 has a closed form and the remainder
+    is one pass over the coefficients; a larger drop runs
+    ``_int_pseudo_rem``.
+
+    >>> _sturm_chain_int([-2, 0, 1])
+    [[-2, 0, 1], [0, 1], [1]]
+    """
+    g = _igcd(*cs)
+    a = [c // g for c in cs] if g != 1 else list(cs)
+    b = [i * c for i, c in enumerate(a)][1:]
+    if not b:
+        return [a]
+    g = _igcd(*b)
+    b = [c // g for c in b] if g != 1 else b
+    chain = [a, b]
+    while len(b) > 1:
+        db, lb = len(b) - 1, b[-1]
+        if len(a) == db + 2:
+            # lb^2 * a = (q1*x + q0) * b + r; lb^2 > 0
+            q1 = lb * a[-1]
+            q0 = lb * a[-2] - a[-1] * b[-2]
+            l2 = lb * lb
+            r = [l2 * a[0] - q0 * b[0]]
+            r += [l2 * ai - q1 * bp - q0 * bi
+                  for ai, bp, bi in zip(a[1:db], b, b[1:])]
+            _int_trim(r)
+            negate = True
+        else:
+            r = _int_pseudo_rem(a, b)
+            # negate when the multiplier lb^(len(a) - db) is positive
+            negate = lb > 0 or (len(a) - db) % 2 == 0
         if not r:
             break
-        chain.append([-c for c in _int_primitive(r)])
+        g = _igcd(*r)
+        a, b = b, [c // -g for c in r] if negate else [c // g for c in r]
+        chain.append(b)
     return chain
 
 
@@ -716,18 +753,23 @@ def _descartes_bound(q: Sequence[int]) -> int:
     return _variations(_sign(c) for c in _int_taylor_shift(q[::-1], 1))
 
 
-def _real_rooted_above(cs: Sequence[int], x: Fraction) -> int:
-    """Roots above x of an integer polynomial whose roots are all real.
+def _real_rooted_above(cs: Sequence[int], num: int, den: int) -> int:
+    """Roots above x = num / den (den > 0) of an integer polynomial
+    whose roots are all real.
 
-    They are the positive roots of p(x + y), and for a polynomial with
-    only real roots Descartes' rule of signs is exact: the sign
-    variations of p(x + y) count them, with multiplicity, and a root at
-    x itself is not counted.  So no bisection runs.
+    They are the positive roots of den^n * p(x + y/den), whose
+    coefficients are those of p's homogenised coefficients
+    den^(n-i) * c_i Taylor-shifted by num, all in integers.  For a
+    polynomial with only real roots Descartes' rule of signs is exact:
+    the sign variations count them, with multiplicity, and a root at x
+    itself is not counted.  So no bisection runs.
 
-    >>> _real_rooted_above([-6, 11, -6, 1], Fraction(3, 2))   # 1, 2, 3
+    >>> _real_rooted_above([-6, 11, -6, 1], 3, 2)   # 1, 2, 3 above 3/2
     2
     """
-    return _variations(_sign(c) for c in _unit_transform(cs, x, x + 1))
+    n = len(cs) - 1
+    a = [c * den ** (n - i) for i, c in enumerate(cs)] if den != 1 else cs
+    return _variations(_sign(c) for c in _int_taylor_shift(a, num))
 
 
 def _vca(q: list[int], v: int, c: int, k: int,
@@ -865,8 +907,10 @@ def _int_root_signature(cs: Sequence[int]) -> RootSignature:
     A root at 0 is divided out to its full multiplicity first, so -oo, 0
     and +oo are non-roots of the chained polynomial q and the variation
     differences count its distinct negative and positive roots; at 0
-    each member's sign is that of its constant term.  The chain ends in
-    gcd(q, q'), a constant exactly when q is squarefree.
+    each member's sign is that of its constant term, and at +-oo that
+    of its lead times the parity of its degree, so one pass over the
+    chain reads all three.  The chain ends in gcd(q, q'), a constant
+    exactly when q is squarefree.
 
     >>> _int_root_signature([-6, -1, 1])
     RootSignature(neg=1, pos=1, zero_is_root=False, is_squarefree=True)
@@ -875,10 +919,30 @@ def _int_root_signature(cs: Sequence[int]) -> RootSignature:
     while cs[k] == 0:
         k += 1
     chain = _sturm_chain_int(cs[k:])
-    v0 = _variations(_sign(q[0]) for q in chain)
+    # only the constant terms can be 0, and chain[0]'s is not
+    q = chain[0]
+    pos = 1 if q[-1] > 0 else -1
+    neg = pos if len(q) % 2 else -pos
+    zero = 1 if q[0] > 0 else -1
+    v_neg = v0 = v_pos = 0
+    for q in chain[1:]:
+        s = 1 if q[-1] > 0 else -1
+        if s != pos:
+            v_pos += 1
+            pos = s
+        if len(q) % 2 == 0:
+            s = -s
+        if s != neg:
+            v_neg += 1
+            neg = s
+        if q[0]:
+            s = 1 if q[0] > 0 else -1
+            if s != zero:
+                v0 += 1
+                zero = s
     return RootSignature(
-        neg=_chain_variations_inf(chain, False) - v0,
-        pos=v0 - _chain_variations_inf(chain, True),
+        neg=v_neg - v0,
+        pos=v0 - v_pos,
         zero_is_root=k > 0,
         is_squarefree=k <= 1 and len(chain[-1]) == 1,
     )

@@ -199,7 +199,12 @@ def curve_points(sc: SingularityClass, lam, vp: Viewport
     bisected so curves close up.
     """
     lam = Parameter.coerce(lam)
-    F = deformation_polynomial(sc, lam)
+    return _curve_points(sc, lam, vp, deformation_polynomial(sc, lam))
+
+
+def _curve_points(sc: SingularityClass, lam: Parameter, vp: Viewport, F
+                  ) -> list[list[tuple[Fraction, Fraction]]]:
+    """``curve_points`` of lam, whose deformation polynomial is F."""
     polylines: list[list[tuple[Fraction, Fraction]]] = []
 
     def emit(line: list[tuple[Fraction, Fraction]]):
@@ -290,9 +295,9 @@ def _common_rows(rows: list[tuple[list[int], int]]
     return [[v * (den // q) for v in vals] for vals, q in rows], den
 
 
-def _lower_runs(sc: SingularityClass, lam: Parameter, vp: Viewport
-                ) -> list[tuple[int, int, int]]:
-    """Runs (j, i0, i1) of grid nodes in {f <= 0}: row j, columns i0..i1.
+def _lower_runs(F, vp: Viewport) -> list[tuple[int, int, int]]:
+    """Runs (j, i0, i1) of grid nodes in {f <= 0}: row j, columns i0..i1,
+    for the deformation polynomial F of f.
 
     Only rows j = 0..deg_y f are evaluated.  Each is one polynomial in
     x: grouped by x-exponent, the terms of f give coefficients that are
@@ -304,7 +309,6 @@ def _lower_runs(sc: SingularityClass, lam: Parameter, vp: Viewport
     common denominator these rows extend to the whole grid, because f
     along a column has degree deg_y f in j; only signs are read.
     """
-    F = deformation_polynomial(sc, lam)
     cols: list[list] = [[] for _ in range(1 + max(i for i, _ in F.terms))]
     for (i, j), c in F.terms.items():
         cols[i].extend([0] * (j + 1 - len(cols[i])))
@@ -346,7 +350,8 @@ def lower_region_rects(sc: SingularityClass, lam, vp: Viewport
     dx = (vp.xmax - vp.xmin) / (vp.samples - 1)
     dy = (vp.ymax - vp.ymin) / (vp.samples - 1)
     return [(xs[i0] - dx / 2, ys[j] - dy / 2, xs[i1] + dx / 2, ys[j] + dy / 2)
-            for j, i0, i1 in _lower_runs(sc, Parameter.coerce(lam), vp)]
+            for j, i0, i1 in _lower_runs(
+                deformation_polynomial(sc, Parameter.coerce(lam)), vp)]
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +404,12 @@ def render_zero_set(sc: SingularityClass, lam, vp: Viewport | None = None
     vp = vp or default_viewport(sc, lam)
     parts = [_svg_header(vp)]
     parts.append('<g fill="#9ecae1" fill-opacity="0.45" stroke="none">')
+    F = deformation_polynomial(sc, lam)
     # a run's rectangle spans (i0 - 1/2 .. i1 + 1/2) grid steps across
     # and (j - 1/2 .. j + 1/2) up: each pixel is one int/int true
     # division, correctly rounded like float() of the rational position
     m = 2 * (vp.samples - 1)
-    for j, i0, i1 in _lower_runs(sc, lam, vp):
+    for j, i0, i1 in _lower_runs(F, vp):
         px0 = (2 * i0 - 1) / m * vp.width
         px1 = (2 * i1 + 1) / m * vp.width
         py0 = (m - 2 * j - 1) / m * vp.height
@@ -413,7 +419,8 @@ def render_zero_set(sc: SingularityClass, lam, vp: Viewport | None = None
                      f'height="{_fmt(py1 - py0)}"/>')
     parts.append("</g>")
     parts.extend(_axis_lines(vp))
-    parts.extend(_polyline_elements(vp, curve_points(sc, lam, vp), "#1f3d7a"))
+    parts.extend(_polyline_elements(vp, _curve_points(sc, lam, vp, F),
+                                    "#1f3d7a"))
     parts.extend(_boundary_line(vp))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -327,6 +327,25 @@ def test_certify_segment_refusal_builds_no_sturm_chain(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("label", ["F4+", "F4-"])
+def test_f4_census_builds_no_sturm_chain(monkeypatch, label):
+    # an oval's two points come from g's critical points and the
+    # crossings are counted by Descartes' rule, so the F4 census builds
+    # no chain; isolating g's roots on the whole line built 64 and 63
+    built = []
+    chain_int = exactpoly_mod._sturm_chain_int
+
+    def counting(cs):
+        built.append(len(cs))
+        return chain_int(cs)
+
+    monkeypatch.setattr(exactpoly_mod, "_sturm_chain_int", counting)
+    rep = enumerate_components(SingularityClass.parse(label),
+                               SamplingConfig(random_count=250))
+    assert rep.total_samples > 250 and len(rep.realized) == 8
+    assert built == []
+
+
 def test_certificates_pickle_and_deepcopy():
     # a worker pool could return either result kind: both survive pickle
     # and copy.deepcopy, polynomials included
@@ -778,6 +797,9 @@ def reference_sample_parameter(cfg: SamplingConfig, dim: int, index: int
        st.integers(2, 7))
 @example(F(5, 2), 64, 0, 0, 3)    # a non-integer box floors the bound
 @example(F(1, 64), 1, 0, 0, 2)    # every bound is 0
+@example(F(1, 3), 2 ** 40 + 5, 7, 11, 4)   # d takes two 32-bit words
+@example(3 * 2 ** 31, 5, 2, 9, 3)     # 2*bound + 1 > 2^32 for every d
+@example(F(2 ** 70, 3), 2 ** 33, 1, 0, 2)  # both draws above 64 bits
 def test_sample_point_matches_fraction_sampler(box, den_bound, seed, index,
                                                dim):
     cfg = SamplingConfig(box_radius=box, denominator_bound=den_bound,

@@ -44,12 +44,15 @@ from discatlas.models import (
     Membership,
     Parameter,
     SingularityClass,
+    _cleared,
     boundary_polynomial,
     discriminant_membership,
     f4_reduce,
+    f4_seed_oval_side,
 )
 
 atlas_mod = importlib.import_module("discatlas.atlas")
+classify_mod = importlib.import_module("discatlas.classify")
 
 F = Fraction
 F4P = SingularityClass("F4", 4, 1)
@@ -541,3 +544,46 @@ def test_classify_f4_matches_isolation_oracle(sc):
                  (1, "A"), (3, "A"), (1, "L"), (1, "R"), (3, "L"), (3, "R"),
                  (3, "C")]:
         assert seen[case] >= 5, (case, seen)
+
+
+def _oval_cubic(lam: Parameter) -> list[int]:
+    """G = den^2 * g at a plus-class point, as the classifier builds it."""
+    V, den = _cleared(lam)
+    al, be, ga, de = V
+    return [al * al - 4 * den * de, 2 * al * ga - 4 * den * be, ga * ga,
+            -4 * den * den]
+
+
+# small integer points where the first square-root step (e = 0) leaves
+# s or t on the wrong side of a root of g, so the loop raises e
+_F4_OVAL_RAISED = (Parameter.of(6, -4, 6, -3), Parameter.of(3, -5, -5, 2),
+                   Parameter.of(1, 6, 6, 0), Parameter.of(6, 0, 4, 2))
+
+
+def test_f4_oval_points_separate_the_roots_of_g():
+    # s in (r1, r2) and t in (r2, r3), against isolated roots of g
+    pinched = [f4_seed_oval_side(side, 1, eps, eps * eps / 2 ** j)
+               for side in ("left", "right") for eps in (F(1, 2), F(1, 8))
+               for j in range(1, 13)]
+    lams = ([Parameter.of(1, -3, 0, 0)] + pinched + list(_F4_OVAL_RAISED)
+            + _f4_oracle_points(1, 600, seed=5)
+            + _f4_side_jitter(1, 20, seed=3))
+    cubics = [_oval_cubic(lam) for lam in lams]
+    # -G(-y) trades the roles of s and t, so where G's first step left
+    # s past r2, its mirror's leaves t short of r2
+    cubics += [[-g0, g1, -g2, g3] for g0, g1, g2, g3 in cubics]
+    checked = raised = 0
+    for G in cubics:
+        roots = _isolated(UniPoly("y", G))
+        if len(roots) != 3:
+            continue
+        sn, tn, sd = classify_mod._f4_oval_points(G)
+        assert [r.compare_rational(F(sn, sd)) for r in roots] == [-1, 1, 1]
+        assert [r.compare_rational(F(tn, sd)) for r in roots] == [-1, -1, 1]
+        checked += 1
+        raised += sd > -3 * G[3]
+    assert checked >= 400
+    assert raised >= 2 * len(_F4_OVAL_RAISED)
+    # D = 144 is a square: s and t are the critical points -1 and 1
+    assert classify_mod._f4_oval_points(
+        _oval_cubic(Parameter.of(1, -3, 0, 0))) == (-12, 12, 12)

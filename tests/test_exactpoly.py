@@ -455,6 +455,75 @@ def test_root_signature_is_the_two_half_line_counts(pr):
     assert sig.is_squarefree == (gcd_uni(p, p.derivative()).degree() == 0)
 
 
+def reference_sturm_chain_int(cs):
+    """The Sturm chain as it was built before the fused loop: primitive
+    part and derivative, then signed pseudo-remainders, each stripped
+    of its content and negated, through the standalone helpers."""
+    chain = [ep._int_primitive(cs)]
+    d = ep._int_trim(ep._int_derivative(chain[0]))
+    if d:
+        chain.append(ep._int_primitive(d))
+    while len(chain[-1]) > 1:
+        r = ep._int_pseudo_rem_signed(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in ep._int_primitive(r)])
+    return chain
+
+
+def reference_root_signature(cs):
+    """``_int_root_signature`` with one variation pass per point: the
+    chain's signs at 0, at -oo and at +oo, each counted separately."""
+    k = 0
+    while cs[k] == 0:
+        k += 1
+    chain = reference_sturm_chain_int(cs[k:])
+    v0 = ep._variations(ep._sign(q[0]) for q in chain)
+    return ep.RootSignature(
+        neg=ep._chain_variations_inf(chain, False) - v0,
+        pos=v0 - ep._chain_variations_inf(chain, True),
+        zero_is_root=k > 0,
+        is_squarefree=k <= 1 and len(chain[-1]) == 1,
+    )
+
+
+big_int = st.integers(min_value=-2 ** 64, max_value=2 ** 64)
+
+
+@st.composite
+def int_poly(draw):
+    """Integer coefficient lists of degree 0-9 with a nonzero lead:
+    dense ones, sparse ones (so degree gaps of 2 or more occur in the
+    chain), and lead * prod (x - r)^m, with repeated roots and roots at
+    zero.  Leads of either sign, coefficients up to 2^64."""
+    lead = draw(big_int.filter(bool) | st.sampled_from([1, -1, 2, -3]))
+    kind = draw(st.sampled_from(["dense", "sparse", "rooted"]))
+    if kind == "rooted":
+        cs = [lead]
+        for r in draw(st.lists(st.integers(-3, 3), max_size=9)):
+            if len(cs) < 10:
+                cs = ep._int_mul(cs, [-r, 1])
+        return cs
+    deg = draw(st.integers(min_value=0, max_value=9))
+    coeff = big_int if kind == "dense" else st.just(0) | big_int
+    return draw(st.lists(coeff, min_size=deg, max_size=deg)) + [lead]
+
+
+@settings(max_examples=400, deadline=None)
+@given(int_poly())
+@example([1, 0, 0, 0, 1])                   # x^4 + 1: degree drops by 3
+@example([0, 0, -2, 0, 0, 0, 0, -5])        # a root at 0, a negative lead
+@example([-1, 3, -3, 1])                    # (x - 1)^3
+@example([7])                               # degree 0
+def test_sturm_chain_and_signature_match_reference(cs):
+    k = 0
+    while cs[k] == 0:
+        k += 1
+    assert ep._sturm_chain_int(cs[k:]) == reference_sturm_chain_int(cs[k:])
+    assert ep._sturm_chain_int(cs) == reference_sturm_chain_int(cs)
+    assert ep._int_root_signature(cs) == reference_root_signature(cs)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(root_value, min_size=1, max_size=6), root_value,
        st.sampled_from([1, -3, ep._MODP]))
@@ -465,7 +534,7 @@ def test_real_rooted_above_counts_with_multiplicity(roots, x, lead):
     # of p(x + y) are the roots above x, with multiplicity, and a root
     # at x is not counted
     cs, _ = poly_from_roots("x", roots, lead)._int_coeffs()
-    assert ep._real_rooted_above(cs, x) == sum(1 for r in roots if r > x)
+    assert ep._real_rooted_above(cs, x.numerator, x.denominator) == sum(1 for r in roots if r > x)
 
 
 endpoint = st.none() | root_value

@@ -6,6 +6,7 @@ compare crossing counts against the classifier, not against pixels.
 """
 
 import hashlib
+import importlib
 import json
 import random
 from fractions import Fraction
@@ -214,6 +215,23 @@ def test_render_zero_set_deterministic():
     a = render_zero_set(F4P, (1, -1, 0, 0))
     b = render_zero_set(F4P, (1, -1, 0, 0))
     assert a == b
+
+
+@pytest.mark.parametrize("sc, lam", [(B2, (0, -1)), (F4P, (1, -1, 0, 0)),
+                                     (SingularityClass("C", 3, 1), (0, 0, 1))])
+def test_render_zero_set_builds_f_once(monkeypatch, sc, lam):
+    # the shading and the curve share one deformation polynomial
+    render_mod = importlib.import_module("discatlas.render")
+    built = []
+    original = render_mod.deformation_polynomial
+
+    def counting(sc, lam):
+        built.append(lam)
+        return original(sc, lam)
+
+    monkeypatch.setattr(render_mod, "deformation_polynomial", counting)
+    render_zero_set(sc, lam)
+    assert len(built) == 1
 
 
 def test_figure_filename_stable():
