@@ -264,6 +264,8 @@ def _parse_slice_assignment(sc: SingularityClass, text: str) -> dict:
         name, lit = (s.strip() for s in part.split("=", 1))
         if name not in sc.parameter_names:
             raise UsageError(f"{sc.label()} has no parameter {name!r}")
+        if name in fixed:
+            raise UsageError(f"slice assigns {name!r} twice")
         try:
             fixed[name] = parse_rational(lit)
         except ValueError as e:

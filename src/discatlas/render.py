@@ -3,11 +3,14 @@
 Zero sets are drawn from the closed-form branch solutions rather than
 generic implicit contouring: the families are solvable for one
 variable (B: y = +-sqrt(-h(x)/s); C: x = -h(y)/(sigma*y); F4 the
-quadratic formula in x), so plotted points satisfy the equation up to
-square-root rounding.  Square roots are dyadic rationals obtained from
-integer isqrt, every emitted point is checked exactly against
-|f| < 10^-6, and all coordinates are formatted with fixed precision,
-making the output byte-deterministic.
+quadratic formula in x).  Each curve point is a pair of integer
+fractions (X/QX, Y/QY).  A C point lies on f = 0.  A B or F4 point is
+off it by square-root rounding, the root being dyadic, from integer
+isqrt of the reduced radicand; it is kept only if |f| < 10^-6, tested
+exactly in integers on f's coefficients, cleared once per figure.
+Each pixel coordinate is one int/int true division, which rounds as
+float() of the rational position does, and all coordinates are
+formatted with fixed precision, making the output byte-deterministic.
 
 B and F4 share one sweep: along one axis t they are the two sheets
 of +-sqrt(dom(t)) for a domain polynomial dom (-s*h(x) for B, the
@@ -17,9 +20,8 @@ between two sweep values the sheets join at a branch end, bisected
 
 The lower-value set W = {f <= 0} is shaded by exact signs on the
 viewport grid, and the boundary line x = 0 is dashed.  A run of nodes
-in W is drawn from its grid indices: each pixel coordinate is one
-int/int true division, which rounds as float() of the rational
-position does.  Parameter slices contour the two stratum-defining
+in W is drawn from its grid indices, pixels again one int/int
+division each.  Parameter slices contour the two stratum-defining
 polynomials with marching squares in two distinct strokes.
 
 Both grids are exact and mostly integer additions.  Along a grid
@@ -62,6 +64,8 @@ from .exactpoly import (
 
 RESIDUAL_BOUND = Fraction(1, 10 ** 6)
 _SQRT_BITS = 40
+# a curve point (X/QX, Y/QY) as the integers (X, QX, Y, QY), QX, QY > 0
+Point = tuple[int, int, int, int]
 
 
 class EmptyViewport(ValueError):
@@ -117,18 +121,58 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _sqrt_pair(n: int, d: int, bits: int = _SQRT_BITS) -> tuple[int, int]:
+    """Integers (s, q) with s/q = dyadic_sqrt(n/d), for n >= 0 < d; n/d
+    is reduced first, as the floor root of an unreduced n*d can differ."""
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    # sqrt(n/d) = sqrt(n*d)/d; scale so the integer sqrt carries the bits
+    return math.isqrt(n * d << (2 * bits)), d << bits
+
+
 def dyadic_sqrt(v: Fraction, bits: int = _SQRT_BITS) -> Fraction:
     """Floor square root of v >= 0 as a dyadic rational, error < 2^-bits."""
     if v < 0:
         raise ValueError("negative radicand")
-    n, d = v.numerator, v.denominator
-    # sqrt(n/d) = sqrt(n*d)/d; scale so the integer sqrt carries the bits
-    s = math.isqrt(n * d << (2 * bits))
-    return Fraction(s, d << bits)
+    return Fraction(*_sqrt_pair(v.numerator, v.denominator, bits))
 
 
-def _residual_ok(F, x: Fraction, y: Fraction) -> bool:
-    return abs(F.eval((x, y))) < RESIDUAL_BOUND
+def _residual_test(F):
+    """The test |f(X/QX, Y/QY)| < RESIDUAL_BOUND = p/q (QX, QY > 0) for
+    the deformation polynomial F of f, exact in integers: with F's terms
+    cleared once to c_ij over den, and dx, dy its degrees, a point passes
+    iff q*|sum c_ij X^i QX^(dx-i) Y^j QY^(dy-j)| < p*den*QX^dx*QY^dy."""
+    den = math.lcm(*(c.denominator for c in F.terms.values()))
+    terms = [(i, j, c.numerator * (den // c.denominator))
+             for (i, j), c in F.terms.items()]
+    dx, dy = (max(e[k] for e in F.terms) for k in (0, 1))
+    p, q = RESIDUAL_BOUND.numerator * den, RESIDUAL_BOUND.denominator
+
+    def ok(X: int, QX: int, Y: int, QY: int) -> bool:
+        xs = [X ** i * QX ** (dx - i) for i in range(dx + 1)]
+        ys = [Y ** j * QY ** (dy - j) for j in range(dy + 1)]
+        return (q * abs(sum(c * xs[i] * ys[j] for i, j, c in terms))
+                < p * xs[0] * ys[0])
+
+    return ok
+
+
+def _node_pairs(lo: Fraction, hi: Fraction, m: int) -> tuple[int, int, int]:
+    """Integers (a, b, den), den > 0, with lo + (hi - lo)*i/m equal to
+    (a + b*i)/den at every i."""
+    w = hi - lo
+    return (lo.numerator * w.denominator * m, w.numerator * lo.denominator,
+            lo.denominator * w.denominator * m)
+
+
+def _grid_values(cs: list[int], lo: Fraction, hi: Fraction, m: int
+                 ) -> tuple[list[int], int]:
+    """Integers N_i and K > 0 with cs(lo + (hi - lo)*i/m) = N_i / K at
+    i = 0..m: ``_unit_transform`` read at the nodes u = i/m, with K =
+    (ld*sd*m)^deg as that transform documents."""
+    ld = lo.denominator
+    k = (ld * (ld * (hi - lo)).denominator * m) ** max(len(cs) - 1, 0)
+    return _int_grid_numerators(_unit_transform(cs, lo, hi), m), k
 
 
 def _branch_end(cs: list[int], lo: Fraction, hi: Fraction
@@ -148,43 +192,51 @@ def _branch_end(cs: list[int], lo: Fraction, hi: Fraction
     return _bisect_one(cs, lo, hi, (hi - lo) / 2 ** 45).midpoint()
 
 
-def _two_sheets(F, dom: UniPoly, ts: list[Fraction], sheet, emit) -> None:
-    """Emit the two sheets sheet(t, +-sqrt(dom(t))) of a zero set.
+def _two_sheets(F, dom: UniPoly, lo: Fraction, hi: Fraction, m: int,
+                sheet, emit) -> None:
+    """Emit the two sheets sheet(t, +-sqrt(dom(t))) of a zero set, for
+    t swept over lo + (hi - lo)*i/m, i = 0..m.
 
     A run of sweep values t with dom(t) >= 0 gives one polyline per
     sheet; where dom changes sign between two sweep values, both
     sheets end at the join point sheet(e, 0), e the branch end.  Only
-    points with |f| < 10^-6 are kept.
+    points with |f| < 10^-6 are kept.  All of it is in integers: node i
+    is t = (a + b*i)/den, dom(t) is v_i/K, its root the pair of
+    ``_sqrt_pair``, and sheet(t, qt, r, qr) maps t/qt, r/qr to a point.
     """
-    cs, _ = dom._int_coeffs()
-    plus: list[tuple[Fraction, Fraction]] = []
-    minus: list[tuple[Fraction, Fraction]] = []
+    cs, cden = dom._int_coeffs()
+    vals, k = _grid_values(cs, lo, hi, m)
+    a, b, den = _node_pairs(lo, hi, m)
+    ok = _residual_test(F)
+    plus: list[Point] = []
+    minus: list[Point] = []
 
-    def join(lo: Fraction, hi: Fraction):
-        e = _branch_end(cs, lo, hi)
+    def join(i: int):
+        # the branch end between nodes i - 1 and i
+        e = _branch_end(cs, Fraction(a + b * (i - 1), den),
+                        Fraction(a + b * i, den))
         if e is not None:
-            pt = sheet(e, Fraction(0))
-            if _residual_ok(F, *pt):
+            pt = sheet(e.numerator, e.denominator, 0, 1)
+            if ok(*pt):
                 plus.append(pt)
                 minus.append(pt)
 
-    prev = None
-    for t in ts:
-        v = dom(t)
+    for i, v in enumerate(vals):
         if v >= 0:
-            if not plus and prev is not None:
-                join(prev, t)
-            r = dyadic_sqrt(v)
-            for line, pt in ((plus, sheet(t, r)), (minus, sheet(t, -r))):
-                if _residual_ok(F, *pt):
+            if not plus and i:
+                join(i)
+            s, r = _sqrt_pair(v, cden * k)
+            t = a + b * i
+            for line, pt in ((plus, sheet(t, den, s, r)),
+                             (minus, sheet(t, den, -s, r))):
+                if ok(*pt):
                     line.append(pt)
         else:
             if plus:
-                join(prev, t)
+                join(i)
             emit(plus)
             emit(minus[::-1])
             plus, minus = [], []
-        prev = t
     emit(plus)
     emit(minus[::-1])
 
@@ -193,45 +245,53 @@ def curve_points(sc: SingularityClass, lam, vp: Viewport
                  ) -> list[list[tuple[Fraction, Fraction]]]:
     """Polylines of the zero set, as exact rational plot points.
 
-    Every returned point satisfies |f(x, y)| < 10^-6 exactly.  B and F4
+    Every returned point satisfies |f(x, y)| < 10^-6 exactly: C points
+    lie on f = 0, and B and F4 points pass ``_residual_test``.  B and F4
     are two sheets over one swept axis, split where their domain
-    polynomial turns negative; at such edges the branch end is
-    bisected so curves close up.
+    polynomial turns negative; at such edges the branch end is bisected
+    so curves close up.  The points are Fractions of the sweep's pairs.
     """
     lam = Parameter.coerce(lam)
-    return _curve_points(sc, lam, vp, deformation_polynomial(sc, lam))
+    return [[(Fraction(X, QX), Fraction(Y, QY)) for X, QX, Y, QY in line]
+            for line in _curve_points(sc, lam, vp,
+                                      deformation_polynomial(sc, lam))]
 
 
 def _curve_points(sc: SingularityClass, lam: Parameter, vp: Viewport, F
-                  ) -> list[list[tuple[Fraction, Fraction]]]:
-    """``curve_points`` of lam, whose deformation polynomial is F."""
-    polylines: list[list[tuple[Fraction, Fraction]]] = []
+                  ) -> list[list[Point]]:
+    """``curve_points`` of lam, whose deformation polynomial is F, as
+    integer Points."""
+    polylines: list[list[Point]] = []
+    m = vp.samples - 1
 
-    def emit(line: list[tuple[Fraction, Fraction]]):
+    def emit(line: list[Point]):
         if len(line) >= 2:
             polylines.append(line)
 
     if sc.family == "B":
         h = boundary_polynomial(sc, lam)
         _two_sheets(F, UniPoly("x", [-sc.sign * c for c in h.coeffs]),
-                    vp.xs(), lambda x, r: (x, r), emit)
+                    vp.xmin, vp.xmax, m, lambda t, qt, s, r: (t, qt, s, r),
+                    emit)
 
     elif sc.family == "C":
-        h = boundary_polynomial(sc, lam)
+        hc, hden = boundary_polynomial(sc, lam)._int_coeffs()
         sigma = 1 if sc.is_even else sc.sign
         clip = 2 * (vp.xmax - vp.xmin) + abs(vp.xmin) + abs(vp.xmax)
-        line: list[tuple[Fraction, Fraction]] = []
-        for y in vp.ys():
-            if y == 0:
+        a, b, den = _node_pairs(vp.ymin, vp.ymax, m)
+        vals, k = _grid_values(hc, vp.ymin, vp.ymax, m)
+        line: list[Point] = []
+        for j, v in enumerate(vals):
+            # x = -h(y)/(sigma*y) at y = Y/den, h(y) = v/(hden*k)
+            Y = a + b * j
+            X, QX = -sigma * v * den, Y * hden * k
+            if Y < 0:
+                X, QX = -X, -QX
+            if Y and abs(X) * clip.denominator <= clip.numerator * QX:
+                line.append((X, QX, Y, den))
+            else:
                 emit(line)
                 line = []
-                continue
-            x = -h(y) / (sigma * y)
-            if abs(x) > clip:
-                emit(line)
-                line = []
-                continue
-            line.append((x, y))
         emit(line)
 
     else:
@@ -240,25 +300,14 @@ def _curve_points(sc: SingularityClass, lam: Parameter, vp: Viewport, F
         # (a + c*y)^2 - 4*s*(y^3 + b*y + d), the discriminant in x
         dom = UniPoly("y", [a * a - 4 * s * d, 2 * a * c - 4 * s * b,
                             c * c, -4 * s])
-        _two_sheets(F, dom, vp.ys(),
-                    lambda y, r: ((-(a + c * y) + r) / (2 * s), y), emit)
+        ad, cd = a.denominator, c.denominator
+        an, cn, acd = a.numerator * cd, c.numerator * ad, ad * cd
+        # x = s*(r - a - c*y)/2 at y = t/qt, r = sr/qr over 2*ad*cd*qt*qr
+        _two_sheets(F, dom, vp.ymin, vp.ymax, m, lambda t, qt, sr, qr: (
+            s * (sr * acd * qt - (an * qt + cn * t) * qr),
+            2 * acd * qt * qr, t, qt), emit)
 
     return polylines
-
-
-def boundary_crossings(polylines) -> int:
-    """Sign reversals of the x coordinate along the plotted curves."""
-    n = 0
-    for line in polylines:
-        signs = []
-        for x, _ in line:
-            s = (x > 0) - (x < 0)
-            if not signs or signs[-1] != s:
-                signs.append(s)
-        # a zero between opposite signs is the same single crossing
-        compact = [s for s in signs if s != 0]
-        n += sum(1 for a, b in zip(compact, compact[1:]) if a != b)
-    return n
 
 
 def _extend_rows(rows: list[list[int]], count: int) -> list[list[int]]:
@@ -302,12 +351,10 @@ def _lower_runs(F, vp: Viewport) -> list[tuple[int, int, int]]:
     Only rows j = 0..deg_y f are evaluated.  Each is one polynomial in
     x: grouped by x-exponent, the terms of f give coefficients that are
     polynomials in y, so a row costs one evaluation per exponent and
-    one cleared denominator den.  Its integer transform onto the unit
-    interval, read at the grid nodes u = i/m by integer Horner passes,
-    is f at the nodes times den * (ld*sd*m)^n, for the row degree n, ld
-    the denominator of xmin and sd that of ld*(xmax - xmin).  Over one
-    common denominator these rows extend to the whole grid, because f
-    along a column has degree deg_y f in j; only signs are read.
+    one cleared denominator, and ``_grid_values`` reads it at the nodes.
+    Over one common denominator these rows extend to the whole grid,
+    because f along a column has degree deg_y f in j; only signs are
+    read.
     """
     cols: list[list] = [[] for _ in range(1 + max(i for i, _ in F.terms))]
     for (i, j), c in F.terms.items():
@@ -315,14 +362,11 @@ def _lower_runs(F, vp: Viewport) -> list[tuple[int, int, int]]:
         cols[i][j] = c
     col_polys = [UniPoly("y", col) for col in cols]
     m = vp.samples - 1
-    ld = vp.xmin.denominator
-    scale = ld * (ld * (vp.xmax - vp.xmin)).denominator * m
     first = []
     for y in vp.ys(max(map(len, cols))):
         row, den = UniPoly("x", [q(y) for q in col_polys])._int_coeffs()
-        first.append((_int_grid_numerators(
-            _unit_transform(row, vp.xmin, vp.xmax), m),
-            den * scale ** max(len(row) - 1, 0)))
+        vals, k = _grid_values(row, vp.xmin, vp.xmax, m)
+        first.append((vals, den * k))
     runs = []
     for j, vals in enumerate(_extend_rows(_common_rows(first)[0],
                                           vp.samples)):
@@ -337,21 +381,6 @@ def _lower_runs(F, vp: Viewport) -> list[tuple[int, int, int]]:
         if i0 is not None:
             runs.append((j, i0, m))
     return runs
-
-
-def lower_region_rects(sc: SingularityClass, lam, vp: Viewport
-                       ) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
-    """Cell rectangles (x0, y0, x1, y1) covering sampled {f <= 0} runs.
-
-    The rectangles are the runs of ``_lower_runs``, each widened by
-    half a grid step on every side.
-    """
-    xs, ys = vp.xs(), vp.ys()
-    dx = (vp.xmax - vp.xmin) / (vp.samples - 1)
-    dy = (vp.ymax - vp.ymin) / (vp.samples - 1)
-    return [(xs[i0] - dx / 2, ys[j] - dy / 2, xs[i1] + dx / 2, ys[j] + dy / 2)
-            for j, i0, i1 in _lower_runs(
-                deformation_polynomial(sc, Parameter.coerce(lam)), vp)]
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +412,20 @@ def _boundary_line(vp: Viewport) -> list[str]:
             'stroke-dasharray="4,3"/>']
 
 
-def _polyline_elements(vp: Viewport, polylines, stroke: str,
-                       width: str = "1.6") -> list[str]:
+def _polyline_elements(vp: Viewport, polylines: list[list[Point]],
+                       stroke: str, width: str = "1.6") -> list[str]:
+    # Viewport.to_px of (X/QX, Y/QY): each coordinate is one int/int
+    # true division, which rounds as float() of the rational does
+    w, h = vp.xmax - vp.xmin, vp.ymax - vp.ymin
+    xn, xd, wd = vp.xmin.numerator, vp.xmin.denominator, w.denominator
+    yn, yd, hd = vp.ymax.numerator, vp.ymax.denominator, h.denominator
+    xs, ys = xd * w.numerator, yd * h.numerator
     out = []
     for line in polylines:
-        pts = " ".join("%s,%s" % tuple(map(_fmt, vp.to_px(x, y)))
-                       for x, y in line)
+        pts = " ".join(
+            f"{_fmt((X * xd - xn * QX) * wd / (QX * xs) * vp.width)},"
+            f"{_fmt((yn * QY - Y * yd) * hd / (QY * ys) * vp.height)}"
+            for X, QX, Y, QY in line)
         out.append(f'<polyline points="{pts}" fill="none" '
                    f'stroke="{stroke}" stroke-width="{width}"/>')
     return out
@@ -503,9 +540,7 @@ def _float_nodes(lo: Fraction, hi: Fraction, m: int) -> list[float]:
     >>> _float_nodes(Fraction(-1, 3), Fraction(1), 2)
     [-0.3333333333333333, 0.3333333333333333, 1.0]
     """
-    w = hi - lo
-    den = lo.denominator * w.denominator * m
-    a, b = lo.numerator * w.denominator * m, w.numerator * lo.denominator
+    a, b, den = _node_pairs(lo, hi, m)
     return [(a + b * i) / den for i in range(m + 1)]
 
 
@@ -593,8 +628,10 @@ def slice_filename(sc: SingularityClass, fixed: dict, axes) -> str:
 
 def write_slice(sc: SingularityClass, fixed: dict, axes, out_dir,
                 vp: Viewport | None = None) -> Path:
+    # a bad request fails before it names a file or makes a directory
+    svg = render_parameter_slice(sc, fixed, axes, vp)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / slice_filename(sc, fixed, axes)
-    path.write_text(render_parameter_slice(sc, fixed, axes, vp))
+    path.write_text(svg)
     return path

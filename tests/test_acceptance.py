@@ -28,6 +28,7 @@ from discatlas.exactpoly import (
     sturm_count,
 )
 from elimination_oracle import squarefree_part_multi
+from test_render import boundary_crossings
 from discatlas.models import (
     Membership,
     Parameter,
@@ -59,7 +60,6 @@ from discatlas.atlas import (
     verify_against_table1,
 )
 from discatlas.render import (
-    boundary_crossings,
     curve_points,
     default_viewport,
     write_figure,

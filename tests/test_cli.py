@@ -320,11 +320,13 @@ def test_render_slice_writes_file(tmp_path, capsys):
     ["render", "B+2", "0", "-1", "--segment"],
     ["render", "B+2", "0", "-1", "--slice", "l1=0"],
     ["classify", "B+2", "0", "-1", "--seed", "1"],
+    ["render", "B+3", "--axes", "l1,l2", "--slice", "l3=1,l3=2"],
 ], ids=["slice-float", "samples", "den", "px", "px-no-box",
         "slice-samples-no-box", "slice-samples", "slice-name",
         "budget-negative", "segment-budget-negative", "jobs-zero",
         "jobs-negative", "certify-figures", "atlas-budget",
-        "render-segment", "render-slice-no-axes", "classify-seed"])
+        "render-segment", "render-slice-no-axes", "classify-seed",
+        "slice-duplicate-name"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     # --out goes only to commands that take it, so that each call fails
     # for its own reason and not for a foreign --out
@@ -351,6 +353,19 @@ def test_render_bad_axes_domain_error(capsys):
                           "--slice", "a=0")
     assert code == 2
     assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("axes, fixed", [
+    ("b,d", "a=0"), ("a", "b=0,c=0,d=0"), ("a,b,c", "d=0")],
+    ids=["fixed-short", "one-axis", "three-axes"])
+def test_render_bad_axes_writes_nothing(tmp_path, capsys, axes, fixed):
+    # the axes are checked before a file name is built or --out made
+    out_path = tmp_path / "out"
+    code, out, _ = invoke(capsys, "render", "F4+", "--axes", axes,
+                          "--slice", fixed, "--out", str(out_path))
+    assert code == 2
+    assert "error" in json.loads(out)
+    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -8,39 +8,44 @@ compare crossing counts against the classifier, not against pixels.
 import hashlib
 import importlib
 import json
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from discatlas.exactpoly import MultiPoly, poly_from_roots
+from discatlas.atlas import construct_representative
+from discatlas.exactpoly import MultiPoly, UniPoly, poly_from_roots
 from discatlas.models import (
     Parameter,
     SingularityClass,
+    boundary_polynomial,
     deformation_polynomial,
+    f4_reduce,
     f4_sigma0_eliminant,
     f4_sigma1_polynomial,
     segment_strata,
     stratum_values,
 )
-from discatlas.classify import F4_SEEDS, classify_f4, f4_side_seeds
+from discatlas.classify import (BCSignature, F4_SEEDS, classify_f4,
+                                f4_side_seeds)
 from discatlas.cli import run
 import discatlas.render as render_module
 from discatlas.render import (
     RESIDUAL_BOUND,
     _branch_end,
+    _lower_runs,
     _slice_grids,
     BadAxes,
     EmptyViewport,
     Viewport,
-    boundary_crossings,
     curve_points,
     default_viewport,
     dyadic_sqrt,
     figure_filename,
-    lower_region_rects,
     render_parameter_slice,
     render_zero_set,
     slice_filename,
@@ -83,6 +88,21 @@ def test_dyadic_sqrt_error_bound():
 
 # ---------------------------------------------------------------------------
 # curve points
+
+
+def boundary_crossings(polylines) -> int:
+    """Sign reversals of the x coordinate along the plotted curves."""
+    n = 0
+    for line in polylines:
+        signs = []
+        for x, _ in line:
+            s = (x > 0) - (x < 0)
+            if not signs or signs[-1] != s:
+                signs.append(s)
+        # a zero between opposite signs is the same single crossing
+        compact = [s for s in signs if s != 0]
+        n += sum(1 for a, b in zip(compact, compact[1:]) if a != b)
+    return n
 
 
 def _assert_residuals(sc, lam, vp):
@@ -186,6 +206,18 @@ def test_branch_end_matches_fraction_bisection(roots, lead, lo, width):
     if got is not None:
         assert lo <= got <= hi
     assert boundary_crossings([]) == 0
+
+
+def lower_region_rects(sc, lam, vp):
+    """Cell rectangles (x0, y0, x1, y1) covering sampled {f <= 0} runs:
+    the runs of ``_lower_runs``, each widened by half a grid step on
+    every side, as the figure shades them."""
+    xs, ys = vp.xs(), vp.ys()
+    dx = (vp.xmax - vp.xmin) / (vp.samples - 1)
+    dy = (vp.ymax - vp.ymin) / (vp.samples - 1)
+    return [(xs[i0] - dx / 2, ys[j] - dy / 2, xs[i1] + dx / 2, ys[j] + dy / 2)
+            for j, i0, i1 in _lower_runs(
+                deformation_polynomial(sc, Parameter.coerce(lam)), vp)]
 
 
 def test_lower_region_rects_circle():
@@ -484,3 +516,222 @@ def test_identically_zero_rows():
         row = vp.ys().index(0)
         at_zero, _ = grids[1] if sc.family == "B" else grids[0]
         assert at_zero[row] == [0] * vp.samples
+
+
+# ---------------------------------------------------------------------------
+# the integer curve sweep against its Fraction oracle
+
+
+def reference_curve_points(sc, lam, vp):
+    """``curve_points`` in Fraction arithmetic, as the sweep once ran.
+
+    Sweep values are ``vp.xs()``/``vp.ys()``, dom(t) is a Fraction, its
+    root the dyadic floor root of the reduced value, each sheet point a
+    pair of Fractions, and the residual one ``MultiPoly.eval`` per point.
+    """
+    lam = Parameter.coerce(lam)
+    f = deformation_polynomial(sc, lam)
+    polylines = []
+
+    def emit(line):
+        if len(line) >= 2:
+            polylines.append(line)
+
+    def residual_ok(x, y):
+        return abs(f.eval((x, y))) < RESIDUAL_BOUND
+
+    def two_sheets(dom, ts, sheet):
+        cs = dom._int_coeffs()[0]
+        plus, minus = [], []
+
+        def join(lo, hi):
+            e = _branch_end(cs, lo, hi)
+            if e is not None:
+                pt = sheet(e, F(0))
+                if residual_ok(*pt):
+                    plus.append(pt)
+                    minus.append(pt)
+
+        prev = None
+        for t in ts:
+            v = dom(t)
+            if v >= 0:
+                if not plus and prev is not None:
+                    join(prev, t)
+                n, d = v.numerator, v.denominator
+                r = F(math.isqrt(n * d << 80), d << 40)
+                for line, pt in ((plus, sheet(t, r)), (minus, sheet(t, -r))):
+                    if residual_ok(*pt):
+                        line.append(pt)
+            else:
+                if plus:
+                    join(prev, t)
+                emit(plus)
+                emit(minus[::-1])
+                plus, minus = [], []
+            prev = t
+        emit(plus)
+        emit(minus[::-1])
+
+    if sc.family == "B":
+        h = boundary_polynomial(sc, lam)
+        two_sheets(UniPoly("x", [-sc.sign * c for c in h.coeffs]), vp.xs(),
+                   lambda x, r: (x, r))
+    elif sc.family == "C":
+        h = boundary_polynomial(sc, lam)
+        sigma = 1 if sc.is_even else sc.sign
+        clip = 2 * (vp.xmax - vp.xmin) + abs(vp.xmin) + abs(vp.xmax)
+        line = []
+        for y in vp.ys():
+            x = None if y == 0 else -h(y) / (sigma * y)
+            if x is None or abs(x) > clip:
+                emit(line)
+                line = []
+            else:
+                line.append((x, y))
+        emit(line)
+    else:
+        a, b, c, d = lam
+        s = sc.sign
+        dom = UniPoly("y", [a * a - 4 * s * d, 2 * a * c - 4 * s * b,
+                            c * c, -4 * s])
+        two_sheets(dom, vp.ys(),
+                   lambda y, r: ((-(a + c * y) + r) / (2 * s), y))
+    return polylines
+
+
+def reference_polyline_elements(vp, polylines):
+    """The curve's SVG elements from Fraction points by ``Viewport.to_px``."""
+    return ['<polyline points="%s" fill="none" stroke="#1f3d7a" '
+            'stroke-width="1.6"/>' % " ".join(
+                "%s,%s" % tuple(f"{v:.2f}" for v in vp.to_px(x, y))
+                for x, y in line)
+            for line in polylines]
+
+
+CURVE_LABELS = [f"{fam}{s}{mu}" for fam in "BC" for s in "+-"
+                for mu in range(2, 7)] + ["F4+", "F4-"]
+
+
+@st.composite
+def curve_cases(draw):
+    sc = SingularityClass.parse(draw(st.sampled_from(CURVE_LABELS)))
+    lam = Parameter(tuple(draw(small_rational)
+                          for _ in range(sc.parameter_count)))
+    vp = draw(st.one_of(st.none(), viewports()))
+    return sc, lam, vp or default_viewport(sc, lam)
+
+
+# h = x^2 - 1 vanishes at the nodes x = +-1 of this grid of step 1/4,
+# and the domain -h is negative at the first node x = -2
+B2_ROOT_AT_NODE = (B2, Parameter.of(0, -1), Viewport(-2, 2, -2, 2, samples=17))
+# the F4- domain (a + c*y)^2 + 4*(y^3 + b*y + d) = 4*y^3 is negative at
+# the first node y = -1/10 and positive at the second, y = 1/25
+F4M_NEGATIVE_FIRST = (F4M, Parameter.of(0, 0, 0, 0),
+                      Viewport(-2, 2, -F(1, 10), 2, samples=16))
+# x = -h(y)/y for h = y^2 - 13/4 is 6 at the node y = 1/2, which equals
+# the clip bound 2*(xmax - xmin) + |xmin| + |xmax| and is kept
+C2_AT_CLIP = (SingularityClass.parse("C+2"), Parameter.of(0, -F(13, 4)),
+              Viewport(-1, 1, -1, 1, samples=17))
+
+
+@settings(max_examples=60, deadline=None)
+@given(curve_cases())
+@example(C4_ZERO_ROW)
+@example(B2_ROOT_AT_NODE)
+@example(F4M_NEGATIVE_FIRST)
+@example(C2_AT_CLIP)
+@example((SingularityClass.parse("C-5"), Parameter.of(1, -2, F(1, 3), 0, 2),
+          Viewport(-F(7, 3), F(5, 2), -F(5, 2), F(5, 2), samples=31)))
+def test_curve_points_match_fraction_reference(case):
+    sc, lam, vp = case
+    want = reference_curve_points(sc, lam, vp)
+    assert curve_points(sc, lam, vp) == want
+    got = render_module._polyline_elements(
+        vp, render_module._curve_points(
+            sc, lam, vp, deformation_polynomial(sc, lam)), "#1f3d7a")
+    assert got == reference_polyline_elements(vp, want)
+
+
+def test_curve_reference_examples_reach_their_cases():
+    # each explicit example exercises the node it is named for
+    sc, lam, vp = C4_ZERO_ROW
+    assert 0 in vp.ys() and len(curve_points(sc, lam, vp)) >= 2
+    sc, lam, vp = B2_ROOT_AT_NODE
+    lines = curve_points(sc, lam, vp)
+    assert (F(-1), F(0)) in lines[0] and (F(1), F(0)) in lines[0]
+    sc, lam, vp = F4M_NEGATIVE_FIRST
+    dom = UniPoly("y", [0, 0, 0, 4])
+    assert dom(vp.ys()[0]) < 0 < dom(vp.ys()[1])
+    assert curve_points(sc, lam, vp)[0][0][1] < vp.ys()[1]
+    sc, lam, vp = C2_AT_CLIP
+    assert (F(6), F(1, 2)) in curve_points(sc, lam, vp)[-1]
+
+
+small_point = st.builds(F, st.integers(-40, 40), st.integers(1, 9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["B+3", "B-2", "C+4", "F4+", "F4-"]), st.data(),
+       st.sampled_from([F(1, 10 ** 6), -F(1, 10 ** 6), F(0), None]),
+       st.integers(1, 12), st.integers(1, 12))
+def test_integer_residual_matches_eval(label, data, residual, gx, gy):
+    # lam's constant term puts f(x, y) at the given residual, or lam is
+    # drawn freely (None); the point goes in as unreduced pairs
+    sc = SingularityClass.parse(label)
+    x, y = data.draw(small_point), data.draw(small_point)
+    lam = [data.draw(small_rational) for _ in range(sc.parameter_count)]
+    k = sc.parameter_names.index("d" if sc.family == "F4" else
+                                 f"l{sc.mu}")
+    if residual is not None:
+        lam[k] = 0
+        f0 = deformation_polynomial(sc, Parameter(tuple(lam))).eval((x, y))
+        lam[k] = residual - f0
+    f = deformation_polynomial(sc, Parameter(tuple(lam)))
+    want = abs(f.eval((x, y))) < RESIDUAL_BOUND
+    if residual is not None:
+        assert want == (residual == 0)
+    ok = render_module._residual_test(f)
+    assert ok(x.numerator * gx, x.denominator * gx,
+              y.numerator * gy, y.denominator * gy) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 12), st.integers(1, 10 ** 9),
+       st.integers(1, 10 ** 6))
+@example(2, 1, 2)
+@example(0, 7, 3)
+def test_sqrt_pair_reduces_before_the_root(n, d, g):
+    s, q = render_module._sqrt_pair(n * g, d * g)
+    assert F(s, q) == dyadic_sqrt(F(n, d))
+
+
+def _bench_figures():
+    """The benchmark's six zero-set figures: F4 types 1, 2, 7, 8 with
+    the sign alternating, and the p0q0 representatives of B+4 and C-4,
+    each on its default box at 49 samples."""
+    seeds = dict(F4_SEEDS + f4_side_seeds())
+    figures = [(F4P, Parameter.coerce(seeds[t])) if t % 2 else
+               (F4M, f4_reduce(Parameter.coerce(seeds[t])))
+               for t in (1, 2, 7, 8)]
+    figures += [(sc, construct_representative(sc, BCSignature(0, 0)))
+                for sc in map(SingularityClass.parse, ("B+4", "C-4"))]
+    return [(sc, lam, replace(Viewport(-r, r, -r, r), samples=49))
+            for sc, lam in figures
+            for r in [default_viewport(sc, lam).xmax]]
+
+
+def test_bench_figures_make_no_multipoly_eval(monkeypatch):
+    # the Fraction sweep made 240 calls here, one per checked point
+    figures = _bench_figures()
+    calls = []
+    original = MultiPoly.eval
+
+    def counting(self, point):
+        calls.append(point)
+        return original(self, point)
+
+    monkeypatch.setattr(MultiPoly, "eval", counting)
+    svgs = [render_zero_set(*fig) for fig in figures]
+    assert sum("<polyline" in svg for svg in svgs) == 5
+    assert calls == []
