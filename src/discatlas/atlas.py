@@ -28,12 +28,16 @@ subinterval of [0, 1] of width at most 1/128.
 For every family the segment polynomial is the product Sigma0 * Sigma1
 of the two stratum polynomials ``models.segment_strata`` gives along
 the segment line, multiplied in Z[t] with one division by the product
-of their denominators.  Both factors are interpolated from the integer
-stratum kernel ``models._int_strata`` at the nodes t = 0..D, D the
-degree of the stratum polynomials (2*mu - 2 for B and C, 7 for F4):
-one integer resultant per node for B and C, the two cubic
-discriminants in closed form for F4.  The same function gives the
-parameter slices of ``render``, so the segment math exists once.  A
+of their denominators; the polynomial keeps that integer pair, which
+the root count and the reflected leg below read without clearing
+denominators again.  Both factors come from one call of the integer
+stratum kernel ``models._int_strata`` at t = 2^bits, read off as
+balanced base-2^bits digits: one integer resultant per segment for B
+and C, the two cubic discriminants in closed form for F4.  Where that
+integer would pass 4096 bits the kernel is interpolated from the nodes
+t = 0..D instead, D the degree of the stratum polynomials (2*mu - 2
+for B and C, 7 for F4).  The same function gives the parameter slices
+of ``render``, so the segment math exists once.  A
 segment polynomial that vanishes identically (h_t keeps a complex
 double root) decides nothing and ends the search as NotFound.
 
@@ -295,8 +299,7 @@ def _segment_polynomial(sc: SingularityClass, a: Parameter, b: Parameter
                         ) -> UniPoly:
     # the certificate polynomial Sigma0 * Sigma1 along the segment
     (c0, d0), (c1, d1) = segment_strata(sc, a, b)
-    scale = d0 * d1
-    return UniPoly("t", [Fraction(c, scale) for c in _int_mul(c0, c1)])
+    return UniPoly._of_ints("t", _int_mul(c0, c1), d0 * d1)
 
 
 def _segment_proof(sc: SingularityClass, a: Parameter, b: Parameter
@@ -311,12 +314,14 @@ def _segment_proof(sc: SingularityClass, a: Parameter, b: Parameter
 
 
 def _reversed_proof(proof: SegmentProof) -> SegmentProof:
-    # b -> a restricts to p(1 - t): p(1 + t) by an integer Taylor shift,
-    # then t -> -t; the root count is unchanged
+    # b -> a restricts to p(1 - t): p(1 + t) by an integer Taylor shift
+    # of the integers the polynomial holds, then t -> -t; the root count
+    # is unchanged
     cs, den = proof.polynomial._int_coeffs()
-    flipped = [Fraction(-c if i % 2 else c, den)
+    flipped = [-c if i % 2 else c
                for i, c in enumerate(_int_taylor_shift(cs, 1))]
-    return SegmentProof(proof.end, proof.start, UniPoly("t", flipped),
+    return SegmentProof(proof.end, proof.start,
+                        UniPoly._of_ints("t", flipped, den),
                         proof.roots_in_segment)
 
 

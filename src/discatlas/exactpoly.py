@@ -108,7 +108,7 @@ class UniPoly:
     True
     """
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("var", "coeffs", "_ints")
 
     def __init__(self, var: str, coeffs: Iterable[RationalLike]):
         cs = [_frac(c) for c in coeffs]
@@ -116,6 +116,20 @@ class UniPoly:
             cs.pop()
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_ints", None)
+
+    @classmethod
+    def _of_ints(cls, var: str, cs: Sequence[int], den: int) -> "UniPoly":
+        """The polynomial cs / den for integers cs and den > 0, holding
+        the reduced pair that ``_int_coeffs`` would clear from it.
+
+        >>> UniPoly._of_ints("t", [2, 0, 4, 0], 6)._int_coeffs()
+        ([1, 0, 2], 3)
+        """
+        cs, den = _int_reduced(cs, den)
+        p = cls(var, [Fraction(c, den) for c in cs])
+        object.__setattr__(p, "_ints", (tuple(cs), den))
+        return p
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("UniPoly is immutable")
@@ -232,7 +246,14 @@ class UniPoly:
     # -- integer scaling (internal)
 
     def _int_coeffs(self) -> tuple[list[int], int]:
-        """Integer coefficient list and the denominator that was cleared."""
+        """Integer coefficient list and the denominator that was cleared.
+
+        Clearing the lcm of the reduced coefficients' denominators gives
+        the unique pair with no common factor of den and every entry, so
+        a polynomial built by ``_of_ints`` returns the pair it holds.
+        """
+        if self._ints is not None:
+            return list(self._ints[0]), self._ints[1]
         if not self.coeffs:
             return [], 1
         den = _ilcm(*[c.denominator for c in self.coeffs])
@@ -802,8 +823,9 @@ def _vca(q: list[int], v: int, c: int, k: int,
     _vca(right, _descartes_bound(right), 2 * c + 1, k + 1, out)
 
 
-def _bounded_roots(p: UniPoly, interval: Interval):
-    """The distinct roots of p in an interval with a finite end.
+def _bounded_roots(cs: Sequence[int], interval: Interval):
+    """The distinct roots of p in an interval with a finite end, for
+    p's integer coefficient list cs, of degree at least 1.
 
     Returns (sf, lo, hi, head, leaves, tail).  head and tail hold a
     point for a root on the closed lower and upper end; leaves are the
@@ -817,7 +839,7 @@ def _bounded_roots(p: UniPoly, interval: Interval):
     runs on p when the mod-q check proves p squarefree, and only else on
     the squarefree part chain[0] / chain[-1] of p's own Sturm chain.
     """
-    cs = p_cs = p._int_coeffs()[0]
+    p_cs = cs
     lo, hi = interval.lo, interval.hi
     head: list[Interval] = []
     tail: list[Interval] = []
@@ -878,13 +900,22 @@ def sturm_count(p: UniPoly, interval: Interval) -> int:
     """
     if p.is_zero():
         raise ZeroPolynomial("root counting on the zero polynomial")
-    if p.degree() < 1:
+    return _int_sturm_count(p._int_coeffs()[0], interval)
+
+
+def _int_sturm_count(cs: Sequence[int], interval: Interval) -> int:
+    """``sturm_count`` of a nonzero integer coefficient list.
+
+    >>> _int_sturm_count([0, -1, 1], Interval.closed(0, 1))
+    2
+    """
+    if len(cs) < 2:
         return 0
     if interval.lo is None and interval.hi is None:
-        chain = _sturm_chain_int(p._int_coeffs()[0])
+        chain = _sturm_chain_int(cs)
         return (_chain_variations_inf(chain, False)
                 - _chain_variations_inf(chain, True))
-    _, _, _, head, leaves, tail = _bounded_roots(p, interval)
+    _, _, _, head, leaves, tail = _bounded_roots(cs, interval)
     return len(head) + len(leaves) + len(tail)
 
 
@@ -1023,7 +1054,8 @@ def isolate_real_roots(p: UniPoly, max_width: RationalLike = Fraction(1, 16),
     if p.degree() < 1:
         return []
     if interval.lo is not None or interval.hi is not None:
-        sf, lo, hi, roots, leaves, tail = _bounded_roots(p, interval)
+        sf, lo, hi, roots, leaves, tail = _bounded_roots(p._int_coeffs()[0],
+                                                         interval)
         w = hi - lo
         for c, k, hit in leaves:
             a = lo + w * Fraction(c, 1 << k)

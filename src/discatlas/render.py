@@ -497,22 +497,33 @@ _MS_EDGES = {1: (3, 0), 2: (0, 1), 3: (3, 1), 4: (1, 2), 6: (0, 2),
 
 def _contour_segments(fv, fx, fy):
     """Marching squares segments for the zero level of a float grid
-    fv[j][i] at the nodes (fx[i], fy[j])."""
+    fv[j][i] at the nodes (fx[i], fy[j]).
+
+    Signs come first: each row is one bitmask of fv > 0 (the float's
+    sign, since v / den may round to 0.0), and a cell of a row pair is
+    mixed where its lower row, its upper row, or the two rows differ
+    (three XORs).  Corner values and points are built for mixed cells
+    only, in ascending i, so every other cell costs nothing.
+    """
     segs = []
 
     def cross(va, vb, pa, pb):
         t = va / (va - vb)
         return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
 
+    masks = [sum(1 << i for i, v in enumerate(row) if v > 0) for row in fv]
+    cells = (1 << (len(fx) - 1)) - 1
     for j in range(len(fy) - 1):
-        for i in range(len(fx) - 1):
+        lo, hi = masks[j], masks[j + 1]
+        mixed = ((lo ^ (lo >> 1)) | (hi ^ (hi >> 1)) | (lo ^ hi)) & cells
+        while mixed:
+            i = (mixed & -mixed).bit_length() - 1
+            mixed &= mixed - 1
             c = [fv[j][i], fv[j][i + 1], fv[j + 1][i + 1], fv[j + 1][i]]
             p = [(fx[i], fy[j]), (fx[i + 1], fy[j]),
                  (fx[i + 1], fy[j + 1]), (fx[i], fy[j + 1])]
             m = ((c[0] > 0) | (c[1] > 0) << 1 | (c[2] > 0) << 2
                  | (c[3] > 0) << 3)
-            if m in (0, 15):
-                continue
 
             def edge_point(e):
                 a, b = e, (e + 1) % 4

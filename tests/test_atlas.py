@@ -267,6 +267,46 @@ def test_segment_strata_product_is_certificate_polynomial_on_corpus():
         assert atlas_mod._segment_polynomial(sc, a, b) == product
 
 
+
+def test_bc_segment_strata_take_one_resultant_below_the_cutoff(monkeypatch,
+                                                               capsys):
+    # every B/C segment_strata call of the path pins' certify calls: one
+    # packed _int_resultant below the cutoff, one per node (2*mu - 1)
+    # above it; a count, so nothing here depends on timing
+    models_mod = importlib.import_module("discatlas.models")
+    pins = json.loads((Path(__file__).parent
+                       / "certify_path_pins.json").read_text())
+    resultants = [0]
+    seen = []
+    real_resultant = models_mod._int_resultant
+    real_strata = atlas_mod.segment_strata
+
+    def counted_resultant(a, b):
+        resultants[0] += 1
+        return real_resultant(a, b)
+
+    def counted_strata(sc, start, end):
+        resultants[0] = 0
+        out = real_strata(sc, start, end)
+        line, den = models_mod._segment_line(sc, start, end)
+        nodes = 2 * sc.mu - 1
+        packed = (models_mod._kronecker_bits(sc, line, den) * nodes
+                  <= models_mod._KRONECKER_MAX_BITS)
+        seen.append((resultants[0], 1 if packed else nodes))
+        return out
+
+    monkeypatch.setattr(models_mod, "_int_resultant", counted_resultant)
+    monkeypatch.setattr(atlas_mod, "segment_strata", counted_strata)
+    for pin in pins:
+        argv = pin["argv"].split()
+        if argv[1][0] in "BC":
+            assert run(argv) == pin["exit"]
+    capsys.readouterr()
+    assert [got for got, _ in seen] == [want for _, want in seen]
+    # 11 = 2*6 - 1: some mu = 6 segments of the pins pass the cutoff
+    assert {want for _, want in seen} == {1, 11}
+
+
 def test_certify_segment_unisolated_crossing_is_inconclusive(monkeypatch):
     monkeypatch.setattr(atlas_mod, "isolate_real_roots",
                         lambda poly, width, window: [])

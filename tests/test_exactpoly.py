@@ -957,6 +957,26 @@ def test_polynomials_pickle_and_deepcopy():
             assert back == obj and type(back) is type(obj)
 
 
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=8),
+       st.integers(1, 10 ** 4), st.integers(1, 60))
+def test_of_ints_holds_the_pair_int_coeffs_clears(cs, den, scale):
+    # a common factor, trailing zeros and all: the held pair is the one
+    # clearing the Fraction coefficients gives, and counts agree
+    cs = [c * scale for c in cs] + [0]
+    p = UniPoly._of_ints("t", cs, den * scale)
+    q = UniPoly("t", [F(c, den * scale) for c in cs])
+    assert p == q and p._int_coeffs() == q._int_coeffs()
+    p._int_coeffs()[0].append(1)  # callers get a copy
+    assert p._int_coeffs() == q._int_coeffs()
+    if not q.is_zero():
+        for iv in (Interval.closed(0, 1), Interval.real_line()):
+            assert sturm_count(p, iv) == sturm_count(q, iv)
+    back = pickle.loads(pickle.dumps(p))
+    assert back == p and back._int_coeffs() == p._int_coeffs()
+
+
 def test_multipoly_canonical_text_sorted():
     b, d = MultiPoly.variables(("b", "d"))
     sig1 = MultiPoly.constant(("b", "d"), 27) * d ** 2 \

@@ -6,6 +6,7 @@ zero-level critical point must annihilate it, and the c=0 slice must
 reduce to the classical cusp bent along the parabola.
 """
 
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -35,8 +36,14 @@ from discatlas.models import (
     f4_seed_oval_side,
     f4_sigma0_eliminant,
     f4_sigma1_polynomial,
+    _KRONECKER_MAX_BITS,
+    _balanced_digits,
     _int_point,
     _int_strata,
+    _kronecker_bits,
+    _node_strata,
+    _packed_strata,
+    _segment_line,
     _strata_degrees,
     segment_strata,
     stratum_values,
@@ -481,3 +488,106 @@ def test_f4_segment_strata_need_only_eight_nodes(sc):
             cs, scale = _interpolate(vals)
             nine.append(_int_reduced(cs, scale * den ** n))
         assert segment_strata(sc, a, b) == tuple(nine)
+
+
+# ---------------------------------------------------------------------------
+# the packed (Kronecker) segment strata against the node interpolation
+
+
+PACKED_LABELS = [f"{fam}{s}{mu}" for fam in "BC" for s in "+-"
+                 for mu in range(2, 8)] + ["F4+", "F4-"]
+# h_t = (x^2 + 1)^2 * (x - t) along the segment: disc h vanishes for
+# every t, with the complex double root +-i kept throughout
+VANISHING_B5 = (SingularityClass.parse("B+5"), Parameter.of(0, 2, 0, 1, 0),
+                Parameter.of(-1, 2, -2, 1, -1))
+
+
+def _digits(sc):
+    return max(_strata_degrees(sc)) + 1
+
+
+@st.composite
+def sized_segments(draw, sides=("below", "numerators", "denominator")):
+    """A segment of any of the 26 classes with its packed integer below
+    the cutoff, or above it through large numerators or through a large
+    common denominator."""
+    sc = SingularityClass.parse(draw(st.sampled_from(PACKED_LABELS)))
+    side = draw(st.sampled_from(sides))
+    big = 2 * _KRONECKER_MAX_BITS // _digits(sc) ** 2 + 16
+    if side == "below":
+        den = draw(st.integers(1, 16))
+        coord = st.builds(lambda k: F(k, den), st.integers(-255, 255))
+    elif side == "numerators":
+        den = draw(st.integers(1, 16))
+        coord = st.builds(lambda s, k: F(s * (2 ** big + k), den),
+                          st.sampled_from([1, -1]), st.integers(0, 255))
+    else:
+        coord = st.builds(lambda k: F(2 * k + 1, 2 ** big),
+                          st.integers(-128, 127))
+    n = sc.parameter_count
+    a = Parameter(tuple(draw(coord) for _ in range(n)))
+    b = Parameter(tuple(draw(coord) for _ in range(n)))
+    if draw(st.booleans()):
+        b = Parameter(tuple(x if draw(st.booleans()) else y
+                            for x, y in zip(a, b)))
+    return sc, a, b, side
+
+
+@settings(max_examples=120, deadline=None)
+@given(sized_segments())
+@example((SingularityClass.parse("C-7"), Parameter.of(*[F(3, 7)] * 7),
+          Parameter.of(*[F(3, 7)] * 7), "below"))
+@example(VANISHING_B5 + ("below",))
+@example((SingularityClass.parse("F4-"), Parameter.of(1, 2, 3, 4),
+          Parameter.of(1, 2, 3, 4), "below"))
+def test_packed_strata_match_node_strata(seg):
+    sc, a, b, side = seg
+    line, den = _segment_line(sc, a, b)
+    bits = _kronecker_bits(sc, line, den)
+    assert (bits * _digits(sc) > _KRONECKER_MAX_BITS) == (side != "below")
+    packed = _packed_strata(sc, line, den, bits)
+    assert packed == _node_strata(sc, line, den)
+    assert tuple(packed) == segment_strata(sc, a, b)
+
+
+def test_vanishing_disc_segment_packs_to_zero():
+    sc, a, b = VANISHING_B5
+    line, den = _segment_line(sc, a, b)
+    packed = _packed_strata(sc, line, den, _kronecker_bits(sc, line, den))
+    assert packed[0] == ([], 1) == _node_strata(sc, line, den)[0]
+    assert packed[1] == ([0, -1], 1)
+
+
+def test_balanced_digits_refuse_what_does_not_fit():
+    assert _balanced_digits(-3 + 2 ** 8 * 63 - 2 ** 16 * 63, 8, 3) \
+        == [-3, 63, -63]
+    assert _balanced_digits(0, 2, 4) == [0, 0, 0, 0]
+    for v, bits, count in [(64, 8, 3),             # a digit of 2^(bits - 2)
+                           (-64, 8, 3),
+                           (2 ** 16, 8, 2),        # a part above the last
+                           (-(2 ** 16) + 5, 8, 2),
+                           (1, 2, 1)]:
+        with pytest.raises(ArithmeticError):
+            _balanced_digits(v, bits, count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sized_segments(sides=("below",)))
+def test_undersized_digit_width_raises(seg):
+    # with 2^bits between 2 and 4 times the largest coefficient every
+    # balanced digit is a true coefficient, so the largest one is out
+    # of range and the digit reader must refuse
+    sc, a, b, _ = seg
+    line, den = _segment_line(sc, a, b)
+    coeffs = [c * (den ** n // d) for (cs, d), n
+              in zip(_node_strata(sc, line, den), _strata_degrees(sc))
+              for c in cs]
+    if not any(coeffs):
+        return
+    bits = max(abs(c).bit_length() for c in coeffs) + 1
+    assert bits * _digits(sc) <= _KRONECKER_MAX_BITS  # the packed path runs
+    models_mod = importlib.import_module("discatlas.models")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models_mod, "_kronecker_bits", lambda *args: bits)
+        with pytest.raises(ArithmeticError):
+            segment_strata(sc, a, b)

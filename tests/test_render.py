@@ -36,7 +36,9 @@ from discatlas.cli import run
 import discatlas.render as render_module
 from discatlas.render import (
     RESIDUAL_BOUND,
+    _MS_EDGES,
     _branch_end,
+    _contour_segments,
     _lower_runs,
     _slice_grids,
     BadAxes,
@@ -502,6 +504,56 @@ def test_slice_grids_segment_strata_calls(monkeypatch, label, axes, fixed,
     fixed = {k: F(v) for k, v in fixed.items()}
     _slice_grids(sc, fixed, axes, Viewport(-3, 3, -3, 3, samples=33))
     assert len(seen) == calls
+
+
+
+def reference_contour_segments(fv, fx, fy):
+    # marching squares cell by cell, corner lists before the sign test
+    segs = []
+
+    def cross(va, vb, pa, pb):
+        t = va / (va - vb)
+        return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
+
+    for j in range(len(fy) - 1):
+        for i in range(len(fx) - 1):
+            c = [fv[j][i], fv[j][i + 1], fv[j + 1][i + 1], fv[j + 1][i]]
+            p = [(fx[i], fy[j]), (fx[i + 1], fy[j]),
+                 (fx[i + 1], fy[j + 1]), (fx[i], fy[j + 1])]
+            m = ((c[0] > 0) | (c[1] > 0) << 1 | (c[2] > 0) << 2
+                 | (c[3] > 0) << 3)
+            if m in (0, 15):
+                continue
+
+            def edge_point(e):
+                a, b = e, (e + 1) % 4
+                return cross(c[a], c[b], p[a], p[b])
+
+            if m in (5, 10):
+                center = sum(c) / 4
+                if (m == 5) == (center > 0):
+                    pairs = [(3, 0), (1, 2)]
+                else:
+                    pairs = [(0, 1), (2, 3)]
+                for ea, eb in pairs:
+                    segs.append((edge_point(ea), edge_point(eb)))
+                continue
+            ea, eb = _MS_EDGES[m]
+            segs.append((edge_point(ea), edge_point(eb)))
+    return segs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 40), st.integers(2, 12), st.data())
+def test_contour_segments_match_cell_by_cell_reference(nx, ny, data):
+    # zeros (and -0.0, which is not > 0) sit on the negative side, and
+    # saddles take either split; segments come out in the same order
+    value = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 1e-300])
+    fv = [[data.draw(value) for _ in range(nx)] for _ in range(ny)]
+    fx = [i / 7 - 1 for i in range(nx)]
+    fy = [j / 3 for j in range(ny)]
+    assert _contour_segments(fv, fx, fy) \
+        == reference_contour_segments(fv, fx, fy)
 
 
 def test_identically_zero_rows():
