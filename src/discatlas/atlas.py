@@ -28,11 +28,12 @@ subinterval of [0, 1] of width at most 1/128.
 For every family the segment polynomial is the product Sigma0 * Sigma1
 of the two stratum polynomials ``models.segment_strata`` gives along
 the segment line, multiplied in Z[t] with one division by the product
-of their denominators; the polynomial keeps that integer pair, which
-the root count and the reflected leg below read without clearing
-denominators again.  Both factors come from one call of the integer
-stratum kernel ``models._int_strata`` at t = 2^bits, read off as
-balanced base-2^bits digits: one integer resultant per segment for B
+of their denominators.  ``UniPoly`` holds exactly that reduced
+integer pair, so the root count, the reflected leg below and the
+certificate text all read integers, and no Fraction is built.  Both
+factors come from one call of the integer stratum kernel
+``models._int_strata`` at t = 2^bits, read off as balanced
+base-2^bits digits: one integer resultant per segment for B
 and C, the two cubic discriminants in closed form for F4.  Where that
 integer would pass 4096 bits the kernel is interpolated from the nodes
 t = 0..D instead, D the degree of the stratum polynomials (2*mu - 2
@@ -448,8 +449,14 @@ def _bc_root_path(sc: SingularityClass, reals: list[int],
 
 def _certify_bc_leg(sc: SingularityClass, src: Parameter, sig: BCSignature
                     ) -> list[SegmentProof]:
-    """Segment proofs of a polyline from src to its representative."""
+    """Segment proofs of a polyline from src to its representative.
+
+    A later rung of the bits ladder meets some segments of an earlier
+    one again; the proof decided there is reused, keyed by the endpoint
+    values.
+    """
     h = boundary_polynomial(sc, src)
+    decided: dict[tuple, SegmentProof] = {}
     for bits, snap in ((24, 32), (80, None), (200, None)):
         data = _bc_root_data(h, sig, bits)
         if data is None:
@@ -460,7 +467,9 @@ def _certify_bc_leg(sc: SingularityClass, src: Parameter, sig: BCSignature
         def attempt(a: Parameter, b: Parameter, ta, tb, depth: int) -> bool:
             if a.values == b.values:
                 return True
-            proof = _segment_proof(sc, a, b)
+            proof = decided.get((a.values, b.values))
+            if proof is None:
+                proof = decided[a.values, b.values] = _segment_proof(sc, a, b)
             if proof.roots_in_segment == 0:
                 proofs.append(proof)
                 return True

@@ -279,6 +279,8 @@ def _cmd_render(pos, flags):
     sc = _parse_class(pos[0])
     out_dir = flags.get("--out", ".")
     box = _rat_flag(flags, "--box", 0)
+    if "--box" in flags and box <= 0:
+        raise UsageError("flag --box needs a positive rational")
     samples = _int_flag(flags, "--samples", 129)
     px = _int_flag(flags, "--px", 480)
     if "--axes" in flags:

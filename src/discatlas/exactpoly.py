@@ -2,19 +2,18 @@
 
 Everything downstream (membership tests, classification, path
 certificates) reduces to sign questions about polynomials with rational
-coefficients, so this module keeps all arithmetic exact.  Rationals are
-``fractions.Fraction``; no floating point enters any decision.
-
-Two polynomial carriers:
+coefficients, so this module keeps all arithmetic exact; no floating
+point enters any decision.  Two polynomial carriers:
 
 ``UniPoly``
-    dense univariate polynomial, coefficients stored constant term
-    upward.  The zero polynomial has an empty coefficient tuple and
-    degree -1; otherwise the leading coefficient is nonzero.
+    dense univariate polynomial held as its reduced integer pair
+    (cs, den): the polynomial is cs / den, cs from the constant term
+    upward with no trailing zero.  Its arithmetic and text run on
+    those integers; ``Fraction`` appears only where a value is asked.
 
 ``MultiPoly``
     sparse multivariate polynomial over an ordered variable tuple,
-    terms keyed by exponent tuples.  Stored terms have nonzero
+    terms keyed by exponent tuples, with nonzero ``Fraction``
     coefficients.
 
 Real root decisions are exact and integer-only.  On the whole real
@@ -37,8 +36,7 @@ squarefree part alone, with both ends kept as integer numerators over
 one denominator that doubles with each halving, so a midpoint costs
 one homogeneous integer Horner sign and no Fraction.  Interval
 endpoints may be infinite; openness flags are honoured exactly.
-Polynomial text is written from each coefficient's numerator and
-denominator.
+Polynomial text is written from integer numerators and denominators.
 
 ``MultiPoly`` carries only ring operations, evaluation and restriction
 to a parameter segment: every stratum of the families is the
@@ -94,12 +92,13 @@ def _sign(x) -> int:
 
 
 class UniPoly:
-    """Univariate polynomial with exact rational coefficients.
+    """Univariate polynomial over Q, held as its reduced integer pair.
 
-    Coefficients run from the constant term upward.  Trailing zeros are
-    stripped on construction, so ``degree()`` is ``len(coeffs) - 1`` and
-    the leading coefficient is nonzero unless the polynomial is zero
-    (empty tuple, degree -1).
+    The polynomial is cs / den: integer coefficients cs from the
+    constant term upward with no trailing zero, and den > 0 sharing no
+    factor with every entry (Gauss' content and primitive part).  The
+    pair is unique, so equality, hashing and pickling read it; zero is
+    ((), 1), of degree -1.  ``coeffs`` builds Fractions on request.
 
     >>> p = UniPoly("x", [-1, 0, 1])        # x^2 - 1
     >>> p.degree(), p(Fraction(3))
@@ -108,103 +107,105 @@ class UniPoly:
     True
     """
 
-    __slots__ = ("var", "coeffs", "_ints")
+    __slots__ = ("var", "_cs", "_den")
 
     def __init__(self, var: str, coeffs: Iterable[RationalLike]):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_ints", None)
+        # the lcm of reduced denominators shares no factor with every
+        # cleared numerator, so the pair needs no further reduction
+        pairs = [c.as_integer_ratio() for c in coeffs]
+        den = _ilcm(*[d for _, d in pairs])
+        self._hold(var, _int_trim([n * (den // d) for n, d in pairs]), den)
 
     @classmethod
     def _of_ints(cls, var: str, cs: Sequence[int], den: int) -> "UniPoly":
-        """The polynomial cs / den for integers cs and den > 0, holding
-        the reduced pair that ``_int_coeffs`` would clear from it.
+        """The polynomial cs / den for integers cs and den > 0, reduced.
 
         >>> UniPoly._of_ints("t", [2, 0, 4, 0], 6)._int_coeffs()
         ([1, 0, 2], 3)
         """
-        cs, den = _int_reduced(cs, den)
-        p = cls(var, [Fraction(c, den) for c in cs])
-        object.__setattr__(p, "_ints", (tuple(cs), den))
+        p = cls.__new__(cls)
+        p._hold(var, *_int_reduced(cs, den))
         return p
+
+    def _hold(self, var: str, cs: Sequence[int], den: int) -> None:
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "_cs", tuple(cs))
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("UniPoly is immutable")
 
     def __reduce__(self):
-        # pickle and copy rebuild through the constructor, since the
-        # guard above refuses setattr
-        return UniPoly, (self.var, self.coeffs)
+        # pickle and copy rebuild from the pair, since the guard above
+        # refuses setattr
+        return UniPoly._of_ints, (self.var, self._cs, self._den)
 
     # -- basic structure
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self._den) for c in self._cs)
+
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._cs) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._cs
 
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
+        if not self._cs:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._cs[-1], self._den)
 
     def constant_term(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self._cs[0] if self._cs else 0, self._den)
 
     def __call__(self, x: RationalLike) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        # homogeneous Horner: acc = d^deg * cs(n/d), dp = d^(deg + 1)
+        n, d = x.as_integer_ratio()
+        acc, dp = 0, 1
+        for c in reversed(self._cs):
+            acc = acc * n + c * dp
+            dp *= d
+        return Fraction(acc * d, self._den * dp)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UniPoly)
-            and self.var == other.var
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, UniPoly) and (self.var, self._cs, self._den) \
+            == (other.var, other._cs, other._den)
 
     def __hash__(self) -> int:
-        return hash((self.var, self.coeffs))
+        return hash((self.var, self._cs, self._den))
 
     def _check_var(self, other: "UniPoly") -> None:
         if self.var != other.var:
             raise ArityMismatch(
-                f"variable mismatch: {self.var!r} vs {other.var!r}"
-            )
+                f"variable mismatch: {self.var!r} vs {other.var!r}")
 
     # -- ring operations
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         self._check_var(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return UniPoly(self.var, [x + y for x, y in zip(a, b)])
+        den = _ilcm(self._den, other._den)
+        out = [c * (den // self._den) for c in self._cs]
+        out += [0] * (len(other._cs) - len(out))
+        for i, c in enumerate(other._cs):
+            out[i] += c * (den // other._den)
+        return UniPoly._of_ints(self.var, out, den)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(self.var, [-c for c in self.coeffs])
+        return UniPoly._of_ints(self.var, [-c for c in self._cs], self._den)
 
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, (Fraction, int)):
-            return UniPoly(self.var, [c * other for c in self.coeffs])
+            return UniPoly._of_ints(self.var,
+                                    [c * other.numerator for c in self._cs],
+                                    self._den * other.denominator)
         self._check_var(other)
-        if self.is_zero() or other.is_zero():
-            return UniPoly(self.var, [])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(self.var, out)
+        return UniPoly._of_ints(self.var, _int_mul(self._cs, other._cs),
+                                self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -212,7 +213,7 @@ class UniPoly:
         return self * _frac(c)
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(self.var, [i * c for i, c in enumerate(self.coeffs)][1:])
+        return UniPoly._of_ints(self.var, _int_derivative(self._cs), self._den)
 
     def divmod(self, d: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         """Quotient q and remainder r with self = q*d + r, deg r < deg d.
@@ -224,19 +225,21 @@ class UniPoly:
         self._check_var(d)
         if d.is_zero():
             raise ZeroPolynomial("division by zero polynomial")
-        dd, dlc = d.degree(), d.coeffs[-1]
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - dd, 0)
-        for k in range(len(q) - 1, -1, -1):
-            f = q[k] = rem[k + dd] / dlc
-            for i, c in enumerate(d.coeffs):
-                rem[k + i] -= f * c
-        return UniPoly(self.var, q), UniPoly(self.var, rem[:dd])
+        e = self.degree() - d.degree() + 1
+        if e <= 0:
+            return UniPoly(self.var, []), self
+        # self = A/da, d = B/db: m*A = Q*B + R gives q = Q*db/(m*da)
+        m = d._cs[-1] ** e
+        s, den = (1, m * self._den) if m > 0 else (-1, -m * self._den)
+        q = _int_pseudo_quo(self._cs, d._cs)
+        r = _int_pseudo_rem(self._cs, d._cs)
+        return (UniPoly._of_ints(self.var, [s * c * d._den for c in q], den),
+                UniPoly._of_ints(self.var, [s * c for c in r], den))
 
     def text(self) -> str:
         """Canonical ASCII form, terms sorted by descending exponent."""
         return _terms_text(
-            [((e,), c) for e, c in enumerate(self.coeffs) if c],
+            [((e,), c, self._den) for e, c in enumerate(self._cs) if c],
             (self.var,),
         )
 
@@ -246,18 +249,8 @@ class UniPoly:
     # -- integer scaling (internal)
 
     def _int_coeffs(self) -> tuple[list[int], int]:
-        """Integer coefficient list and the denominator that was cleared.
-
-        Clearing the lcm of the reduced coefficients' denominators gives
-        the unique pair with no common factor of den and every entry, so
-        a polynomial built by ``_of_ints`` returns the pair it holds.
-        """
-        if self._ints is not None:
-            return list(self._ints[0]), self._ints[1]
-        if not self.coeffs:
-            return [], 1
-        den = _ilcm(*[c.denominator for c in self.coeffs])
-        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
+        """The held pair: integer coefficients (a fresh list) and den."""
+        return list(self._cs), self._den
 
 
 def poly_from_roots(var: str, roots: Sequence[RationalLike],
@@ -1117,19 +1110,29 @@ def refine_root(p: UniPoly, iv: Interval, max_width: RationalLike) -> Interval:
 
     The bisection reads the sign of p's squarefree part alone, taken
     from p's own Sturm chain; a midpoint that is the root comes back as
-    a point interval.
+    a point interval, as does a point iv.  A root on an open end (one
+    ``isolate_real_roots`` leaves beside a root it hits) is divided out
+    first.  ValueError unless max_width > 0, both ends are finite and
+    the squarefree part then has nonzero values of opposite sign there.
 
     >>> refine_root(UniPoly("x", [-1, 0, 4]), Interval.open(0, 1),
     ...             Fraction(1, 1024)).text()
     '[1/2, 1/2]'
     """
     max_width = _frac(max_width)
+    if max_width <= 0 or iv.lo is None or iv.hi is None:
+        raise ValueError("refine_root needs max_width > 0 and finite ends")
     if iv.is_point():
         return iv
     if p.is_zero():
         raise ZeroPolynomial("squarefree part of the zero polynomial")
-    return _bisect_one(_chain_squarefree(_sturm_chain_int(p._int_coeffs()[0])),
-                       iv.lo, iv.hi, max_width)
+    sf = _chain_squarefree(_sturm_chain_int(p._cs))
+    for end, is_open in ((iv.lo, iv.lo_open), (iv.hi, iv.hi_open)):
+        if is_open and _int_sign_at(sf, end) == 0:
+            sf = _deflate_root(sf, end)
+    if _int_sign_at(sf, iv.lo) * _int_sign_at(sf, iv.hi) >= 0:
+        raise ValueError("no sign change of the squarefree part at the ends")
+    return _bisect_one(sf, iv.lo, iv.hi, max_width)
 
 
 def discriminant(p: UniPoly) -> Fraction:
@@ -1139,9 +1142,11 @@ def discriminant(p: UniPoly) -> Fraction:
         raise DegreeZero("discriminant needs degree >= 1")
     if n == 1:
         return Fraction(1)
-    r = resultant_uni(p, p.derivative())
+    # p = cs/den: Res(p, p') = Res(cs, cs')/den^(2n-1), and lc(p) = cs[n]/den
+    cs, den = p._cs, p._den
     s = -1 if (n * (n - 1) // 2) % 2 else 1
-    return s * r / p.leading_coefficient()
+    return Fraction(s * _int_resultant(cs, _int_derivative(cs)),
+                    den ** (2 * n - 2) * cs[-1])
 
 
 def resultant_uni(f: UniPoly, g: UniPoly) -> Fraction:
@@ -1149,46 +1154,37 @@ def resultant_uni(f: UniPoly, g: UniPoly) -> Fraction:
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("resultant with zero polynomial")
     f._check_var(g)
-    fi, fd = f._int_coeffs()
-    gi, gd = g._int_coeffs()
-    r = _int_resultant(fi, gi)
-    return Fraction(r, fd ** g.degree() * gd ** f.degree())
+    return Fraction(_int_resultant(f._cs, g._cs),
+                    f._den ** g.degree() * g._den ** f.degree())
 
 
 def gcd_uni(f: UniPoly, g: UniPoly) -> UniPoly:
     """Primitive gcd with positive leading coefficient."""
     if f.is_zero() and g.is_zero():
         raise ZeroPolynomial("gcd of two zero polynomials")
-    if f.is_zero():
-        fi: list[int] = []
-    else:
-        fi, _ = f._int_coeffs()
-    if g.is_zero():
-        gi: list[int] = []
-    else:
-        gi, _ = g._int_coeffs()
     var = f.var if not f.is_zero() else g.var
-    return UniPoly(var, _int_gcd_poly(fi, gi))
+    return UniPoly(var, _int_gcd_poly(f._cs, g._cs))
 
 
 # ---------------------------------------------------------------------------
 # multivariate polynomials
 
 
-def _terms_text(terms: Sequence[tuple[tuple[int, ...], Fraction]],
+def _terms_text(terms: Sequence[tuple[tuple[int, ...], int, int]],
                 names: tuple[str, ...]) -> str:
-    # each magnitude is written from the numerator and denominator in
-    # the form str() gives a Fraction, with no new Fraction per term
+    """Canonical text of nonzero terms (exponents, num, den), den > 0,
+    by descending exponent tuple.  Each coefficient num/den is reduced
+    by one gcd and written as str() writes that Fraction."""
     if not terms:
         return "0"
-    items = sorted(terms, key=lambda t: t[0], reverse=True)
     parts: list[str] = []
-    for expo, c in items:
+    for expo, num, den in sorted(terms, key=lambda t: t[0], reverse=True):
         mono = "*".join(
             n if e == 1 else f"{n}^{e}"
             for n, e in zip(names, expo) if e != 0
         )
-        num, den = c.numerator, c.denominator
+        g = _igcd(num, den)
+        num, den = num // g, den // g
         mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
         if not mono:
             body = mag
@@ -1322,7 +1318,8 @@ class MultiPoly:
 
     def text(self) -> str:
         """Canonical ASCII sparse term list, sorted by exponent tuple."""
-        return _terms_text(list(self.terms.items()), self.vars)
+        return _terms_text([(e, c.numerator, c.denominator)
+                            for e, c in self.terms.items()], self.vars)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.vars!r}, {self.text()!r})"

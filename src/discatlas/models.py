@@ -279,7 +279,7 @@ def boundary_polynomial(sc: SingularityClass, lam) -> UniPoly:
         return UniPoly("y", [d, b, 0, 1])
     mu = sc.mu
     var = "x" if sc.family == "B" else "y"
-    coeffs = [lam[mu - 1 - i] for i in range(mu)] + [Fraction(_bc_lead(sc))]
+    coeffs = [lam[mu - 1 - i] for i in range(mu)] + [_bc_lead(sc)]
     return UniPoly(var, coeffs)
 
 

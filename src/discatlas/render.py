@@ -270,9 +270,8 @@ def _curve_points(sc: SingularityClass, lam: Parameter, vp: Viewport, F
 
     if sc.family == "B":
         h = boundary_polynomial(sc, lam)
-        _two_sheets(F, UniPoly("x", [-sc.sign * c for c in h.coeffs]),
-                    vp.xmin, vp.xmax, m, lambda t, qt, s, r: (t, qt, s, r),
-                    emit)
+        _two_sheets(F, h * -sc.sign, vp.xmin, vp.xmax, m,
+                    lambda t, qt, s, r: (t, qt, s, r), emit)
 
     elif sc.family == "C":
         hc, hden = boundary_polynomial(sc, lam)._int_coeffs()

@@ -307,6 +307,48 @@ def test_bc_segment_strata_take_one_resultant_below_the_cutoff(monkeypatch,
     assert {want for _, want in seen} == {1, 11}
 
 
+def test_segment_proof_text_builds_no_fraction(monkeypatch):
+    # certificate text is written from the integer pair UniPoly holds
+    proofs = [
+        certify_segment(B2, (0, -1), (0, -4)).segments[0],
+        *certify_path(SingularityClass.parse("F4-"),
+                      ("49179/16384", "-8173/8192", "8187/2048", "-3077/8192"),
+                      ("49191/16384", "-16431/16384", "8193/2048",
+                       "-6195/16384")).segments,
+    ]
+    want = [proof.json_obj() for proof in proofs]
+    assert all("/" in w["polynomial"] for w in want[1:])
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    got = [proof.json_obj() for proof in proofs]
+    monkeypatch.undo()
+    assert got == want and built == []
+
+
+def test_bits_ladder_decides_each_segment_once(monkeypatch, capsys):
+    # the item-4 defect pair climbs all three rungs of the bits ladder,
+    # whose waypoints repeat nine segments from (0, 8, 0, 16); each is
+    # decided once, and the pair still ends inconclusive
+    seen = []
+    real_strata = atlas_mod.segment_strata
+
+    def counted_strata(sc, start, end):
+        seen.append((sc.label(), Parameter.coerce(start).values,
+                     Parameter.coerce(end).values))
+        return real_strata(sc, start, end)
+
+    monkeypatch.setattr(atlas_mod, "segment_strata", counted_strata)
+    assert run("certify B+4 0 8 0 16 0 5 0 4".split()) == 3
+    capsys.readouterr()
+    assert seen and len(seen) == len(set(seen))
+
+
 def test_certify_segment_unisolated_crossing_is_inconclusive(monkeypatch):
     monkeypatch.setattr(atlas_mod, "isolate_real_roots",
                         lambda poly, width, window: [])

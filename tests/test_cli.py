@@ -321,12 +321,15 @@ def test_render_slice_writes_file(tmp_path, capsys):
     ["render", "B+2", "0", "-1", "--slice", "l1=0"],
     ["classify", "B+2", "0", "-1", "--seed", "1"],
     ["render", "B+3", "--axes", "l1,l2", "--slice", "l3=1,l3=2"],
+    ["render", "B+2", "0", "-1", "--box", "0"],
+    ["render", "F4+", "--axes", "b,d", "--slice", "a=0,c=0",
+     "--box", "-1"],
 ], ids=["slice-float", "samples", "den", "px", "px-no-box",
         "slice-samples-no-box", "slice-samples", "slice-name",
         "budget-negative", "segment-budget-negative", "jobs-zero",
         "jobs-negative", "certify-figures", "atlas-budget",
         "render-segment", "render-slice-no-axes", "classify-seed",
-        "slice-duplicate-name"])
+        "slice-duplicate-name", "box-zero", "box-negative"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     # --out goes only to commands that take it, so that each call fails
     # for its own reason and not for a foreign --out

@@ -9,6 +9,7 @@ geometry is trusted.
 """
 
 import copy
+import math
 import pickle
 import random
 from dataclasses import dataclass
@@ -251,6 +252,53 @@ def test_refine_root_exact_hit_and_point():
         == Interval.point(F(1, 2))
 
 
+@pytest.mark.parametrize("width", [0, -1, F(-1, 8)])
+def test_refine_root_rejects_a_width_that_is_not_positive(width):
+    # a zero width used to bisect forever
+    with pytest.raises(ValueError):
+        refine_root(UniPoly("x", [-2, 0, 1]), Interval.open(1, 2), width)
+
+
+def test_refine_root_rejects_a_root_on_a_closed_end():
+    # [1/2, 1] holds the root 1/2 of 4x^2 - 1 on its end; this used to
+    # return (1/2, 5/8), which holds no root
+    with pytest.raises(ValueError):
+        refine_root(UniPoly("x", [-1, 0, 4]), Interval.closed(F(1, 2), 1),
+                    F(1, 8))
+
+
+def test_refine_root_rejects_an_interval_without_a_sign_change():
+    # (2, 3) holds no root of x^2 - 2 (this used to return (23/8, 3)),
+    # and (-2, 2) holds two
+    for iv in (Interval.open(2, 3), Interval.open(-2, 2)):
+        with pytest.raises(ValueError):
+            refine_root(UniPoly("x", [-2, 0, 1]), iv, F(1, 8))
+
+
+@pytest.mark.parametrize("iv", [Interval.open(1, None),
+                                Interval.open(None, 2),
+                                Interval.real_line()])
+def test_refine_root_rejects_an_infinite_end(iv):
+    with pytest.raises(ValueError):
+        refine_root(UniPoly("x", [-2, 0, 1]), iv, F(1, 8))
+
+
+def test_refine_root_divides_out_a_root_on_an_open_end():
+    # isolation of x^3 - 2x hits 0 at its first midpoint, so at a
+    # coarse width the neighbouring intervals end at a root of p; they
+    # stay refinable
+    p = UniPoly("x", [0, -2, 0, 1])
+    ivs = isolate_real_roots(p, 4)
+    assert ivs[1] == Interval.point(0)
+    assert ivs[0].hi == 0 and ivs[2].lo == 0
+    for iv in (ivs[0], ivs[2]):
+        tight = refine_root(p, iv, F(1, 2 ** 20))
+        assert tight.width() <= F(1, 2 ** 20)
+        assert sturm_count(p, tight) == 1 and 0 not in (tight.lo, tight.hi)
+    with pytest.raises(ValueError):
+        refine_root(p, Interval.closed(ivs[0].lo, 0), F(1, 8))
+
+
 # ---------------------------------------------------------------------------
 # squarefree
 
@@ -347,10 +395,11 @@ def test_eval_arity_mismatch():
 
 
 def test_discriminant_quadratic_formula():
-    # x^2 + px + q -> p^2 - 4q
-    for p_, q_ in ((0, -1), (3, 2), (1, 1)):
-        d = discriminant(UniPoly("x", [q_, p_, 1]))
-        assert d == p_ * p_ - 4 * q_
+    # a*x^2 + b*x + c -> b^2 - 4ac, rational coefficients included
+    for a, b, c in ((1, 0, -1), (1, 3, 2), (1, 1, 1), (F(2, 3), F(1, 2), -5),
+                    (-3, F(-7, 4), F(5, 6))):
+        d = discriminant(UniPoly("x", [c, b, a]))
+        assert d == b * b - 4 * a * c
 
 
 def test_discriminant_vanishes_iff_repeated_root():
@@ -975,6 +1024,129 @@ def test_of_ints_holds_the_pair_int_coeffs_clears(cs, den, scale):
             assert sturm_count(p, iv) == sturm_count(q, iv)
     back = pickle.loads(pickle.dumps(p))
     assert back == p and back._int_coeffs() == p._int_coeffs()
+
+
+class FracPoly:
+    """Univariate polynomial as a list of Fractions, with Fraction
+    arithmetic throughout: the reference ``UniPoly``'s integer pair is
+    checked against."""
+
+    def __init__(self, var, coeffs):
+        cs = [F(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.var, self.coeffs = var, tuple(cs)
+
+    def __call__(self, x):
+        acc = F(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        a = list(self.coeffs) + [F(0)] * (n - len(self.coeffs))
+        b = list(other.coeffs) + [F(0)] * (n - len(other.coeffs))
+        return FracPoly(self.var, [x + y for x, y in zip(a, b)])
+
+    def __neg__(self):
+        return FracPoly(self.var, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (F, int)):
+            return FracPoly(self.var, [c * other for c in self.coeffs])
+        out = [F(0)] * max(len(self.coeffs) + len(other.coeffs) - 1, 0)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FracPoly(self.var, out)
+
+    def derivative(self):
+        return FracPoly(self.var,
+                        [i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def divmod(self, d):
+        dd, dlc = len(d.coeffs) - 1, d.coeffs[-1]
+        rem = list(self.coeffs)
+        q = [F(0)] * max(len(rem) - dd, 0)
+        for k in range(len(q) - 1, -1, -1):
+            f = q[k] = rem[k + dd] / dlc
+            for i, c in enumerate(d.coeffs):
+                rem[k + i] -= f * c
+        return FracPoly(self.var, q), FracPoly(self.var, rem[:dd])
+
+    def text(self):
+        parts = []
+        for e in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[e]
+            if not c:
+                continue
+            mono = "" if e == 0 else self.var if e == 1 else f"{self.var}^{e}"
+            mag = str(abs(c))
+            body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
+            if parts:
+                parts.append(f"{'+' if c > 0 else '-'} {body}")
+            else:
+                parts.append(body if c > 0 else f"-{body}")
+        return " ".join(parts) or "0"
+
+
+_RATIONAL = st.one_of(
+    st.just(0),
+    st.integers(-40, 40),
+    # reducible on purpose: F(6, 4) is built, and reduces, in the input
+    st.builds(lambda n, d, k: F(n * k, d * k), st.integers(-40, 40),
+              st.integers(1, 12), st.integers(1, 6)),
+)
+# empty, zero and trailing-zero lists included
+_RATIONAL_LISTS = st.builds(lambda cs, z: cs + [0] * z,
+                            st.lists(_RATIONAL, max_size=6), st.integers(0, 2))
+
+
+def _same_as_reference(p: UniPoly, ref: FracPoly) -> None:
+    assert p.coeffs == ref.coeffs
+    assert all(type(c) is F for c in p.coeffs)
+    assert p.degree() == len(ref.coeffs) - 1
+    assert p.is_zero() == (not ref.coeffs)
+    assert p.constant_term() == (ref.coeffs[0] if ref.coeffs else 0)
+    assert type(p.constant_term()) is F
+    if ref.coeffs:
+        assert p.leading_coefficient() == ref.coeffs[-1]
+    else:
+        with pytest.raises(ZeroPolynomial):
+            p.leading_coefficient()
+    assert p.text() == ref.text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RATIONAL_LISTS, _RATIONAL_LISTS, _RATIONAL, _RATIONAL,
+       st.integers(1, 30))
+def test_unipoly_matches_fraction_list_reference(a, b, x, c, k):
+    p, q = UniPoly("x", a), UniPoly("x", b)
+    rp, rq = FracPoly("x", a), FracPoly("x", b)
+    for got, ref in ((p, rp), (q, rq), (p + q, rp + rq), (p - q, rp - rq),
+                     (-p, -rp), (p * q, rp * rq), (p * c, rp * c),
+                     (p.scale(c), rp * F(c)), (p.derivative(), rp.derivative())):
+        _same_as_reference(got, ref)
+    if rq.coeffs:
+        for got, ref in zip(p.divmod(q), rp.divmod(rq)):
+            _same_as_reference(got, ref)
+    assert p(x) == rp(x) and type(p(x)) is F
+    assert (p == q) == (rp.coeffs == rq.coeffs)
+    # the pair cleared independently, scaled by a common factor k and
+    # padded with a trailing zero, is the same polynomial
+    den = math.lcm(*[F(v).denominator for v in a])
+    cs = [int(F(v) * den) * k for v in a] + [0]
+    for same in (UniPoly._of_ints("x", cs, den * k), UniPoly("x", rp.coeffs),
+                 pickle.loads(pickle.dumps(p)), copy.deepcopy(p),
+                 copy.copy(p)):
+        assert type(same) is UniPoly
+        assert same == p and hash(same) == hash(p)
+        assert same._int_coeffs() == p._int_coeffs()
+    assert UniPoly("y", a) != p
 
 
 def test_multipoly_canonical_text_sorted():
