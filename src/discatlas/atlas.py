@@ -8,8 +8,9 @@ produces machine-checkable connectivity proofs between parameters.
 The census runs in integers: every point is an integer vector V with a
 common denominator den, random samples are drawn that way, and each is
 classified by the integer entry of ``classify``.  Rationals are built
-only for the representatives the report prints and for the rare nudge
-off the F4 label wall.
+only for the representatives the report prints.  The rare nudge off
+the F4 label wall stays in integers too: it moves each entry by
++-r/4096, which over the denominator 4096*den is V' = 4096*V +- r*den.
 
 A path certificate is a polyline of rational waypoints together with,
 for every segment, the segment restriction of the product of the
@@ -666,17 +667,18 @@ def _atlas_task(args) -> tuple[str, LowerSetType | None, list[int], int]:
     except DiscriminantParameter as e:
         return e.membership.value, None, V, den
     except NonGenericConfiguration:
-        # the label wall has measure zero; one deterministic nudge
+        # the label wall has measure zero; one deterministic nudge of
+        # each entry by +-r/4096, r = randint(1, 64) drawn before its sign
         rng = random.Random(jitter_tag)
-        lam = Parameter(tuple(
-            Fraction(v, den) + Fraction(rng.randint(1, 64), 4096)
-            * (1 if rng.random() < 0.5 else -1)
-            for v in V))
+        nudged = []
+        for v in V:
+            r = rng.randint(1, 64) * den
+            nudged.append(4096 * v + (r if rng.random() < 0.5 else -r))
         try:
-            t = classify(sc, lam)
+            t = _classify_point(sc, nudged, 4096 * den)
         except (DiscriminantParameter, NonGenericConfiguration):
             return "NonGeneric", None, V, den
-        V, den = _cleared(lam)
+        V, den = nudged, 4096 * den
     return type_key(t), t, V, den
 
 

@@ -294,17 +294,15 @@ def _cmd_render(pos, flags):
             raise UsageError("--slice needs --axes")
         lam = _parse_params(sc, pos[1:])
         base = default_viewport(sc, lam)
-    vp = None
-    if box or "--px" in flags or "--samples" in flags:
-        # --px and --samples without --box apply to the default box
-        try:
-            if box:
-                base = Viewport(-box, box, -box, box)
-            vp = replace(base, width=px, height=px, samples=samples)
-        except EmptyViewport:
-            raise
-        except ValueError as e:
-            raise UsageError(str(e)) from e
+    # --px and --samples without --box apply to the default box
+    try:
+        if box:
+            base = Viewport(-box, box, -box, box)
+        vp = replace(base, width=px, height=px, samples=samples)
+    except EmptyViewport:
+        raise
+    except ValueError as e:
+        raise UsageError(str(e)) from e
     if "--axes" in flags:
         path = write_slice(sc, fixed, axes, out_dir, vp)
     else:

@@ -463,22 +463,6 @@ def _int_pseudo_quo(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return q[::-1]
 
 
-def _int_pseudo_rem_signed(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Pseudo-remainder of a by b scaled by a positive constant.
-
-    The exact pseudo-remainder is lc(b)^(deg a - deg b + 1) times the
-    true rational remainder; it is negated when that multiplier is
-    negative.  Sturm chains need the sign to be right.
-    """
-    a = _int_trim(list(a))
-    if len(a) < len(b):
-        return a
-    r = _int_pseudo_rem(a, b)
-    if b[-1] < 0 and (len(a) - len(b)) % 2 == 0:
-        r = [-c for c in r]
-    return r
-
-
 def _sturm_chain_int(cs: Sequence[int]) -> list[list[int]]:
     """Sturm chain of an integer polynomial with a nonzero leading
     coefficient: its primitive part, the primitive derivative, then
@@ -574,24 +558,21 @@ def _chain_variations_inf(chain: Sequence[Sequence[int]], positive: bool) -> int
 
 
 def _int_gcd_poly(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Primitive gcd with positive leading coefficient."""
+    """Primitive gcd with positive leading coefficient.
+
+    A gcd is fixed only up to sign until the end, so the remainders are
+    the plain pseudo-remainders, each made primitive.
+
+    >>> _int_gcd_poly([-1, 0, 1], [2, 2])       # x^2 - 1 and 2x + 2
+    [1, 1]
+    """
     a, b = _int_trim(list(a)), _int_trim(list(b))
-    if not a:
-        a, b = b, a
-    if not b:
-        g = _int_primitive(a)
-        if g and g[-1] < 0:
-            g = [-c for c in g]
-        return g
     if len(a) < len(b):
         a, b = b, a
     a, b = _int_primitive(a), _int_primitive(b)
     while b:
-        r = _int_pseudo_rem_signed(a, b)
-        a, b = b, _int_primitive(r)
-    if a and a[-1] < 0:
-        a = [-c for c in a]
-    return a
+        a, b = b, _int_primitive(_int_pseudo_rem(a, b))
+    return [-c for c in a] if a and a[-1] < 0 else a
 
 
 def _int_resultant(a: Sequence[int], b: Sequence[int]) -> int:

@@ -15,6 +15,12 @@ with truncated versal deformations
     C:  f = sxy*x*y + h(y),  h(y) = s*y^mu + l1*y^(mu-1) + ... + lmu
     F4: f = s*x^2 + y^3 + a*x + b*y + c*x*y + d
 
+where (+-) and sxy are s for odd mu and + for even mu.  They are
+written once, as the term table _terms; every term carries at most one
+parameter, to the first power, so f at a point (deformation_polynomial),
+f over the parameters (deformation_generic) and the normal form (f at
+lambda = 0) are all read from it.
+
 The lower-value set W(lambda) = {f <= 0} changes topology exactly on
 two hypersurface strata of the parameter space: Sigma_0 (an interior
 critical point of f lies on the zero level) and Sigma_1 (the boundary
@@ -184,17 +190,12 @@ class SingularityClass:
         return f"{self.family}{s}{self.mu}"
 
     def normal_form_text(self) -> str:
-        if self.family == "F4":
-            return "x^2 + y^3" if self.sign > 0 else "-x^2 + y^3"
-        if self.family == "B":
-            if self.is_even:
-                return f"x^{self.mu} {'+' if self.sign > 0 else '-'} y^2"
-            return (f"x^{self.mu} + y^2" if self.sign > 0
-                    else f"-x^{self.mu} - y^2")
-        if self.is_even:
-            return f"x*y {'+' if self.sign > 0 else '-'} y^{self.mu}"
-        return (f"x*y + y^{self.mu}" if self.sign > 0
-                else f"-x*y - y^{self.mu}")
+        """The undeformed f, all parameters zero.
+
+        >>> SingularityClass.parse("C-3").normal_form_text()
+        '-x*y - y^3'
+        """
+        return deformation_polynomial(self, [0] * self.parameter_count).text()
 
     # -- Table 1 metadata
 
@@ -290,59 +291,47 @@ def _bc_lead(sc: SingularityClass) -> int:
     return sc.sign
 
 
-def deformation_polynomial(sc: SingularityClass, lam) -> MultiPoly:
-    """The deformed function f as a polynomial in (x, y)."""
-    lam = _check_arity(sc, Parameter.coerce(lam))
-    x, y = MultiPoly.variables(("x", "y"))
+def _terms(sc: SingularityClass
+           ) -> list[tuple[int, int, int | None, int]]:
+    """The deformation f as terms (i, j, k, c), each c*x^i*y^j times the
+    parameter lam[k], or times 1 when k is None (module docstring).
+    h's lead c is _bc_lead(sc), as in ``boundary_polynomial``."""
     if sc.family == "F4":
-        a, b, c, d = lam
-        return (sc.sign * x * x + y ** 3 + a * x + b * y + c * x * y
-                + MultiPoly.constant(("x", "y"), d))
-    h = boundary_polynomial(sc, lam)
+        return [(2, 0, None, sc.sign), (0, 3, None, 1), (1, 0, 0, 1),
+                (0, 1, 1, 1), (1, 1, 2, 1), (0, 0, 3, 1)]
+    mu = sc.mu
+    h = [(mu, None, _bc_lead(sc))] + [(mu - 1 - k, k, 1) for k in range(mu)]
     if sc.family == "B":
-        hx = sum((MultiPoly(("x", "y"), {(i, 0): c})
-                  for i, c in enumerate(h.coeffs) if c != 0),
-                 MultiPoly(("x", "y"), {}))
-        return hx + sc.sign * y * y
-    hy = sum((MultiPoly(("x", "y"), {(0, i): c})
-              for i, c in enumerate(h.coeffs) if c != 0),
-             MultiPoly(("x", "y"), {}))
+        return [(e, 0, k, c) for e, k, c in h] + [(0, 2, None, sc.sign)]
     sxy = 1 if sc.is_even else sc.sign
-    return sxy * x * y + hy
+    return [(1, 1, None, sxy)] + [(0, e, k, c) for e, k, c in h]
+
+
+def deformation_polynomial(sc: SingularityClass, lam) -> MultiPoly:
+    """The deformed function f at the parameter lam, as a polynomial in
+    (x, y), read from ``_terms``.
+
+    >>> deformation_polynomial(SingularityClass.parse("B-3"),
+    ...                        Parameter.of(0, 1, -2)).text()
+    '-x^3 + x - y^2 - 2'
+    """
+    lam = _check_arity(sc, Parameter.coerce(lam))
+    return MultiPoly(("x", "y"), {
+        (i, j): c if k is None else c * lam[k]
+        for i, j, k, c in _terms(sc)})
 
 
 def deformation_generic(sc: SingularityClass) -> MultiPoly:
-    """f with the deformation parameters as extra variables."""
-    names = ("x", "y") + sc.parameter_names
-    n = len(names)
+    """f with the deformation parameters as extra variables after x and
+    y, read from ``_terms``: the parameter of a term gets exponent 1.
 
-    def mono(**exps) -> tuple[int, ...]:
-        return tuple(exps.get(nm, 0) for nm in names)
-
-    terms: dict[tuple[int, ...], Fraction] = {}
-
-    def add(e, c):
-        terms[e] = terms.get(e, Fraction(0)) + Fraction(c)
-
-    if sc.family == "F4":
-        add(mono(x=2), sc.sign)
-        add(mono(y=3), 1)
-        add(mono(x=1, a=1), 1)
-        add(mono(y=1, b=1), 1)
-        add(mono(x=1, y=1, c=1), 1)
-        add(mono(d=1), 1)
-        return MultiPoly(names, terms)
-    mu = sc.mu
-    main = "x" if sc.family == "B" else "y"
-    lead = (1 if sc.is_even else sc.sign) if sc.family == "B" else sc.sign
-    add(mono(**{main: mu}), lead)
-    for i in range(1, mu + 1):
-        add(mono(**{main: mu - i, f"l{i}": 1}), 1)
-    if sc.family == "B":
-        add(mono(y=2), sc.sign)
-    else:
-        add(mono(x=1, y=1), 1 if sc.is_even else sc.sign)
-    return MultiPoly(names, terms)
+    >>> deformation_generic(SingularityClass.parse("F4-")).text()
+    '-x^2 + x*y*c + x*a + y^3 + y*b + d'
+    """
+    n = sc.parameter_count
+    return MultiPoly(("x", "y") + sc.parameter_names, {
+        (i, j, *(int(m == k) for m in range(n))): c
+        for i, j, k, c in _terms(sc)})
 
 
 def _has_real_multiple_root(h: UniPoly) -> bool:
@@ -708,16 +697,14 @@ def f4_seed_oval_side(side: str, y0, eps, delta) -> Parameter:
 
 def table1_metadata(sc: SingularityClass) -> dict:
     """Metadata row for the class, as reported by the CLI."""
-    lead = sc.parameter_names
-    terms = deformation_generic(sc)
     return {
         "class": sc.label(),
         "family": sc.family,
         "mu": sc.mu,
         "sign": "+" if sc.sign > 0 else "-",
         "normal_form": sc.normal_form_text(),
-        "deformation": terms.text(),
-        "parameters": list(lead),
+        "deformation": deformation_generic(sc).text(),
+        "parameters": list(sc.parameter_names),
         "decomposition": list(sc.decomposition()),
         "expected_components": sc.expected_component_count(),
         "asymptotic_sectors": sc.asymptotic_sector_count(),

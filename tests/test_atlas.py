@@ -892,6 +892,40 @@ def test_sample_point_matches_fraction_sampler(box, den_bound, seed, index,
         == reference_sample_parameter(cfg, dim, index).values
 
 
+def reference_nudge(V, den, jitter_tag) -> Parameter:
+    """The census nudge off the F4 label wall as it was written in
+    Fractions: each entry moves by +-randint(1, 64)/4096."""
+    rng = random.Random(jitter_tag)
+    return Parameter(tuple(
+        Fraction(v, den) + Fraction(rng.randint(1, 64), 4096)
+        * (1 if rng.random() < 0.5 else -1)
+        for v in V))
+
+
+@pytest.mark.parametrize("label", ["F4+", "F4-"])
+def test_label_wall_nudge_matches_fraction_reference(label):
+    # a = c = 0 makes f_x vanish on the whole boundary, so every such
+    # point off the strata lies on the label wall and takes the nudge
+    sc = SingularityClass.parse(label)
+    rng = random.Random(5)
+    nudged = 0
+    for i in range(60):
+        den = rng.randint(1, 9)
+        V = [0, rng.randint(-20, 20), 0, rng.randint(-20, 20)]
+        if 4 * V[1] ** 3 + 27 * den * V[3] ** 2 == 0:
+            continue
+        tag = f"jitter:5:{i}"
+        key, t, V2, den2 = atlas_mod._atlas_task((sc, V, den, tag))
+        if t is None:
+            assert key == "NonGeneric" and (V2, den2) == (V, den)
+            continue
+        ref = reference_nudge(V, den, tag)
+        assert tuple(F(v, den2) for v in V2) == ref.values
+        assert key == type_key(classify(sc, ref))
+        nudged += 1
+    assert nudged > 40
+
+
 def test_census_reaches_boundary_polynomial_only_off_generic_points(
         monkeypatch):
     # the census classifies B and C in integers: only a point with

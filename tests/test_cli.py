@@ -200,6 +200,16 @@ def test_certify_path_output_pinned(capsys, pin):
     _check_pin(capsys, pin)
 
 
+# stdout of info for B+-/C+- at mu = 2..7 and F4+-, recorded before the
+# normal form and both deformations were read from one term table
+INFO_PINS = json.loads((Path(__file__).parent / "info_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pin", INFO_PINS, ids=[p["argv"] for p in INFO_PINS])
+def test_info_output_pinned(capsys, pin):
+    _check_pin(capsys, pin)
+
+
 def _check_pin(capsys, pin):
     code, out, err = invoke(capsys, *pin["argv"].split())
     assert code == pin["exit"] and err == ""

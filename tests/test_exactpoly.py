@@ -504,6 +504,19 @@ def test_root_signature_is_the_two_half_line_counts(pr):
     assert sig.is_squarefree == (gcd_uni(p, p.derivative()).degree() == 0)
 
 
+def reference_pseudo_rem_signed(a, b):
+    """Pseudo-remainder of a by b scaled by a positive constant: the
+    exact pseudo-remainder lc(b)^(deg a - deg b + 1) times the rational
+    remainder, negated when that multiplier is negative."""
+    a = ep._int_trim(list(a))
+    if len(a) < len(b):
+        return a
+    r = ep._int_pseudo_rem(a, b)
+    if b[-1] < 0 and (len(a) - len(b)) % 2 == 0:
+        r = [-c for c in r]
+    return r
+
+
 def reference_sturm_chain_int(cs):
     """The Sturm chain as it was built before the fused loop: primitive
     part and derivative, then signed pseudo-remainders, each stripped
@@ -513,7 +526,7 @@ def reference_sturm_chain_int(cs):
     if d:
         chain.append(ep._int_primitive(d))
     while len(chain[-1]) > 1:
-        r = ep._int_pseudo_rem_signed(chain[-2], chain[-1])
+        r = reference_pseudo_rem_signed(chain[-2], chain[-1])
         if not r:
             break
         chain.append([-c for c in ep._int_primitive(r)])

@@ -30,6 +30,7 @@ from discatlas.models import (
     SeedNotSmallEnough,
     SingularityClass,
     boundary_polynomial,
+    deformation_generic,
     deformation_polynomial,
     discriminant_membership,
     f4_reduce,
@@ -38,6 +39,7 @@ from discatlas.models import (
     f4_sigma1_polynomial,
     _KRONECKER_MAX_BITS,
     _balanced_digits,
+    _check_arity,
     _int_point,
     _int_strata,
     _kronecker_bits,
@@ -140,6 +142,109 @@ def test_deformation_restricted_to_boundary_matches():
             for v in (-2, F(-1, 3), 0, 1, F(5, 2)):
                 pt = (v, 0) if sc.family == "B" else (0, v)
                 assert f.eval(pt) == h(v)
+
+
+# The three per-family constructions the term table replaced, kept as
+# they were written: the normal form as text, f at lambda through ring
+# operations, and f over the parameters through monomial closures.
+
+
+def reference_normal_form_text(sc: SingularityClass) -> str:
+    if sc.family == "F4":
+        return "x^2 + y^3" if sc.sign > 0 else "-x^2 + y^3"
+    if sc.family == "B":
+        if sc.is_even:
+            return f"x^{sc.mu} {'+' if sc.sign > 0 else '-'} y^2"
+        return (f"x^{sc.mu} + y^2" if sc.sign > 0
+                else f"-x^{sc.mu} - y^2")
+    if sc.is_even:
+        return f"x*y {'+' if sc.sign > 0 else '-'} y^{sc.mu}"
+    return (f"x*y + y^{sc.mu}" if sc.sign > 0
+            else f"-x*y - y^{sc.mu}")
+
+
+def reference_deformation_polynomial(sc: SingularityClass, lam) -> MultiPoly:
+    lam = _check_arity(sc, Parameter.coerce(lam))
+    x, y = MultiPoly.variables(("x", "y"))
+    if sc.family == "F4":
+        a, b, c, d = lam
+        return (sc.sign * x * x + y ** 3 + a * x + b * y + c * x * y
+                + MultiPoly.constant(("x", "y"), d))
+    h = boundary_polynomial(sc, lam)
+    if sc.family == "B":
+        hx = sum((MultiPoly(("x", "y"), {(i, 0): c})
+                  for i, c in enumerate(h.coeffs) if c != 0),
+                 MultiPoly(("x", "y"), {}))
+        return hx + sc.sign * y * y
+    hy = sum((MultiPoly(("x", "y"), {(0, i): c})
+              for i, c in enumerate(h.coeffs) if c != 0),
+             MultiPoly(("x", "y"), {}))
+    sxy = 1 if sc.is_even else sc.sign
+    return sxy * x * y + hy
+
+
+def reference_deformation_generic(sc: SingularityClass) -> MultiPoly:
+    names = ("x", "y") + sc.parameter_names
+
+    def mono(**exps) -> tuple[int, ...]:
+        return tuple(exps.get(nm, 0) for nm in names)
+
+    terms: dict[tuple[int, ...], Fraction] = {}
+
+    def add(e, c):
+        terms[e] = terms.get(e, Fraction(0)) + Fraction(c)
+
+    if sc.family == "F4":
+        add(mono(x=2), sc.sign)
+        add(mono(y=3), 1)
+        add(mono(x=1, a=1), 1)
+        add(mono(y=1, b=1), 1)
+        add(mono(x=1, y=1, c=1), 1)
+        add(mono(d=1), 1)
+        return MultiPoly(names, terms)
+    mu = sc.mu
+    main = "x" if sc.family == "B" else "y"
+    lead = (1 if sc.is_even else sc.sign) if sc.family == "B" else sc.sign
+    add(mono(**{main: mu}), lead)
+    for i in range(1, mu + 1):
+        add(mono(**{main: mu - i, f"l{i}": 1}), 1)
+    if sc.family == "B":
+        add(mono(y=2), sc.sign)
+    else:
+        add(mono(x=1, y=1), 1 if sc.is_even else sc.sign)
+    return MultiPoly(names, terms)
+
+
+_TABLE_CLASSES = [SingularityClass(f, mu, s) for f in "BC"
+                  for mu in range(2, 10) for s in (1, -1)] + [F4P, F4M]
+
+
+@st.composite
+def class_and_parameter(draw):
+    """A class and a parameter whose entries are often zero, so terms
+    drop out of f, and otherwise small signed fractions."""
+    sc = draw(st.sampled_from(_TABLE_CLASSES))
+    entry = st.one_of(st.just(F(0)),
+                      st.fractions(min_value=-9, max_value=9,
+                                   max_denominator=7))
+    lam = draw(st.lists(entry, min_size=sc.parameter_count,
+                        max_size=sc.parameter_count))
+    return sc, Parameter(tuple(lam))
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_and_parameter())
+def test_term_table_matches_the_per_family_constructions(case):
+    sc, lam = case
+    f = deformation_polynomial(sc, lam)
+    ref = reference_deformation_polynomial(sc, lam)
+    assert f == ref and f.text() == ref.text()
+    g, gref = deformation_generic(sc), reference_deformation_generic(sc)
+    assert g == gref and g.text() == gref.text()
+    assert sc.normal_form_text() == reference_normal_form_text(sc)
+    # the generic form at (x, y, lam) is f at lam
+    pt = (F(2, 3), F(-5, 2))
+    assert g.eval(pt + lam.values) == f.eval(pt)
 
 
 def test_arity_mismatch():
