@@ -1,10 +1,12 @@
 """A wall-clock limit on every test call.
 
-A regression that loops would otherwise hang the suite instead of
-failing it.  Each test call arms a SIGALRM timer; when it fires, the
-handler raises ``TimeLimitExceeded`` inside the test, which pytest
-reports as a failure of that test, and the run goes on.  The limit is
-a constant: the slowest test takes under 10 s.
+It sits at the repository root so that it covers both the package
+tests under ``tests/`` and the benchmark self-tests under
+``perfbench/``.  A regression that loops would otherwise hang the
+suite instead of failing it.  Each test call arms a SIGALRM timer;
+when it fires, the handler raises ``TimeLimitExceeded`` inside the
+test, which pytest reports as a failure of that test, and the run
+goes on.  The limit is a constant: the slowest test takes under 10 s.
 """
 
 import signal

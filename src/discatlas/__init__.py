@@ -8,17 +8,12 @@ rendering.  All decisions are made in rational arithmetic.
 
 from .classify import (
     BCSignature,
-    CatalogMissing,
     DiscriminantParameter,
     F4Descriptor,
     LowerSetType,
     NonGenericConfiguration,
-    candidate_descriptors,
     canonical_type_id,
     classify,
-    classify_bc,
-    classify_f4,
-    realized_catalog,
     type_key,
 )
 from .atlas import (
@@ -36,7 +31,6 @@ from .atlas import (
     construct_representative,
     enumerate_components,
     valid_signatures,
-    verify_against_table1,
 )
 from .exactpoly import (
     Interval,
@@ -67,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AtlasReport",
     "BCSignature",
-    "CatalogMissing",
     "DiscriminantEndpoint",
     "DiscriminantParameter",
     "F4Descriptor",
@@ -87,13 +80,10 @@ __all__ = [
     "TypeMismatch",
     "UniPoly",
     "boundary_polynomial",
-    "candidate_descriptors",
     "canonical_type_id",
     "certify_path",
     "certify_segment",
     "classify",
-    "classify_bc",
-    "classify_f4",
     "construct_representative",
     "deformation_polynomial",
     "discriminant",
@@ -103,13 +93,11 @@ __all__ = [
     "f4_sigma1_polynomial",
     "gcd_uni",
     "isolate_real_roots",
-    "realized_catalog",
     "restrict_to_segment",
     "root_signature",
     "sturm_count",
     "table1_metadata",
     "type_key",
     "valid_signatures",
-    "verify_against_table1",
     "xi0_point",
 ]

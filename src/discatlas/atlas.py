@@ -86,7 +86,6 @@ from .classify import (
     _classify_point,
     canonical_type_id,
     classify,
-    classify_f4,
     f4_side_seeds,
     type_key,
 )
@@ -103,14 +102,12 @@ from .exactpoly import (
 from .models import (
     Membership,
     Parameter,
-    SeedNotSmallEnough,
     SingularityClass,
     _bc_lead,
     _cleared,
     boundary_polynomial,
     discriminant_membership,
     f4_reduce,
-    f4_seed_oval_side,
     segment_strata,
 )
 
@@ -569,37 +566,6 @@ def certify_path(sc: SingularityClass, start, end, rng_seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# seed search near the cuspidal edge
-
-
-def search_f4_oval_side_seed(side: str, y0=1, budget: int = 60) -> Parameter:
-    """Two-scale search for a sided-oval seed at general height y0.
-
-    The oval detaches only when delta is much smaller than eps^2, and
-    shrinking eps too far merges two of the three boundary crossings,
-    so the grid scans eps = y0/2^k shallowly and delta = eps^2/2^j deep.
-    """
-    sc = SingularityClass("F4", 4, 1)
-    want = 7 if side == "right" else 8
-    y0 = Fraction(y0)
-    tried = 0
-    for k in range(5):
-        eps = y0 / 2**k
-        for j in range(1, 13):
-            if tried >= budget:
-                raise NotFound(f"no {side} oval seed within {budget} probes")
-            tried += 1
-            try:
-                lam = f4_seed_oval_side(side, y0, eps, eps * eps / 2**j)
-                if canonical_type_id(classify_f4(sc, lam)) == want:
-                    return lam
-            except (SeedNotSmallEnough, DiscriminantParameter,
-                    NonGenericConfiguration):
-                pass
-    raise NotFound(f"no {side} oval seed within {budget} probes")
-
-
-# ---------------------------------------------------------------------------
 # enumeration
 
 
@@ -754,26 +720,3 @@ def enumerate_components(sc: SingularityClass,
         match=(len(realized) == expected),
         config=config,
     )
-
-
-def verify_against_table1(report: AtlasReport) -> dict:
-    """Compare a census against the expected component count.
-
-    Missing keys are types every complete atlas must contain (all valid
-    signatures for B/C, the eight ids for F4); extra keys would expose
-    a classifier defect.
-    """
-    sc = SingularityClass.parse(report.label)
-    if sc.family == "F4":
-        expected_keys = [f"type{i}" for i in range(1, 9)]
-    else:
-        expected_keys = [sig.key() for sig in valid_signatures(sc)]
-    got = set(report.realized)
-    return {
-        "class": report.label,
-        "expected": report.expected,
-        "realized": len(report.realized),
-        "match": report.match,
-        "missing": sorted(set(expected_keys) - got),
-        "extra": sorted(got - set(expected_keys)),
-    }

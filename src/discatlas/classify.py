@@ -26,9 +26,9 @@ some labels away).
 
 Exact work per sample.  Every classifier runs in integers on the
 cleared point V = den * lambda, through one entry, _classify_point;
-the public classify, classify_bc and classify_f4 check the family and
-the arity, clear the denominators once and call it, and the census
-calls it on the integer points it draws.  A B/C sample builds one
+the one public classifier, classify, checks the arity, clears the
+denominators once and calls it, and the census calls it on the
+integer points it draws.  A B/C sample builds one
 Sturm chain of H = den * h, after dividing out a root at 0; its
 variations at -oo, 0 and +oo give (p, q), and its last member is
 gcd(H, H'), so a squarefree h with h(0) != 0 is nonsingular with no
@@ -84,7 +84,6 @@ convention of this package.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -123,10 +122,6 @@ class DiscriminantParameter(ValueError):
 
 class NonGenericConfiguration(ValueError):
     """Raised when f_x vanishes at a boundary crossing (label wall)."""
-
-
-class CatalogMissing(LookupError):
-    """Raised when the realized-type catalogue cannot be assembled."""
 
 
 @dataclass(frozen=True)
@@ -206,48 +201,29 @@ def type_key(t: LowerSetType) -> str:
     return f"type{canonical_type_id(t)}"
 
 
-def _point(sc: SingularityClass, lam) -> tuple[list[int], int]:
-    # the public classifiers' one conversion: arity, then (V, den)
-    return _cleared(_check_arity(sc, Parameter.coerce(lam)))
+def classify(sc: SingularityClass, lam) -> LowerSetType:
+    """Topological type of a nonsingular parameter of any family.
 
+    A B or C parameter gets its signature (p, q); an F4 parameter its
+    exact descriptor.  The minus F4 class is classified through its
+    plus-class reduction (a, b, c, d) -> (-a, b, c, -d), under which
+    the lower-value sets correspond by the flip y -> -y.
 
-def classify_bc(sc: SingularityClass, lam) -> BCSignature:
-    """Signature (p, q) of a nonsingular B- or C-class parameter.
-
-    >>> sc = SingularityClass.parse("B+3")
-    >>> classify_bc(sc, Parameter.of(-2, -1, 2)).json_obj()
+    >>> classify(SingularityClass.parse("B+3"),
+    ...          Parameter.of(-2, -1, 2)).json_obj()
     {'p': 1, 'q': 2}
-    """
-    if sc.family not in ("B", "C"):
-        raise ValueError("classify_bc handles B and C classes")
-    return _classify_point(sc, *_point(sc, lam))
-
-
-def classify_f4(sc: SingularityClass, lam) -> F4Descriptor:
-    """Exact descriptor of a nonsingular F4 parameter.
-
-    The minus class is classified through its plus-class reduction
-    (a, b, c, d) -> (-a, b, c, -d), under which the lower-value sets
-    correspond by the flip y -> -y.
-
     >>> sc = SingularityClass.parse("F4+")
-    >>> classify_f4(sc, Parameter.of(1, 1, 0, 0)).key()
+    >>> classify(sc, Parameter.of(1, 1, 0, 0)).key()
     'B+:A'
-    >>> classify_f4(sc, Parameter.of(3, -3, 0, 3)).key()
+    >>> classify(sc, Parameter.of(3, -3, 0, 3)).key()
     'B+:L'
-    >>> classify_f4(sc, Parameter.of(1, -1, 0, 0)).key()
+    >>> classify(sc, Parameter.of(1, -1, 0, 0)).key()
     'B+O+O+:C'
-    >>> classify_f4(sc, Parameter.of(7, -2, -6, 1)).key()
+    >>> classify(sc, Parameter.of(7, -2, -6, 1)).key()
     'B+B+B+:R'
     """
-    if sc.family != "F4":
-        raise ValueError("classify_f4 handles the F4 classes")
-    return _classify_point(sc, *_point(sc, lam))
-
-
-def classify(sc: SingularityClass, lam) -> LowerSetType:
-    """Topological type of a nonsingular parameter of any family."""
-    return _classify_point(sc, *_point(sc, lam))
+    V, den = _cleared(_check_arity(sc, Parameter.coerce(lam)))
+    return _classify_point(sc, V, den)
 
 
 def _classify_point(sc: SingularityClass, V: Sequence[int], den: int
@@ -390,28 +366,6 @@ def canonical_type_id(d: F4Descriptor) -> int:
     return 7 if d.oval == "R" else 8
 
 
-def candidate_descriptors() -> list[F4Descriptor]:
-    """The a-priori descriptor space permitted by the local invariants.
-
-    One or three transversal crossings; a crossed oval carries exactly
-    the top two crossings; a sided oval carries none.  38 candidates;
-    sampling realises far fewer (see :func:`realized_catalog`).
-    """
-    out: list[F4Descriptor] = []
-    for signs in itertools.product("+-"):
-        for oval in ("A", "L", "R"):
-            out.append(F4Descriptor((("B", signs[0]),), oval))
-    for signs in itertools.product("+-", repeat=3):
-        for oval in ("A", "L", "R"):
-            out.append(F4Descriptor(
-                tuple(("B", s) for s in signs), oval))
-    for signs in itertools.product("+-", repeat=3):
-        out.append(F4Descriptor(
-            (("B", signs[0]), ("O", signs[1]), ("O", signs[2])), "C"))
-    out.sort(key=lambda d: (len(d.roots), d.oval, d.roots))
-    return out
-
-
 F4_SEEDS: tuple[tuple[int, Parameter], ...] = (
     (1, Parameter.of(1, 1, 0, 0)),
     (2, Parameter.of(-2, -1, 0, 0)),
@@ -429,29 +383,3 @@ def f4_side_seeds() -> tuple[tuple[int, Parameter], ...]:
         (7, f4_seed_oval_side("right", 1, Fraction(1, 2), Fraction(1, 8))),
         (8, f4_seed_oval_side("left", 1, Fraction(1, 2), Fraction(1, 8))),
     )
-
-
-@lru_cache(maxsize=1)
-def realized_catalog() -> dict[F4Descriptor, int]:
-    """Map from representative descriptors to the eight type ids.
-
-    Assembled by classifying fixed seed parameters: six on the slice
-    c = 0 and two beside the cuspidal edge of the interior stratum.
-    Raises CatalogMissing if the seeds fail to realise eight distinct
-    types, which would indicate a defect in the classifier.
-    """
-    sc = SingularityClass("F4", 4, 1)
-    cat: dict[F4Descriptor, int] = {}
-    for tid, lam in F4_SEEDS + f4_side_seeds():
-        try:
-            desc = classify_f4(sc, lam)
-        except (DiscriminantParameter, NonGenericConfiguration) as e:
-            raise CatalogMissing(f"seed for type {tid} failed: {e}") from e
-        if canonical_type_id(desc) != tid:
-            raise CatalogMissing(
-                f"seed for type {tid} classified as "
-                f"{canonical_type_id(desc)}")
-        cat[desc] = tid
-    if sorted(cat.values()) != list(range(1, 9)):
-        raise CatalogMissing("seeds did not realise eight distinct types")
-    return dict(sorted(cat.items(), key=lambda kv: kv[1]))

@@ -20,7 +20,6 @@ from fractions import Fraction
 from .atlas import (
     DiscriminantEndpoint,
     NotFound,
-    PathCertificate,
     SamplingConfig,
     TypeMismatch,
     certify_path,
@@ -339,6 +338,9 @@ _DOMAIN_ERRORS = (
     ArityMismatch,
     BadAxes,
     EmptyViewport,
+    # an output path that cannot be written: a missing parent, a
+    # directory where a file goes or a file where a directory goes
+    OSError,
 )
 
 

@@ -152,11 +152,6 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self._cs
 
-    def leading_coefficient(self) -> Fraction:
-        if not self._cs:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return Fraction(self._cs[-1], self._den)
-
     def constant_term(self) -> Fraction:
         return Fraction(self._cs[0] if self._cs else 0, self._den)
 
@@ -209,32 +204,8 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def scale(self, c: RationalLike) -> "UniPoly":
-        return self * _frac(c)
-
     def derivative(self) -> "UniPoly":
         return UniPoly._of_ints(self.var, _int_derivative(self._cs), self._den)
-
-    def divmod(self, d: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        """Quotient q and remainder r with self = q*d + r, deg r < deg d.
-
-        >>> q, r = UniPoly("x", [1, 0, 0, 1]).divmod(UniPoly("x", [1, 2]))
-        >>> q.text(), r.text()
-        ('1/2*x^2 - 1/4*x + 1/8', '7/8')
-        """
-        self._check_var(d)
-        if d.is_zero():
-            raise ZeroPolynomial("division by zero polynomial")
-        e = self.degree() - d.degree() + 1
-        if e <= 0:
-            return UniPoly(self.var, []), self
-        # self = A/da, d = B/db: m*A = Q*B + R gives q = Q*db/(m*da)
-        m = d._cs[-1] ** e
-        s, den = (1, m * self._den) if m > 0 else (-1, -m * self._den)
-        q = _int_pseudo_quo(self._cs, d._cs)
-        r = _int_pseudo_rem(self._cs, d._cs)
-        return (UniPoly._of_ints(self.var, [s * c * d._den for c in q], den),
-                UniPoly._of_ints(self.var, [s * c for c in r], den))
 
     def text(self) -> str:
         """Canonical ASCII form, terms sorted by descending exponent."""
@@ -251,15 +222,6 @@ class UniPoly:
     def _int_coeffs(self) -> tuple[list[int], int]:
         """The held pair: integer coefficients (a fresh list) and den."""
         return list(self._cs), self._den
-
-
-def poly_from_roots(var: str, roots: Sequence[RationalLike],
-                    lead: RationalLike = 1) -> UniPoly:
-    """Monic-up-to-lead product of (var - r) over the given roots."""
-    p = UniPoly(var, [lead])
-    for r in roots:
-        p = p * UniPoly(var, [-_frac(r), 1])
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +274,6 @@ class Interval:
 
     def is_point(self) -> bool:
         return self.lo is not None and self.lo == self.hi
-
-    def width(self) -> Fraction | None:
-        if self.lo is None or self.hi is None:
-            return None
-        return self.hi - self.lo
 
     def midpoint(self) -> Fraction:
         if self.lo is None or self.hi is None:
@@ -862,7 +819,7 @@ def sturm_count(p: UniPoly, interval: Interval) -> int:
     Sturm chain unless p may have a repeated factor; no isolating
     interval is formed.
 
-    >>> p = poly_from_roots("x", [0, 1, 1, 2])
+    >>> p = UniPoly("x", [0, -2, 5, -4, 1])   # x*(x - 1)^2*(x - 2)
     >>> sturm_count(p, Interval.closed(0, 2))
     3
     >>> sturm_count(p, Interval.open(0, 2))
@@ -898,7 +855,8 @@ def root_signature(p: UniPoly) -> RootSignature:
 
     One Sturm chain answers all of it (``_int_root_signature``).
 
-    >>> root_signature(poly_from_roots("x", [-2, 0, 0, 3]))
+    >>> p = UniPoly("x", [0, 0, -6, -1, 1])   # x^2*(x + 2)*(x - 3)
+    >>> root_signature(p)
     RootSignature(neg=1, pos=1, zero_is_root=True, is_squarefree=False)
     """
     if p.is_zero():
@@ -1128,15 +1086,6 @@ def discriminant(p: UniPoly) -> Fraction:
     s = -1 if (n * (n - 1) // 2) % 2 else 1
     return Fraction(s * _int_resultant(cs, _int_derivative(cs)),
                     den ** (2 * n - 2) * cs[-1])
-
-
-def resultant_uni(f: UniPoly, g: UniPoly) -> Fraction:
-    """Sylvester resultant of two univariate polynomials."""
-    if f.is_zero() or g.is_zero():
-        raise ZeroPolynomial("resultant with zero polynomial")
-    f._check_var(g)
-    return Fraction(_int_resultant(f._cs, g._cs),
-                    f._den ** g.degree() * g._den ** f.degree())
 
 
 def gcd_uni(f: UniPoly, g: UniPoly) -> UniPoly:

@@ -96,11 +96,6 @@ class Viewport:
         if self.width < 32 or self.height < 32:
             raise ValueError("pixel dimensions too small")
 
-    def xs(self) -> list[Fraction]:
-        n = self.samples
-        return [self.xmin + (self.xmax - self.xmin) * Fraction(i, n - 1)
-                for i in range(n)]
-
     def ys(self, count: int | None = None) -> list[Fraction]:
         """The grid ordinates, or only the first count of them."""
         n = self.samples
@@ -122,19 +117,13 @@ def _fmt(v: float) -> str:
 
 
 def _sqrt_pair(n: int, d: int, bits: int = _SQRT_BITS) -> tuple[int, int]:
-    """Integers (s, q) with s/q = dyadic_sqrt(n/d), for n >= 0 < d; n/d
-    is reduced first, as the floor root of an unreduced n*d can differ."""
+    """Integers (s, q) with s/q the floor square root of n/d as a dyadic
+    rational, error < 2^-bits, for n >= 0 < d; n/d is reduced first, as
+    the floor root of an unreduced n*d can differ."""
     g = math.gcd(n, d)
     n, d = n // g, d // g
     # sqrt(n/d) = sqrt(n*d)/d; scale so the integer sqrt carries the bits
     return math.isqrt(n * d << (2 * bits)), d << bits
-
-
-def dyadic_sqrt(v: Fraction, bits: int = _SQRT_BITS) -> Fraction:
-    """Floor square root of v >= 0 as a dyadic rational, error < 2^-bits."""
-    if v < 0:
-        raise ValueError("negative radicand")
-    return Fraction(*_sqrt_pair(v.numerator, v.denominator, bits))
 
 
 def _residual_test(F):

@@ -20,14 +20,14 @@ from discatlas.exactpoly import (
     Interval,
     MultiPoly,
     UniPoly,
+    _int_resultant,
     gcd_uni,
-    poly_from_roots,
     restrict_to_segment,
-    resultant_uni,
     root_signature,
     sturm_count,
 )
 from elimination_oracle import squarefree_part_multi
+from oracles import poly_from_roots, verify_against_table1
 from test_render import boundary_crossings
 from discatlas.models import (
     Membership,
@@ -43,7 +43,6 @@ from discatlas.classify import (
     NonGenericConfiguration,
     canonical_type_id,
     classify,
-    classify_f4,
     f4_side_seeds,
     type_key,
 )
@@ -57,7 +56,6 @@ from discatlas.atlas import (
     construct_representative,
     enumerate_components,
     valid_signatures,
-    verify_against_table1,
 )
 from discatlas.render import (
     curve_points,
@@ -122,7 +120,7 @@ def test_criterion_2_f4_component_count(capsys):
     c0 = sorted(k for k, v in rep.realized.items()
                 if v.get("representative_c0"))
     side_ok = all(
-        canonical_type_id(classify_f4(sc, lam)) == tid
+        canonical_type_id(classify(sc, lam)) == tid
         and f"type{tid}" in rep.realized
         for tid, lam in f4_side_seeds())
     ok = (rep.match and len(rep.realized) == 8
@@ -402,7 +400,8 @@ def test_criterion_7_kernel_property_suites(capsys):
             r2[0] = r1[0]  # force a shared root half the time
         f = poly_from_roots("x", r1)
         g = poly_from_roots("x", r2)
-        if (resultant_uni(f, g) == 0) != (gcd_uni(f, g).degree() > 0):
+        res = _int_resultant(f._int_coeffs()[0], g._int_coeffs()[0])
+        if (res == 0) != (gcd_uni(f, g).degree() > 0):
             res_bad += 1
 
     E = f4_sigma0_eliminant()
@@ -444,7 +443,7 @@ def test_criterion_8_rendering_smoke(capsys, tmp_path):
         if any(abs(f.eval((x, y))) >= F(1, 10 ** 6)
                for line in lines for x, y in line):
             bad.append((tid, "residual"))
-        desc = classify_f4(sc, lam)
+        desc = classify(sc, lam)
         if boundary_crossings(lines) != len(desc.roots):
             bad.append((tid, "crossings"))
     ok = not bad

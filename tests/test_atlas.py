@@ -23,8 +23,6 @@ from discatlas.exactpoly import (
     UniPoly,
     _interpolate,
     discriminant,
-    isolate_real_roots,
-    poly_from_roots,
     restrict_to_segment,
     sturm_count,
 )
@@ -41,16 +39,11 @@ from discatlas.atlas import (
     certify_segment,
     construct_representative,
     enumerate_components,
-    search_f4_oval_side_seed,
     valid_signatures,
-    verify_against_table1,
 )
 from discatlas.classify import (
     BCSignature,
-    canonical_type_id,
     classify,
-    classify_bc,
-    classify_f4,
     type_key,
 )
 from discatlas.cli import run
@@ -58,7 +51,6 @@ from discatlas.models import (
     Membership,
     Parameter,
     SingularityClass,
-    _bc_lead,
     _cleared,
     _int_strata,
     boundary_polynomial,
@@ -68,6 +60,13 @@ from discatlas.models import (
     f4_sigma1_polynomial,
     segment_strata,
     stratum_values,
+)
+from oracles import (
+    reference_bc_root_data,
+    reference_lam_at,
+    reference_nudge,
+    reference_sample_parameter,
+    verify_against_table1,
 )
 
 atlas_mod = importlib.import_module("discatlas.atlas")
@@ -112,7 +111,7 @@ def test_representative_roundtrip_all_classes():
         for sig in valid_signatures(sc):
             lam = construct_representative(sc, sig)
             assert discriminant_membership(sc, lam) is Membership.NON_SINGULAR
-            got = classify_bc(sc, lam)
+            got = classify(sc, lam)
             assert (got.p, got.q) == (sig.p, sig.q)
 
 
@@ -265,7 +264,6 @@ def test_segment_strata_product_is_certificate_polynomial_on_corpus():
             vals.append(s0 * s1)
         assert product == newton_interpolate(nodes, vals), (label, a, b)
         assert atlas_mod._segment_polynomial(sc, a, b) == product
-
 
 
 def test_bc_segment_strata_take_one_resultant_below_the_cutoff(monkeypatch,
@@ -500,7 +498,7 @@ def test_certify_path_with_complex_pairs():
                        for i, v in enumerate(a)])
     if discriminant_membership(sc, b) is not Membership.NON_SINGULAR:
         b = Parameter.of(*[v + F(1, 17) for v in a])
-    assert type_key(classify_bc(sc, b)) == sig.key()
+    assert type_key(classify(sc, b)) == sig.key()
     cert = certify_path(sc, a, b)
     _check_interior(sc, cert, sig.key())
 
@@ -595,50 +593,6 @@ def test_path_certificate_json_shape():
 # root-space waypoints in integers
 
 
-def reference_bc_root_data(h, sig, bits):
-    """The Fraction root data the integer ``_bc_root_data`` replaced:
-    dyadic reals as Fractions, and the cofactor by ``UniPoly.divmod``
-    by ``poly_from_roots``, remainder dropped."""
-    scale = 1 << bits
-    reals = [F(round(iv.midpoint() * scale), scale)
-             for iv in isolate_real_roots(h, F(1, scale))]
-    if sum(1 for r in reals if r < 0) != sig.p:
-        return None
-    if sum(1 for r in reals if r > 0) != sig.q:
-        return None
-    if any(reals[i] >= reals[i + 1] for i in range(len(reals) - 1)):
-        return None
-    rest = h.divmod(poly_from_roots(h.var, reals))[0]
-    if sturm_count(rest, Interval.real_line()) != 0:
-        return None
-    return reals, rest
-
-
-def reference_lam_at(sc, reals, rest, sig, snap_bits):
-    """The Fraction waypoint map the integer ``_bc_root_path`` replaced:
-    ``poly_from_roots`` of the moved roots times the cofactor path, as
-    UniPoly products, each coefficient snapped with ``round``."""
-    mu = sc.mu
-    var = rest.var
-    target_reals = ([F(-i) for i in range(sig.p, 0, -1)]
-                    + [F(j) for j in range(1, sig.q + 1)])
-    target_rest = UniPoly(var, [_bc_lead(sc)])
-    for m in range(1, rest.degree() // 2 + 1):
-        target_rest = target_rest * UniPoly(var, [m, 0, 1])
-
-    def lam_at(t):
-        moved = [(1 - t) * r0 + t * r1 for r0, r1 in zip(reals, target_reals)]
-        hpoly = (poly_from_roots(var, moved)
-                 * (rest * (1 - t) + target_rest * t))
-        cs = hpoly.coeffs
-        if snap_bits is not None:
-            scale = 1 << snap_bits
-            cs = [F(round(c * scale), scale) for c in cs]
-        return Parameter(tuple(cs[mu - k] for k in range(1, mu + 1)))
-
-    return lam_at
-
-
 BC_RUNGS = ((24, 32), (80, None), (200, None))
 DYADIC_TS = [F(k, 8) for k in range(9)] + [F(5, 32), F(201, 256)]
 
@@ -648,7 +602,7 @@ def _same_root_data(sc, lam):
     # reference, on every rung of the bits ladder; returns the rungs
     # whose data exist
     h = boundary_polynomial(sc, lam)
-    sig = classify_bc(sc, lam)
+    sig = classify(sc, lam)
     sig = BCSignature(sig.p, sig.q)
     used = []
     for bits, snap in BC_RUNGS:
@@ -762,21 +716,13 @@ def test_bc_homotopy_forms_no_unipoly_product(monkeypatch):
                            "53/16")])
     calls = []
     mul = UniPoly.__mul__
-    from_roots = exactpoly_mod.poly_from_roots
 
     def counting_mul(self, other):
         calls.append("mul")
         return mul(self, other)
 
-    def counting_from_roots(*args, **kw):
-        calls.append("poly_from_roots")
-        return from_roots(*args, **kw)
-
     monkeypatch.setattr(UniPoly, "__mul__", counting_mul)
     monkeypatch.setattr(UniPoly, "__rmul__", counting_mul)
-    monkeypatch.setattr(exactpoly_mod, "poly_from_roots", counting_from_roots)
-    monkeypatch.setattr(atlas_mod, "poly_from_roots", counting_from_roots,
-                        raising=False)
     assert atlas_mod._segment_proof(sc, a, b).roots_in_segment > 0
     cert = certify_path(sc, a, b)
     assert len(cert.segments) > 1
@@ -841,6 +787,8 @@ def test_report_representatives_classify_to_their_key():
 
 
 def test_verify_against_table1_failure_lists_missing():
+    # the oracle comparison that criterion 1 and the census tests rely
+    # on must report a type an incomplete atlas lacks
     cfg = SamplingConfig(random_count=100, rng_seed=1)
     rep = enumerate_components(B2, cfg)
     # drop one realized type to simulate an incomplete atlas
@@ -852,24 +800,6 @@ def test_verify_against_table1_failure_lists_missing():
     cmp_ = verify_against_table1(broken)
     assert not cmp_["match"]
     assert cmp_["missing"] == ["p1q1"] and cmp_["extra"] == []
-
-
-def reference_sample_parameter(cfg: SamplingConfig, dim: int, index: int
-                               ) -> Parameter:
-    """The census sampler as it drew in Fractions.
-
-    The runtime makes the same two randint calls per coordinate but
-    returns an integer vector V and a common denominator den, building
-    no Fraction; V / den must be these values.
-    """
-    rng = random.Random(f"{cfg.rng_seed}:{index}")
-    r = cfg.box_radius
-    vals = []
-    for _ in range(dim):
-        den = rng.randint(1, cfg.denominator_bound)
-        bound = int(r * den)
-        vals.append(Fraction(rng.randint(-bound, bound), den))
-    return Parameter(tuple(vals))
 
 
 @settings(max_examples=300, deadline=None)
@@ -890,16 +820,6 @@ def test_sample_point_matches_fraction_sampler(box, den_bound, seed, index,
     assert all(type(v) is int for v in V) and den >= 1
     assert tuple(F(v, den) for v in V) \
         == reference_sample_parameter(cfg, dim, index).values
-
-
-def reference_nudge(V, den, jitter_tag) -> Parameter:
-    """The census nudge off the F4 label wall as it was written in
-    Fractions: each entry moves by +-randint(1, 64)/4096."""
-    rng = random.Random(jitter_tag)
-    return Parameter(tuple(
-        Fraction(v, den) + Fraction(rng.randint(1, 64), 4096)
-        * (1 if rng.random() < 0.5 else -1)
-        for v in V))
 
 
 @pytest.mark.parametrize("label", ["F4+", "F4-"])
@@ -955,25 +875,3 @@ def test_census_reaches_boundary_polynomial_only_off_generic_points(
                    if 0 in _int_strata(sc, V, den)}
     assert off_generic and set(reached) == off_generic
     assert sum(rep.rejections.values()) == len(off_generic)
-
-
-# ---------------------------------------------------------------------------
-# cuspidal-edge seed search
-
-
-def test_seed_search_both_sides_default_height():
-    for side, want in (("right", 7), ("left", 8)):
-        lam = search_f4_oval_side_seed(side)
-        assert canonical_type_id(classify_f4(F4P, lam)) == want
-
-
-def test_seed_search_other_heights():
-    lam = search_f4_oval_side_seed("right", 2)
-    assert canonical_type_id(classify_f4(F4P, lam)) == 7
-    lam = search_f4_oval_side_seed("left", F(3, 2))
-    assert canonical_type_id(classify_f4(F4P, lam)) == 8
-
-
-def test_seed_search_budget_exhaustion():
-    with pytest.raises(NotFound):
-        search_f4_oval_side_seed("right", 2, budget=3)

@@ -25,19 +25,14 @@ from discatlas.exactpoly import (
 from discatlas.atlas import SamplingConfig
 from discatlas.classify import (
     BCSignature,
-    CatalogMissing,
     DiscriminantParameter,
     F4Descriptor,
     F4_SEEDS,
     NonGenericConfiguration,
     _classify_point,
-    candidate_descriptors,
     canonical_type_id,
     classify,
-    classify_bc,
-    classify_f4,
     f4_side_seeds,
-    realized_catalog,
     type_key,
 )
 from discatlas.models import (
@@ -50,6 +45,8 @@ from discatlas.models import (
     f4_reduce,
     f4_seed_oval_side,
 )
+
+from oracles import candidate_descriptors
 
 atlas_mod = importlib.import_module("discatlas.atlas")
 classify_mod = importlib.import_module("discatlas.classify")
@@ -64,22 +61,22 @@ F4M = SingularityClass("F4", 4, -1)
 
 
 def test_classify_bc_examples():
-    sig = classify_bc(SingularityClass("B", 2, 1), Parameter.of(0, -1))
+    sig = classify(SingularityClass("B", 2, 1), Parameter.of(0, -1))
     assert (sig.p, sig.q) == (1, 1)
     # h = (x-1)(x-2)(x+1)(x+3) = x^4 + x^3 - 7x^2 - x + 6
-    sig = classify_bc(SingularityClass("B", 4, 1), Parameter.of(1, -7, -1, 6))
+    sig = classify(SingularityClass("B", 4, 1), Parameter.of(1, -7, -1, 6))
     assert (sig.p, sig.q) == (2, 2)
-    sig = classify_bc(SingularityClass("C", 3, 1), Parameter.of(0, 0, 1))
+    sig = classify(SingularityClass("C", 3, 1), Parameter.of(0, 0, 1))
     assert (sig.p, sig.q) == (1, 0)
 
 
 def test_classify_bc_rejects_discriminant():
     with pytest.raises(DiscriminantParameter) as err:
-        classify_bc(SingularityClass("B", 2, 1), Parameter.of(0, 0))
+        classify(SingularityClass("B", 2, 1), Parameter.of(0, 0))
     assert err.value.membership is Membership.BOTH
     with pytest.raises(DiscriminantParameter) as err:
         # h(0) = 0: Sigma1 for B
-        classify_bc(SingularityClass("B", 3, 1), Parameter.of(1, -2, 0))
+        classify(SingularityClass("B", 3, 1), Parameter.of(1, -2, 0))
     assert err.value.membership is Membership.SIGMA1
 
 
@@ -93,14 +90,14 @@ def test_classify_bc_rejects_discriminant():
 ])
 def test_classify_bc_measure_zero_fallback(label, lam, member):
     with pytest.raises(DiscriminantParameter) as err:
-        classify_bc(SingularityClass.parse(label), Parameter.of(*lam))
+        classify(SingularityClass.parse(label), Parameter.of(*lam))
     assert err.value.membership is member
 
 
 @pytest.mark.parametrize("label", ["B+4", "C+4"])
 def test_classify_bc_complex_double_root_is_nonsingular(label):
     # h = (x^2 + 4)^2: disc h = 0, yet no real multiple root
-    sig = classify_bc(SingularityClass.parse(label), Parameter.of(0, 8, 0, 16))
+    sig = classify(SingularityClass.parse(label), Parameter.of(0, 8, 0, 16))
     assert sig.key() == "p0q0"
 
 
@@ -114,7 +111,7 @@ def test_bc_signature_invariants_on_samples():
                                  for _ in range(sc.mu)])
             if discriminant_membership(sc, lam) is not Membership.NON_SINGULAR:
                 continue
-            sig = classify_bc(sc, lam)
+            sig = classify(sc, lam)
             assert sig.p >= 0 and sig.q >= 0
             assert sig.p + sig.q <= sc.mu
             assert (sig.p + sig.q) % 2 == sc.mu % 2
@@ -136,21 +133,21 @@ def test_bc_signature_key_and_json():
 
 
 def test_classify_f4_slice_examples():
-    d = classify_f4(F4P, Parameter.of(1, 1, 0, 0))
+    d = classify(F4P, Parameter.of(1, 1, 0, 0))
     assert d.roots == (("B", "+"),) and d.oval == "A"
-    d = classify_f4(F4P, Parameter.of(1, -1, 0, 0))
+    d = classify(F4P, Parameter.of(1, -1, 0, 0))
     assert d.roots == (("B", "+"), ("O", "+"), ("O", "+"))
     assert d.oval == "C"
-    d = classify_f4(F4P, Parameter.of(3, -3, 0, 3))
+    d = classify(F4P, Parameter.of(3, -3, 0, 3))
     assert d.roots == (("B", "+"),) and d.oval == "L"
 
 
 def test_classify_f4_rejects_discriminant_and_wall():
     with pytest.raises(DiscriminantParameter):
-        classify_f4(F4P, Parameter.of(0, -3, 0, 2))
+        classify(F4P, Parameter.of(0, -3, 0, 2))
     with pytest.raises(NonGenericConfiguration):
         # a = c = 0: f_x vanishes identically on the boundary
-        classify_f4(F4P, Parameter.of(0, -1, 0, 0))
+        classify(F4P, Parameter.of(0, -1, 0, 0))
 
 
 def test_descriptor_constructor_validation():
@@ -200,27 +197,27 @@ def test_canonical_type_id_quotient():
 
 
 def test_realized_catalog():
-    cat = realized_catalog()
-    assert len(cat) == 8
-    assert sorted(cat.values()) == list(range(1, 9))
     # six types are realized by the fixed c = 0 seeds
     assert len(F4_SEEDS) == 6
     for tid, lam in F4_SEEDS:
         assert lam[2] == 0
-        assert canonical_type_id(classify_f4(F4P, lam)) == tid
     # the remaining two come from the cuspidal-edge seeds, off the slice
     sides = f4_side_seeds()
     assert [tid for tid, _ in sides] == [7, 8]
     for tid, lam in sides:
         assert lam[2] != 0
-        assert canonical_type_id(classify_f4(F4P, lam)) == tid
-    for d, tid in cat.items():
-        assert canonical_type_id(d) == tid
+    # in both classes each seed the census and the path router start
+    # from classifies as its own type id, and the ids are 1..8
+    for sc in (F4P, F4M):
+        seeds = atlas_mod._f4_seeds(sc)
+        assert list(seeds) == list(range(1, 9))
+        for tid, lam in seeds.items():
+            assert canonical_type_id(classify(sc, lam)) == tid, (sc, tid)
 
 
 def test_integer_fixtures_reach_side_oval_types():
-    assert canonical_type_id(classify_f4(F4P, Parameter.of(7, -2, -6, 1))) == 7
-    assert canonical_type_id(classify_f4(F4P, Parameter.of(-7, -2, 6, 1))) == 8
+    assert canonical_type_id(classify(F4P, Parameter.of(7, -2, -6, 1))) == 7
+    assert canonical_type_id(classify(F4P, Parameter.of(-7, -2, 6, 1))) == 8
 
 
 def test_descriptor_invariants_on_samples():
@@ -232,7 +229,7 @@ def test_descriptor_invariants_on_samples():
         if discriminant_membership(F4P, lam) is not Membership.NON_SINGULAR:
             continue
         try:
-            d = classify_f4(F4P, lam)
+            d = classify(F4P, lam)
         except NonGenericConfiguration:
             continue
         n_oval = sum(1 for k, _ in d.roots if k == "O")
@@ -255,8 +252,8 @@ def test_f4_minus_classifies_through_reduction():
         if discriminant_membership(F4M, lam) is not Membership.NON_SINGULAR:
             continue
         try:
-            dm = classify_f4(F4M, lam)
-            dp = classify_f4(F4P, f4_reduce(lam))
+            dm = classify(F4M, lam)
+            dp = classify(F4P, f4_reduce(lam))
         except NonGenericConfiguration:
             continue
         assert dm == dp
@@ -280,19 +277,12 @@ def test_classify_rejects_wrong_arity(label):
 
 @pytest.mark.parametrize("label", ["B+3", "C-4", "F4+", "F4-"])
 def test_family_classifiers_check_arity_then_family(label):
-    # each public classifier checks its input before clearing
-    # denominators: a wrong length is ArityMismatch, and the other
-    # family's classifier is a plain ValueError
+    # the public classifier checks its input before clearing
+    # denominators: one entry too few or too many is ArityMismatch
     sc = SingularityClass.parse(label)
-    own, other = ((classify_f4, classify_bc) if sc.family == "F4"
-                  else (classify_bc, classify_f4))
-    for fn in (classify, own):
-        for n in (sc.parameter_count - 1, sc.parameter_count + 1):
-            with pytest.raises(ArityMismatch):
-                fn(sc, [F(1, 2)] * n)
-    with pytest.raises(ValueError) as err:
-        other(sc, [1] * sc.parameter_count)
-    assert type(err.value) is ValueError
+    for n in (sc.parameter_count - 1, sc.parameter_count + 1):
+        with pytest.raises(ArityMismatch):
+            classify(sc, [F(1, 2)] * n)
 
 
 def _result(fn, *args):
@@ -332,10 +322,12 @@ def test_classify_point_is_scale_invariant(label):
 
 
 def test_catalog_id_unknown_type_guard():
-    # every candidate descriptor quotients to a type id the catalogue
-    # realizes
-    ids = set(realized_catalog().values())
-    for d in candidate_descriptors():
+    # every candidate descriptor quotients to a type id a seed realizes
+    ids = {canonical_type_id(classify(F4P, lam))
+           for lam in atlas_mod._f4_seeds(F4P).values()}
+    cands = candidate_descriptors()
+    assert len(cands) == 38
+    for d in cands:
         assert canonical_type_id(d) in ids
 
 
@@ -344,7 +336,7 @@ def test_catalog_id_unknown_type_guard():
     ((-2, -3, 0, 3), Membership.SIGMA0),   # g = -4 (y - 1)^2 (y + 2)
 ])
 def test_classify_f4_root_count_names_the_stratum(monkeypatch, lam, member):
-    # classify_f4 reads membership from its own stratum signs, so a
+    # classify reads F4 membership from its own stratum signs, so a
     # cubic with a double root is caught even with the membership test
     # replaced
     assert discriminant_membership(F4P, lam) is member
@@ -352,7 +344,7 @@ def test_classify_f4_root_count_names_the_stratum(monkeypatch, lam, member):
     monkeypatch.setattr(mod, "discriminant_membership",
                         lambda sc, lam: Membership.NON_SINGULAR)
     with pytest.raises(DiscriminantParameter) as err:
-        classify_f4(F4P, lam)
+        classify(F4P, lam)
     assert err.value.membership is member
 
 
@@ -371,7 +363,7 @@ class _IsolatedRoot:
 
     def refine(self) -> None:
         if not self.iv.is_point():
-            w = self.iv.width() / 4
+            w = (self.iv.hi - self.iv.lo) / 4
             self.iv = refine_root(self.poly, self.iv, w)
 
     def bounds(self) -> tuple[Fraction, Fraction]:
@@ -531,7 +523,7 @@ def test_classify_f4_matches_isolation_oracle(sc):
     hits = [f4_reduce(p) if sc.sign < 0 else p for p in _F4_EXACT_HITS]
     for lam in (_f4_oracle_points(sc.sign, 2100, seed=7 + sc.sign) + hits
                 + _f4_side_jitter(sc.sign, 40, seed=11 + sc.sign)):
-        got = _outcome(classify_f4, sc, lam)
+        got = _outcome(classify, sc, lam)
         assert got == _outcome(_classify_f4_by_isolation, sc, lam), lam
         seen[got[1:] if len(got) == 3 else got] += 1
     # every path of the classifier was taken: each stratum, the wall, no

@@ -381,6 +381,24 @@ def test_render_bad_axes_writes_nothing(tmp_path, capsys, axes, fixed):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["atlas", "B+2", "--samples", "3", "--out", "{dir}/missing/x.json"],
+    ["atlas", "B+2", "--samples", "3", "--out", "{dir}"],
+    ["render", "B+2", "0", "-1", "--out", "{file}"],
+    ["atlas", "B+2", "--samples", "3", "--figures", "{file}"],
+    ["render", "B+2", "--axes", "l1,l2", "--out", "{file}/sub"],
+], ids=["missing-parent", "out-is-dir", "render-out-is-file",
+        "figures-is-file", "out-below-file"])
+def test_unwritable_output_path_is_domain_error(tmp_path, capsys, argv):
+    # an output path the file system refuses is exit 2 with one JSON
+    # error line, not a traceback
+    (tmp_path / "f").write_text("")
+    argv = [t.format(dir=tmp_path, file=tmp_path / "f") for t in argv]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and err == ""
+    assert out.count("\n") == 1 and list(json.loads(out)) == ["error"]
+
+
 # ---------------------------------------------------------------------------
 # top level
 

@@ -21,7 +21,6 @@ from discatlas.exactpoly import (
     _interpolate,
     discriminant,
     gcd_uni,
-    poly_from_roots,
 )
 from discatlas.models import (
     ArityMismatch,
@@ -39,7 +38,6 @@ from discatlas.models import (
     f4_sigma1_polynomial,
     _KRONECKER_MAX_BITS,
     _balanced_digits,
-    _check_arity,
     _int_point,
     _int_strata,
     _kronecker_bits,
@@ -54,6 +52,12 @@ from discatlas.models import (
 )
 import discatlas.atlas as atlas_mod
 from elimination_oracle import derivative, derive_sigma0_eliminant, substitute
+from oracles import (
+    poly_from_roots,
+    reference_deformation_generic,
+    reference_deformation_polynomial,
+    reference_normal_form_text,
+)
 
 F = Fraction
 
@@ -142,77 +146,6 @@ def test_deformation_restricted_to_boundary_matches():
             for v in (-2, F(-1, 3), 0, 1, F(5, 2)):
                 pt = (v, 0) if sc.family == "B" else (0, v)
                 assert f.eval(pt) == h(v)
-
-
-# The three per-family constructions the term table replaced, kept as
-# they were written: the normal form as text, f at lambda through ring
-# operations, and f over the parameters through monomial closures.
-
-
-def reference_normal_form_text(sc: SingularityClass) -> str:
-    if sc.family == "F4":
-        return "x^2 + y^3" if sc.sign > 0 else "-x^2 + y^3"
-    if sc.family == "B":
-        if sc.is_even:
-            return f"x^{sc.mu} {'+' if sc.sign > 0 else '-'} y^2"
-        return (f"x^{sc.mu} + y^2" if sc.sign > 0
-                else f"-x^{sc.mu} - y^2")
-    if sc.is_even:
-        return f"x*y {'+' if sc.sign > 0 else '-'} y^{sc.mu}"
-    return (f"x*y + y^{sc.mu}" if sc.sign > 0
-            else f"-x*y - y^{sc.mu}")
-
-
-def reference_deformation_polynomial(sc: SingularityClass, lam) -> MultiPoly:
-    lam = _check_arity(sc, Parameter.coerce(lam))
-    x, y = MultiPoly.variables(("x", "y"))
-    if sc.family == "F4":
-        a, b, c, d = lam
-        return (sc.sign * x * x + y ** 3 + a * x + b * y + c * x * y
-                + MultiPoly.constant(("x", "y"), d))
-    h = boundary_polynomial(sc, lam)
-    if sc.family == "B":
-        hx = sum((MultiPoly(("x", "y"), {(i, 0): c})
-                  for i, c in enumerate(h.coeffs) if c != 0),
-                 MultiPoly(("x", "y"), {}))
-        return hx + sc.sign * y * y
-    hy = sum((MultiPoly(("x", "y"), {(0, i): c})
-              for i, c in enumerate(h.coeffs) if c != 0),
-             MultiPoly(("x", "y"), {}))
-    sxy = 1 if sc.is_even else sc.sign
-    return sxy * x * y + hy
-
-
-def reference_deformation_generic(sc: SingularityClass) -> MultiPoly:
-    names = ("x", "y") + sc.parameter_names
-
-    def mono(**exps) -> tuple[int, ...]:
-        return tuple(exps.get(nm, 0) for nm in names)
-
-    terms: dict[tuple[int, ...], Fraction] = {}
-
-    def add(e, c):
-        terms[e] = terms.get(e, Fraction(0)) + Fraction(c)
-
-    if sc.family == "F4":
-        add(mono(x=2), sc.sign)
-        add(mono(y=3), 1)
-        add(mono(x=1, a=1), 1)
-        add(mono(y=1, b=1), 1)
-        add(mono(x=1, y=1, c=1), 1)
-        add(mono(d=1), 1)
-        return MultiPoly(names, terms)
-    mu = sc.mu
-    main = "x" if sc.family == "B" else "y"
-    lead = (1 if sc.is_even else sc.sign) if sc.family == "B" else sc.sign
-    add(mono(**{main: mu}), lead)
-    for i in range(1, mu + 1):
-        add(mono(**{main: mu - i, f"l{i}": 1}), 1)
-    if sc.family == "B":
-        add(mono(y=2), sc.sign)
-    else:
-        add(mono(x=1, y=1), 1 if sc.is_even else sc.sign)
-    return MultiPoly(names, terms)
 
 
 _TABLE_CLASSES = [SingularityClass(f, mu, s) for f in "BC"

@@ -8,7 +8,6 @@ compare crossing counts against the classifier, not against pixels.
 import hashlib
 import importlib
 import json
-import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -18,11 +17,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from discatlas.atlas import construct_representative
-from discatlas.exactpoly import MultiPoly, UniPoly, poly_from_roots
+from discatlas.exactpoly import MultiPoly, UniPoly
 from discatlas.models import (
     Parameter,
     SingularityClass,
-    boundary_polynomial,
     deformation_polynomial,
     f4_reduce,
     f4_sigma0_eliminant,
@@ -30,13 +28,11 @@ from discatlas.models import (
     segment_strata,
     stratum_values,
 )
-from discatlas.classify import (BCSignature, F4_SEEDS, classify_f4,
-                                f4_side_seeds)
+from discatlas.classify import BCSignature, F4_SEEDS, classify, f4_side_seeds
 from discatlas.cli import run
 import discatlas.render as render_module
 from discatlas.render import (
     RESIDUAL_BOUND,
-    _MS_EDGES,
     _branch_end,
     _contour_segments,
     _lower_runs,
@@ -46,13 +42,21 @@ from discatlas.render import (
     Viewport,
     curve_points,
     default_viewport,
-    dyadic_sqrt,
     figure_filename,
     render_parameter_slice,
     render_zero_set,
     slice_filename,
     write_figure,
     write_slice,
+)
+from oracles import (
+    dyadic_sqrt,
+    grid_xs,
+    poly_from_roots,
+    reference_contour_segments,
+    reference_curve_points,
+    reference_polyline_elements,
+    reference_refine_edge,
 )
 
 F = Fraction
@@ -73,19 +77,20 @@ def test_viewport_validation():
     with pytest.raises(ValueError):
         Viewport(0, 1, 0, 1, samples=8)
     vp = Viewport(-2, 2, -2, 2, samples=17)
-    assert len(vp.xs()) == 17
-    assert vp.xs()[0] == -2 and vp.xs()[-1] == 2
+    assert len(vp.ys()) == 17 and vp.ys(3) == [-2, F(-7, 4), F(-3, 2)]
+    assert vp.ys()[0] == -2 and vp.ys()[-1] == 2
 
 
 def test_dyadic_sqrt_error_bound():
+    # the sweep's root of n/d is the dyadic floor root, error < 2^-40
     rng = random.Random(9)
     for _ in range(50):
         v = F(rng.randint(0, 10 ** 6), rng.randint(1, 10 ** 3))
-        s = dyadic_sqrt(v, 40)
+        s = F(*render_module._sqrt_pair(v.numerator, v.denominator, 40))
         assert s * s <= v
         assert (s + F(1, 2 ** 40)) ** 2 > v
     with pytest.raises(ValueError):
-        dyadic_sqrt(F(-1))
+        render_module._sqrt_pair(-1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +153,7 @@ def test_f4_curve_points_exact_all_representatives():
 def test_rendered_crossings_match_descriptor():
     for tid, lam in F4_SEEDS + f4_side_seeds():
         lam = Parameter.coerce(lam)
-        desc = classify_f4(F4P, lam)
+        desc = classify(F4P, lam)
         vp = default_viewport(F4P, lam)
         lines = curve_points(F4P, lam, vp)
         assert boundary_crossings(lines) == len(desc.roots), f"type {tid}"
@@ -159,33 +164,6 @@ def test_boundary_crossings_counter():
     assert boundary_crossings([[(-1, 0), (0, 1), (1, 2)]]) == 1
     assert boundary_crossings([[(1, 0), (2, 1)]]) == 0
     assert boundary_crossings([[(-1, 0), (1, 1), (-2, 2)]]) == 2
-
-
-def reference_refine_edge(val, lo, hi):
-    """Branch-end bisection on Fraction values of ``val``.
-
-    The sweep once joined its sheets at this point; the runtime now
-    bisects the domain polynomial's integer signs, and both must land
-    on the same rational after the same 45 halvings.
-    """
-    vlo, vhi = val(lo), val(hi)
-    if vlo == 0:
-        return lo
-    if vhi == 0:
-        return hi
-    if (vlo > 0) == (vhi > 0):
-        return None
-    target = (hi - lo) / (1 << 45)
-    while hi - lo > target:
-        mid = (lo + hi) / 2
-        vm = val(mid)
-        if vm == 0:
-            return mid
-        if (vm > 0) == (vlo > 0):
-            lo, vlo = mid, vm
-        else:
-            hi = mid
-    return (lo + hi) / 2
 
 
 half = st.integers(min_value=-8, max_value=8).map(lambda k: F(k, 2))
@@ -214,7 +192,7 @@ def lower_region_rects(sc, lam, vp):
     """Cell rectangles (x0, y0, x1, y1) covering sampled {f <= 0} runs:
     the runs of ``_lower_runs``, each widened by half a grid step on
     every side, as the figure shades them."""
-    xs, ys = vp.xs(), vp.ys()
+    xs, ys = grid_xs(vp), vp.ys()
     dx = (vp.xmax - vp.xmin) / (vp.samples - 1)
     dy = (vp.ymax - vp.ymin) / (vp.samples - 1)
     return [(xs[i0] - dx / 2, ys[j] - dy / 2, xs[i1] + dx / 2, ys[j] + dy / 2)
@@ -372,7 +350,7 @@ def test_render_output_pinned(tmp_path, monkeypatch, capsys, pin):
 def per_node_rects(sc, lam, vp):
     """Shading by one MultiPoly.eval of f at every grid node."""
     f = deformation_polynomial(sc, Parameter.coerce(lam))
-    xs, ys = vp.xs(), vp.ys()
+    xs, ys = grid_xs(vp), vp.ys()
     dx = (vp.xmax - vp.xmin) / (vp.samples - 1)
     dy = (vp.ymax - vp.ymin) / (vp.samples - 1)
     rects = []
@@ -394,7 +372,7 @@ def per_node_slice_grids(sc, fixed, axes, vp):
     grid0, grid1 = [], []
     for yv in vp.ys():
         row0, row1 = [], []
-        for xv in vp.xs():
+        for xv in grid_xs(vp):
             point = {**fixed, axes[0]: xv, axes[1]: yv}
             v0, v1 = stratum_values(
                 sc, Parameter(tuple(point[n] for n in sc.parameter_names)))
@@ -506,43 +484,6 @@ def test_slice_grids_segment_strata_calls(monkeypatch, label, axes, fixed,
     assert len(seen) == calls
 
 
-
-def reference_contour_segments(fv, fx, fy):
-    # marching squares cell by cell, corner lists before the sign test
-    segs = []
-
-    def cross(va, vb, pa, pb):
-        t = va / (va - vb)
-        return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
-
-    for j in range(len(fy) - 1):
-        for i in range(len(fx) - 1):
-            c = [fv[j][i], fv[j][i + 1], fv[j + 1][i + 1], fv[j + 1][i]]
-            p = [(fx[i], fy[j]), (fx[i + 1], fy[j]),
-                 (fx[i + 1], fy[j + 1]), (fx[i], fy[j + 1])]
-            m = ((c[0] > 0) | (c[1] > 0) << 1 | (c[2] > 0) << 2
-                 | (c[3] > 0) << 3)
-            if m in (0, 15):
-                continue
-
-            def edge_point(e):
-                a, b = e, (e + 1) % 4
-                return cross(c[a], c[b], p[a], p[b])
-
-            if m in (5, 10):
-                center = sum(c) / 4
-                if (m == 5) == (center > 0):
-                    pairs = [(3, 0), (1, 2)]
-                else:
-                    pairs = [(0, 1), (2, 3)]
-                for ea, eb in pairs:
-                    segs.append((edge_point(ea), edge_point(eb)))
-                continue
-            ea, eb = _MS_EDGES[m]
-            segs.append((edge_point(ea), edge_point(eb)))
-    return segs
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 40), st.integers(2, 12), st.data())
 def test_contour_segments_match_cell_by_cell_reference(nx, ny, data):
@@ -572,93 +513,6 @@ def test_identically_zero_rows():
 
 # ---------------------------------------------------------------------------
 # the integer curve sweep against its Fraction oracle
-
-
-def reference_curve_points(sc, lam, vp):
-    """``curve_points`` in Fraction arithmetic, as the sweep once ran.
-
-    Sweep values are ``vp.xs()``/``vp.ys()``, dom(t) is a Fraction, its
-    root the dyadic floor root of the reduced value, each sheet point a
-    pair of Fractions, and the residual one ``MultiPoly.eval`` per point.
-    """
-    lam = Parameter.coerce(lam)
-    f = deformation_polynomial(sc, lam)
-    polylines = []
-
-    def emit(line):
-        if len(line) >= 2:
-            polylines.append(line)
-
-    def residual_ok(x, y):
-        return abs(f.eval((x, y))) < RESIDUAL_BOUND
-
-    def two_sheets(dom, ts, sheet):
-        cs = dom._int_coeffs()[0]
-        plus, minus = [], []
-
-        def join(lo, hi):
-            e = _branch_end(cs, lo, hi)
-            if e is not None:
-                pt = sheet(e, F(0))
-                if residual_ok(*pt):
-                    plus.append(pt)
-                    minus.append(pt)
-
-        prev = None
-        for t in ts:
-            v = dom(t)
-            if v >= 0:
-                if not plus and prev is not None:
-                    join(prev, t)
-                n, d = v.numerator, v.denominator
-                r = F(math.isqrt(n * d << 80), d << 40)
-                for line, pt in ((plus, sheet(t, r)), (minus, sheet(t, -r))):
-                    if residual_ok(*pt):
-                        line.append(pt)
-            else:
-                if plus:
-                    join(prev, t)
-                emit(plus)
-                emit(minus[::-1])
-                plus, minus = [], []
-            prev = t
-        emit(plus)
-        emit(minus[::-1])
-
-    if sc.family == "B":
-        h = boundary_polynomial(sc, lam)
-        two_sheets(UniPoly("x", [-sc.sign * c for c in h.coeffs]), vp.xs(),
-                   lambda x, r: (x, r))
-    elif sc.family == "C":
-        h = boundary_polynomial(sc, lam)
-        sigma = 1 if sc.is_even else sc.sign
-        clip = 2 * (vp.xmax - vp.xmin) + abs(vp.xmin) + abs(vp.xmax)
-        line = []
-        for y in vp.ys():
-            x = None if y == 0 else -h(y) / (sigma * y)
-            if x is None or abs(x) > clip:
-                emit(line)
-                line = []
-            else:
-                line.append((x, y))
-        emit(line)
-    else:
-        a, b, c, d = lam
-        s = sc.sign
-        dom = UniPoly("y", [a * a - 4 * s * d, 2 * a * c - 4 * s * b,
-                            c * c, -4 * s])
-        two_sheets(dom, vp.ys(),
-                   lambda y, r: ((-(a + c * y) + r) / (2 * s), y))
-    return polylines
-
-
-def reference_polyline_elements(vp, polylines):
-    """The curve's SVG elements from Fraction points by ``Viewport.to_px``."""
-    return ['<polyline points="%s" fill="none" stroke="#1f3d7a" '
-            'stroke-width="1.6"/>' % " ".join(
-                "%s,%s" % tuple(f"{v:.2f}" for v in vp.to_px(x, y))
-                for x, y in line)
-            for line in polylines]
 
 
 CURVE_LABELS = [f"{fam}{s}{mu}" for fam in "BC" for s in "+-"
