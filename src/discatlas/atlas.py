@@ -6,8 +6,10 @@ lower-value set.  This module assembles the census for a class
 (seeded constructively, then backed by grid and random sampling) and
 produces machine-checkable connectivity proofs between parameters.
 The census runs in integers: every point is an integer vector V with a
-common denominator den, random samples are drawn that way, and each is
-classified by the integer entry of ``classify``.  Rationals are built
+common denominator den, and each is classified by the integer entry of
+``classify``.  The B/C seeds are read off an integer product, and the
+random samples are drawn that way from one seeded generator per census,
+so raising the sample count only appends points.  Rationals are built
 only for the representatives the report prints.  The rare nudge off
 the F4 label wall stays in integers too: it moves each entry by
 +-r/4096, which over the denominator 4096*den is V' = 4096*V +- r*den.
@@ -71,6 +73,7 @@ certificate is never evidence of disconnection.
 from __future__ import annotations
 
 import itertools as it
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -134,6 +137,12 @@ class NotFound(RuntimeError):
 
 @dataclass(frozen=True)
 class SamplingConfig:
+    """Census sampling: random_count random points in the box
+    [-box_radius, box_radius]^dim with denominators at most
+    denominator_bound, plus a grid of grid_resolution nodes per axis.
+    rng_seed seeds the one generator all random points of a census are
+    drawn from, and the label-wall nudges."""
+
     box_radius: Fraction = Fraction(5)
     random_count: int = 2000
     grid_resolution: int = 0
@@ -248,6 +257,11 @@ def construct_representative(sc: SingularityClass, sig: BCSignature
     >>> construct_representative(sc, BCSignature(1, 1)).text_list()
     ['0', '-1']
     """
+    return Parameter(tuple(Fraction(v) for v in _bc_seed(sc, sig)))
+
+
+def _bc_seed(sc: SingularityClass, sig: BCSignature) -> list[int]:
+    """The integer parameter vector of ``construct_representative``."""
     if sc.family not in ("B", "C"):
         raise InvalidSignature("representatives exist for B and C classes")
     mu = sc.mu
@@ -261,7 +275,7 @@ def construct_representative(sc: SingularityClass, sig: BCSignature
     cs = [_bc_lead(sc)]  # integer coefficients, constant term first
     for f in factors:
         cs = _int_mul(cs, f)
-    return Parameter(tuple(Fraction(cs[mu - k]) for k in range(1, mu + 1)))
+    return [cs[mu - k] for k in range(1, mu + 1)]
 
 
 def valid_signatures(sc: SingularityClass) -> list[BCSignature]:
@@ -569,37 +583,43 @@ def certify_path(sc: SingularityClass, start, end, rng_seed: int = 0,
 # enumeration
 
 
-def _sample_point(cfg: SamplingConfig, dim: int, index: int
-                  ) -> tuple[list[int], int]:
-    """The index-th random sample as (V, den), lambda = V / den.
+def _sample_points(cfg: SamplingConfig, dim: int
+                   ) -> list[tuple[list[int], int]]:
+    """The random samples of a census as (V, den), lambda = V / den.
 
-    Each coordinate draws a denominator d in [1, denominator_bound] and
-    a numerator in [-bound, bound], bound = floor(box_radius * d); den
-    is the lcm of the drawn d, not reduced against the numerators.
-    Each draw is ``Random.randint``'s: k = n.bit_length() bits from
-    ``getrandbits`` for a range of n integers, redrawn while >= n, so
-    the stream and the points are randint's, without its call layers.
+    All random_count points come in order from one generator seeded by
+    the string ``census:<rng_seed>``, so the first k points do not
+    depend on random_count.  Each coordinate draws a denominator d in
+    [1, denominator_bound] and then a numerator in [-bound, bound],
+    bound = floor(box_radius * d); den is the lcm of the drawn d, not
+    reduced against the numerators.  Each draw is ``Random.randint``'s:
+    k = n.bit_length() bits from ``getrandbits`` for a range of n
+    integers, redrawn while >= n, so the stream and the points are
+    randint's, without its call layers.
     """
-    bits = random.Random(f"{cfg.rng_seed}:{index}").getrandbits
+    bits = random.Random(f"census:{cfg.rng_seed}").getrandbits
     rn, rd = cfg.box_radius.numerator, cfg.box_radius.denominator
     nd = cfg.denominator_bound
     kd = nd.bit_length()
-    nums, dens = [], []
-    for _ in range(dim):
-        d = bits(kd)
-        while d >= nd:
+    points = []
+    for _ in range(cfg.random_count):
+        nums, dens = [], []
+        for _ in range(dim):
             d = bits(kd)
-        d += 1
-        bound = rn * d // rd
-        n = 2 * bound + 1
-        k = n.bit_length()
-        v = bits(k)
-        while v >= n:
+            while d >= nd:
+                d = bits(kd)
+            d += 1
+            bound = rn * d // rd
+            n = 2 * bound + 1
+            k = n.bit_length()
             v = bits(k)
-        nums.append(v - bound)
-        dens.append(d)
-    den = lcm(*dens)
-    return [v * (den // d) for v, d in zip(nums, dens)], den
+            while v >= n:
+                v = bits(k)
+            nums.append(v - bound)
+            dens.append(d)
+        den = lcm(*dens)
+        points.append(([v * (den // d) for v, d in zip(nums, dens)], den))
+    return points
 
 
 def _grid_points(cfg: SamplingConfig, dim: int) -> list[Parameter]:
@@ -611,10 +631,10 @@ def _grid_points(cfg: SamplingConfig, dim: int) -> list[Parameter]:
     return [Parameter(tup) for tup in it.product(axis, repeat=dim)]
 
 
-def _seed_parameters(sc: SingularityClass) -> list[Parameter]:
+def _seed_points(sc: SingularityClass) -> list[tuple[list[int], int]]:
     if sc.family == "F4":
-        return list(_f4_seeds(sc).values())
-    return [construct_representative(sc, sig) for sig in valid_signatures(sc)]
+        return [_cleared(lam) for lam in _f4_seeds(sc).values()]
+    return [(_bc_seed(sc, sig), 1) for sig in valid_signatures(sc)]
 
 
 def _text_point(V, den: int) -> list[str]:
@@ -648,6 +668,14 @@ def _atlas_task(args) -> tuple[str, LowerSetType | None, list[int], int]:
     return type_key(t), t, V, den
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def enumerate_components(sc: SingularityClass,
                          config: SamplingConfig | None = None,
                          jobs: int = 1) -> AtlasReport:
@@ -660,27 +688,36 @@ def enumerate_components(sc: SingularityClass,
     deterministic for a given config, independent of ``jobs``.
 
     Every point travels as an integer vector V and a denominator den,
-    lambda = V / den: seeds and grid nodes are cleared once, and random
-    samples are drawn that way.  Each is classified through the integer
-    entry ``classify._classify_point``, and rationals are printed only
-    for each type's first representative and, for F4, its first c = 0
-    representative (V[2] = 0).
+    lambda = V / den: the B/C seeds are integer vectors, F4 seeds and
+    grid nodes are cleared once, and the random samples are drawn that
+    way from one generator per call (``_sample_points``).  Seeds come
+    first, so each type's first representative is its seed.  Each point
+    is classified through the integer entry ``classify._classify_point``,
+    and rationals are printed only for each type's first representative
+    and, for F4, its first c = 0 representative (V[2] = 0).
+
+    ``jobs`` caps the worker processes; the pool is also bounded by the
+    number of points and the CPUs this process may run on, and the
+    census runs serially when that bound is 1.
     """
     config = config or SamplingConfig()
     dim = sc.parameter_count
-    fixed = _seed_parameters(sc) + _grid_points(config, dim)
-    points = [_cleared(lam) for lam in fixed]
-    points += [_sample_point(config, dim, i)
-               for i in range(config.random_count)]
+    points = (_seed_points(sc)
+              + [_cleared(lam) for lam in _grid_points(config, dim)]
+              + _sample_points(config, dim))
     tasks = [(sc, V, den, f"jitter:{config.rng_seed}:{i}")
              for i, (V, den) in enumerate(points)]
-    if jobs > 1:
-        # imported here so that serial runs never load multiprocessing
+    workers = min(jobs, len(tasks), _usable_cpus())
+    if workers > 1:
+        # imported here so that serial runs never load multiprocessing;
+        # the fork start method launches every worker at the first
+        # submit, so the pool is never larger than the work or the CPUs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_atlas_task, tasks,
-                                  chunksize=max(1, len(tasks) // (jobs * 8))))
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            results = list(ex.map(
+                _atlas_task, tasks,
+                chunksize=max(1, len(tasks) // (workers * 8))))
     else:
         results = [_atlas_task(t) for t in tasks]
 

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 from .atlas import (
     DiscriminantEndpoint,
@@ -211,21 +213,23 @@ def _cmd_atlas(pos, flags):
     jobs = _int_flag(flags, "--jobs", 1)
     if jobs < 1:
         raise UsageError("flag --jobs needs an integer of at least 1")
-    report = enumerate_components(sc, cfg, jobs=jobs)
-    obj = report.json_obj()
-    if "--figures" in flags:
-        names = []
-        for entry in report.realized.values():
-            lam = Parameter(tuple(Fraction(v)
-                                  for v in entry["representative"]))
-            names.append(write_figure(sc, lam, flags["--figures"]).name)
-        obj["figures"] = names
-    text = json.dumps(obj, separators=(",", ":")) + "\n"
-    if "--out" in flags:
-        with open(flags["--out"], "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # both output paths are opened before the census, so a path the
+    # file system refuses fails at once rather than after the work
+    figures = flags.get("--figures")
+    if figures is not None:
+        Path(figures).mkdir(parents=True, exist_ok=True)
+    with (open(flags["--out"], "w") if "--out" in flags
+          else nullcontext(sys.stdout)) as fh:
+        report = enumerate_components(sc, cfg, jobs=jobs)
+        obj = report.json_obj()
+        if figures is not None:
+            names = []
+            for entry in report.realized.values():
+                lam = Parameter(tuple(Fraction(v)
+                                      for v in entry["representative"]))
+                names.append(write_figure(sc, lam, figures).name)
+            obj["figures"] = names
+        fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
     return 0
 
 

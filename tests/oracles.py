@@ -170,22 +170,26 @@ def reference_lam_at(sc, reals, rest, sig, snap_bits):
     return lam_at
 
 
-def reference_sample_parameter(cfg: SamplingConfig, dim: int, index: int
-                               ) -> Parameter:
-    """The census sampler as it drew in Fractions.
+def reference_sample_parameters(cfg: SamplingConfig, dim: int
+                                ) -> list[Parameter]:
+    """The census samples as randint draws them in Fractions, from one
+    generator over the whole run.
 
-    The runtime makes the same two randint calls per coordinate but
-    returns an integer vector V and a common denominator den, building
-    no Fraction; V / den must be these values.
+    The runtime makes the same two randint draws per coordinate, in the
+    same order, but returns integer vectors V with a common denominator
+    den, building no Fraction; each V / den must be these values.
     """
-    rng = random.Random(f"{cfg.rng_seed}:{index}")
+    rng = random.Random(f"census:{cfg.rng_seed}")
     r = cfg.box_radius
-    vals = []
-    for _ in range(dim):
-        den = rng.randint(1, cfg.denominator_bound)
-        bound = int(r * den)
-        vals.append(Fraction(rng.randint(-bound, bound), den))
-    return Parameter(tuple(vals))
+    out = []
+    for _ in range(cfg.random_count):
+        vals = []
+        for _ in range(dim):
+            den = rng.randint(1, cfg.denominator_bound)
+            bound = int(r * den)
+            vals.append(Fraction(rng.randint(-bound, bound), den))
+        out.append(Parameter(tuple(vals)))
+    return out
 
 
 def reference_nudge(V, den, jitter_tag) -> Parameter:

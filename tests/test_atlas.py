@@ -51,7 +51,6 @@ from discatlas.models import (
     Membership,
     Parameter,
     SingularityClass,
-    _cleared,
     _int_strata,
     boundary_polynomial,
     discriminant_membership,
@@ -65,7 +64,7 @@ from oracles import (
     reference_bc_root_data,
     reference_lam_at,
     reference_nudge,
-    reference_sample_parameter,
+    reference_sample_parameters,
     verify_against_table1,
 )
 
@@ -776,6 +775,46 @@ def test_enumerate_jobs_merge_identical():
     assert r1.json_obj() == r2.json_obj()
 
 
+@pytest.mark.parametrize("jobs, cpus, samples, pool", [
+    (64, 2, 120, {"max_workers": 2, "chunksize": 8}),    # bounded by CPUs
+    (64, 16, 2, {"max_workers": 11, "chunksize": 1}),    # by the 11 points
+    (3, 8, 120, {"max_workers": 3, "chunksize": 5}),     # by jobs
+    (64, 1, 120, None),                                  # one CPU: serial
+], ids=["cpus", "points", "jobs", "serial"])
+def test_enumerate_pool_is_bounded_by_work_and_cpus(monkeypatch, jobs, cpus,
+                                                    samples, pool):
+    # the fork start method launches every worker at the first submit,
+    # so the pool must never be larger than the points or the usable CPUs
+    import concurrent.futures
+
+    made = []
+
+    class RecordingPool:
+        # records the pool size and chunksize and maps in this process,
+        # so no worker is started
+        def __init__(self, max_workers):
+            made.append({"max_workers": max_workers})
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            made[-1]["chunksize"] = chunksize
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(atlas_mod, "_usable_cpus", lambda: cpus)
+    sc = SingularityClass("C", 4, -1)   # 9 signature seeds
+    cfg = SamplingConfig(random_count=samples, rng_seed=7)
+    rep = enumerate_components(sc, cfg, jobs=jobs)
+    assert made == ([] if pool is None else [pool])
+    assert rep.json_obj() == enumerate_components(sc, cfg).json_obj()
+
+
 def test_report_representatives_classify_to_their_key():
     cfg = SamplingConfig(random_count=150, rng_seed=4)
     for label in ("B-3", "C+4", "F4-"):
@@ -805,21 +844,55 @@ def test_verify_against_table1_failure_lists_missing():
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 12) | st.fractions(min_value=F(1, 64), max_value=12,
                                          max_denominator=64),
-       st.integers(1, 200), st.integers(0, 2 ** 31), st.integers(0, 10 ** 6),
+       st.integers(1, 200), st.integers(0, 2 ** 31), st.integers(0, 6),
        st.integers(2, 7))
-@example(F(5, 2), 64, 0, 0, 3)    # a non-integer box floors the bound
-@example(F(1, 64), 1, 0, 0, 2)    # every bound is 0
-@example(F(1, 3), 2 ** 40 + 5, 7, 11, 4)   # d takes two 32-bit words
-@example(3 * 2 ** 31, 5, 2, 9, 3)     # 2*bound + 1 > 2^32 for every d
-@example(F(2 ** 70, 3), 2 ** 33, 1, 0, 2)  # both draws above 64 bits
-def test_sample_point_matches_fraction_sampler(box, den_bound, seed, index,
+@example(F(5, 2), 64, 0, 5, 3)    # a non-integer box floors the bound
+@example(F(1, 64), 1, 0, 3, 2)    # every bound is 0
+@example(F(1, 3), 2 ** 40 + 5, 7, 4, 4)   # d takes two 32-bit words
+@example(3 * 2 ** 31, 5, 2, 3, 3)     # 2*bound + 1 > 2^32 for every d
+@example(F(2 ** 70, 3), 2 ** 33, 1, 3, 2)  # both draws above 64 bits
+def test_sample_point_matches_fraction_sampler(box, den_bound, seed, count,
                                                dim):
     cfg = SamplingConfig(box_radius=box, denominator_bound=den_bound,
-                         rng_seed=seed)
-    V, den = atlas_mod._sample_point(cfg, dim, index)
-    assert all(type(v) is int for v in V) and den >= 1
-    assert tuple(F(v, den) for v in V) \
-        == reference_sample_parameter(cfg, dim, index).values
+                         rng_seed=seed, random_count=count)
+    points = atlas_mod._sample_points(cfg, dim)
+    assert all(type(v) is int for V, _ in points for v in V)
+    assert all(den >= 1 for _, den in points)
+    assert [tuple(F(v, den) for v in V) for V, den in points] \
+        == [lam.values for lam in reference_sample_parameters(cfg, dim)]
+
+
+@pytest.mark.parametrize("box, den_bound, seed, dim", [
+    (5, 64, 0, 4), (F(7, 3), 9, 2, 4), (2, 1, 1, 6), (F(1, 64), 1, 3, 2)])
+def test_more_samples_only_append_points(box, den_bound, seed, dim):
+    # one stream per census: the first k samples of a run with n > k
+    # samples are the samples of a run with k, so raising --samples
+    # keeps every earlier point
+    full = atlas_mod._sample_points(
+        SamplingConfig(box_radius=box, denominator_bound=den_bound,
+                       rng_seed=seed, random_count=40), dim)
+    for k in (0, 1, 7, 39):
+        cfg = SamplingConfig(box_radius=box, denominator_bound=den_bound,
+                             rng_seed=seed, random_count=k)
+        assert atlas_mod._sample_points(cfg, dim) == full[:k]
+
+
+@pytest.mark.parametrize("label", ALL_BC_LABELS + ["F4+", "F4-"])
+def test_census_representatives_are_the_seeds(label):
+    # seeds come first in the census, so each type's printed
+    # representative is its seed: construct_representative for B and C,
+    # the F4 seed of the type id for F4+-
+    sc = SingularityClass.parse(label)
+    rep = enumerate_components(sc, SamplingConfig(random_count=30,
+                                                  rng_seed=2))
+    if sc.family == "F4":
+        seeds = {f"type{tid}": lam
+                 for tid, lam in atlas_mod._f4_seeds(sc).items()}
+    else:
+        seeds = {sig.key(): construct_representative(sc, sig)
+                 for sig in valid_signatures(sc)}
+    assert {k: v["representative"] for k, v in rep.realized.items()} \
+        == {k: lam.text_list() for k, lam in seeds.items()}
 
 
 @pytest.mark.parametrize("label", ["F4+", "F4-"])
@@ -867,9 +940,8 @@ def test_census_reaches_boundary_polynomial_only_off_generic_points(
     cfg = SamplingConfig()
     rep = enumerate_components(sc, cfg)
     monkeypatch.undo()
-    points = [_cleared(lam) for lam in atlas_mod._seed_parameters(sc)]
-    points += [atlas_mod._sample_point(cfg, sc.parameter_count, i)
-               for i in range(cfg.random_count)]
+    points = (atlas_mod._seed_points(sc)
+              + atlas_mod._sample_points(cfg, sc.parameter_count))
     assert rep.total_samples == len(points)
     off_generic = {tuple(F(v, den) for v in V) for V, den in points
                    if 0 in _int_strata(sc, V, den)}

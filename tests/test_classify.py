@@ -307,8 +307,7 @@ def test_classify_point_is_scale_invariant(label):
     for box, bound, n in ((2, 1, 60), (5, 2, 40), (5, 64, 20)):
         cfg = SamplingConfig(box_radius=box, random_count=n,
                              denominator_bound=bound, rng_seed=3)
-        for i in range(n):
-            V, den = atlas_mod._sample_point(cfg, sc.parameter_count, i)
+        for V, den in atlas_mod._sample_points(cfg, sc.parameter_count):
             got = _result(_classify_point, sc, V, den)
             lam = Parameter(tuple(F(v, den) for v in V))
             assert got == _result(classify, sc, lam), (V, den)

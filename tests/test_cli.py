@@ -5,6 +5,7 @@ of ``python -m discatlas`` and of the installed console script.
 """
 
 import hashlib
+import importlib
 import json
 import os
 import shutil
@@ -17,6 +18,8 @@ import pytest
 
 from discatlas.cli import (USAGE, _COMMAND_FLAGS, _FLAG_ARITY,
                            _split_args, run)
+
+cli_mod = importlib.import_module("discatlas.cli")
 
 
 def invoke(capsys, *argv):
@@ -173,11 +176,12 @@ def test_certify_discriminant_endpoint(capsys):
 
 # stdout of the benchmark's census calls (F4 at 250 samples, seeds 0-2;
 # B+5, C-6 and B-7 at 100) as SHA-256, and the full classify output of
-# the eight F4 seeds of each sign, recorded before the F4 classifier
-# read its stratum signs from models._int_strata; then four censuses
-# recorded before the sampler drew integer points: a non-integer box
-# (B+3), a non-integer box with --den (F4-), a grid (C+4), and an
-# integer F4+ box where many samples take the label-wall nudge
+# the eight F4 seeds of each sign; then four more censuses: a
+# non-integer box (B+3), a non-integer box with --den (F4-), a grid
+# (C+4), and an integer F4+ box where 38 samples take the label-wall
+# nudge.  The census hashes are of the samples drawn from one generator
+# per census; drawing them so changed only the counts and rejection
+# tallies, never a realized type or representative
 CENSUS_PINS = json.loads(
     (Path(__file__).parent / "census_pins.json").read_text())
 
@@ -392,6 +396,24 @@ def test_render_bad_axes_writes_nothing(tmp_path, capsys, axes, fixed):
 def test_unwritable_output_path_is_domain_error(tmp_path, capsys, argv):
     # an output path the file system refuses is exit 2 with one JSON
     # error line, not a traceback
+    (tmp_path / "f").write_text("")
+    argv = [t.format(dir=tmp_path, file=tmp_path / "f") for t in argv]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and err == ""
+    assert out.count("\n") == 1 and list(json.loads(out)) == ["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["atlas", "B+2", "--samples", "3", "--out", "{dir}/missing/x.json"],
+    ["atlas", "B+2", "--samples", "3", "--out", "{dir}"],
+    ["atlas", "B+2", "--samples", "3", "--figures", "{file}"],
+], ids=["missing-parent", "out-is-dir", "figures-is-file"])
+def test_unwritable_atlas_path_fails_before_the_census(tmp_path, capsys,
+                                                       monkeypatch, argv):
+    def census(*args, **kwargs):
+        raise AssertionError("the census ran before the path was checked")
+
+    monkeypatch.setattr(cli_mod, "enumerate_components", census)
     (tmp_path / "f").write_text("")
     argv = [t.format(dir=tmp_path, file=tmp_path / "f") for t in argv]
     code, out, err = invoke(capsys, *argv)
