@@ -18,13 +18,14 @@ A path certificate is a polyline of rational waypoints together with,
 for every segment, the segment restriction of the product of the
 discriminant-defining polynomials and an exact count showing it has no
 root on the closed unit interval.  The count is ``sturm_count``: the
-endpoint values, then Descartes bisection from [0, 1], which needs no
-Sturm chain unless the polynomial may have a repeated factor.  Since
-the two strata are exactly the zero sets of those polynomials, a zero
-count proves the segment, both ends included, stays off the
-discriminant; the certificate can be replayed by any exact root
-counter, and the path search tests membership only at the F4 jitter
-points it draws.  Only ``certify_segment`` tests its endpoints and
+endpoint values, then Descartes bisection from [0, 1] on the
+polynomial itself, which needs no Sturm chain unless a branch passes
+the bisection's depth bound.  Since the two strata are exactly the
+zero sets of those polynomials, a zero count proves the segment, both
+ends included, stays off the discriminant; the certificate can be
+replayed by any exact root counter, and the path search tests
+membership only at the F4 jitter points it draws, by the signs of the
+integer stratum kernel.  Only ``certify_segment`` tests its endpoints and
 isolates a witness: the first root in [0, 1], as a point or a dyadic
 subinterval of [0, 1] of width at most 1/128.
 
@@ -108,6 +109,7 @@ from .models import (
     SingularityClass,
     _bc_lead,
     _cleared,
+    _int_strata,
     boundary_polynomial,
     discriminant_membership,
     f4_reduce,
@@ -520,7 +522,7 @@ def _f4_route(sc: SingularityClass, a: Parameter, b: Parameter, depth: int,
         jit = Parameter(tuple(
             v + Fraction(rng.randint(-256, 256), 1024) * radius
             for v in mid))
-        if discriminant_membership(sc, jit) is not Membership.NON_SINGULAR:
+        if 0 in _int_strata(sc, *_cleared(jit)):
             continue
         left = _f4_route(sc, a, jit, depth - 1, budget, rng, radius / 2)
         if left is None:

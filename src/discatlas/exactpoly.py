@@ -28,13 +28,15 @@ multiplicity instead of nudged by an epsilon.  Descartes bisection (Vincent-Coll
 then starts from the interval itself: Descartes' rule of signs on the
 Moebius transform (1+x)^n p((lo + hi*x)/(1+x)), built by integer
 Taylor shifts, proves no root or exactly one, and otherwise the
-interval is halved.  That needs a squarefree polynomial: p itself when
-its reduction mod 2^61 - 1 proves it squarefree, and only otherwise
+interval is halved.  It runs on p itself: a tree that settles is exact
+whatever p's factorisation, and only a branch that passes a fixed
+depth, as one around a repeated root does, restarts the bisection on
 the squarefree part chain[0] / chain[-1] of p's Sturm chain.  Either
-way, once a subtree holds one root it is bisected on the sign of the
-squarefree part alone, with both ends kept as integer numerators over
-one denominator that doubles with each halving, so a midpoint costs
-one homogeneous integer Horner sign and no Fraction.  Interval
+way, once a subtree holds one root it is bisected on the sign alone
+of the polynomial that isolated it (on the whole line, the squarefree
+part), with both ends kept as integer numerators over one denominator
+that doubles with each halving, so a midpoint costs one homogeneous
+integer Horner sign and no Fraction.  Interval
 endpoints may be infinite; openness flags are honoured exactly.
 Polynomial text is written from integer numerators and denominators.
 
@@ -635,38 +637,6 @@ def _int_taylor_shift(cs: Sequence[int], s: int) -> list[int]:
     return a
 
 
-_MODP = (1 << 61) - 1
-
-
-def _modp_squarefree(cs: Sequence[int]) -> bool:
-    """True only when the integer polynomial cs is squarefree.
-
-    p is reduced mod the prime q = 2^61 - 1.  A repeated factor f of p
-    keeps its degree mod q when q does not divide lc(p), because lc(f)
-    divides lc(p), and then divides gcd(p mod q, p' mod q).  So a
-    nonzero constant gcd in GF(q)[x] proves gcd(p, p') = 1 over Q;
-    False decides nothing.
-
-    >>> _modp_squarefree([-1, 0, 1]), _modp_squarefree([1, -2, 1])
-    (True, False)
-    """
-    q = _MODP
-    a = [c % q for c in cs]
-    if not a or a[-1] == 0:
-        return False
-    b = _int_trim([i * c % q for i, c in enumerate(a)][1:])
-    while b:
-        # a <- a mod b in GF(q)[x]
-        db, inv = len(b) - 1, pow(b[-1], -1, q)
-        for k in range(len(a) - 1 - db, -1, -1):
-            f = a[k + db] * inv % q
-            if f:
-                for i in range(db):
-                    a[k + i] = (a[k + i] - f * b[i]) % q
-        a, b = b, _int_trim(a[:db])
-    return len(a) == 1
-
-
 def _cauchy_bound(cs: Sequence[int]) -> Fraction:
     lead = abs(cs[-1])
     m = max(abs(c) for c in cs[:-1]) if len(cs) > 1 else 0
@@ -724,34 +694,62 @@ def _real_rooted_above(cs: Sequence[int], num: int, den: int) -> int:
     return _variations(_sign(c) for c in _int_taylor_shift(a, num))
 
 
-def _vca(q: list[int], v: int, c: int, k: int,
-         out: list[tuple[int, int, bool]]) -> None:
+# Deepest level, counted from the window, that Descartes bisection on p
+# itself may reach before it restarts on p's squarefree part.  On the
+# segments of perfbench/path_corpus.json the deepest tree has 15 levels
+# and 392 of 498 settle at the root node, so the bound trades time only:
+# a repeated root strictly inside costs at most this many levels.
+_VCA_DEPTH = 32
+
+
+def _vca(q: list[int], max_depth: int | None = None
+         ) -> list[tuple[int, int, bool]] | None:
     """Isolate the roots of q in (0, 1) by Descartes bisection.
 
-    q is squarefree unless v, its Descartes bound, is 0 or 1.  The node
-    (c, k) is the interval (c/2^k, (c+1)/2^k), on which q is a positive
-    multiple of the parent polynomial.  Appends, left to right, (c, k,
-    False) for a node that holds exactly one root and (c, k, True) for
-    a root hit exactly at c/2^k (Collins & Akritas 1976; Rouillier &
-    Zimmermann 2004).
+    The node (c, k) is the interval (c/2^k, (c+1)/2^k), mapped onto
+    (0, 1).  Returns, left to right, (c, k, False) for a node that holds
+    exactly one root and (c, k, True) for a root hit exactly at c/2^k
+    (Collins & Akritas 1976; Rouillier & Zimmermann 2004).
+
+    The leaves are exact whatever q's factorisation: a node whose
+    Descartes bound is 0 holds no root, one whose bound is 1 holds
+    exactly one root, a simple one, and a hit is exact.  A squarefree q
+    buys termination only: a repeated root strictly inside a node keeps
+    the bound at 2 or more on every node around it.  So a node at depth
+    ``max_depth`` whose bound is still 2 or more makes the call return
+    None; with no max_depth, q must be squarefree.  The tree is walked
+    from an explicit stack, so its depth is not limited by Python's
+    recursion limit.
     """
-    if v == 0:
-        return
-    if v == 1:
-        out.append((c, k, False))
-        return
-    n = len(q) - 1
-    left = [x << (n - i) for i, x in enumerate(q)]     # 2^n q(y/2)
-    right = _int_taylor_shift(left, 1)                 # 2^n q((y+1)/2)
-    hit = right[0] == 0
-    if hit:
-        # q(1/2) = 0, a simple root: divide it out of both halves
-        right = right[1:]
-        left = _int_divide_exact(left, [-1, 1])
-    _vca(left, _descartes_bound(left), 2 * c, k + 1, out)
-    if hit:
-        out.append((2 * c + 1, k + 1, True))
-    _vca(right, _descartes_bound(right), 2 * c + 1, k + 1, out)
+    out: list[tuple[int, int, bool]] = []
+    # (node polynomial, c, k); None in place of the polynomial marks a
+    # root hit at c/2^k, emitted between the two halves it separates
+    todo: list[tuple[list[int] | None, int, int]] = [(q, 0, 0)]
+    while todo:
+        q, c, k = todo.pop()
+        if q is None:
+            out.append((c, k, True))
+            continue
+        v = _descartes_bound(q)
+        if v == 1:
+            out.append((c, k, False))
+        elif v > 1:
+            if k == max_depth:
+                return None
+            n = len(q) - 1
+            left = [x << (n - i) for i, x in enumerate(q)]     # 2^n q(y/2)
+            right = _int_taylor_shift(left, 1)                 # 2^n q((y+1)/2)
+            if right[0] == 0:
+                # q(1/2) = 0: divide the root out of both halves once; a
+                # repeated one left on their shared end is outside both
+                # open intervals, so no bound counts it
+                todo.append((right[1:], 2 * c + 1, k + 1))
+                todo.append((None, 2 * c + 1, k + 1))
+                left = _int_divide_exact(left, [-1, 1])
+            else:
+                todo.append((right, 2 * c + 1, k + 1))
+            todo.append((left, 2 * c, k + 1))
+    return out
 
 
 def _bounded_roots(cs: Sequence[int], interval: Interval):
@@ -761,16 +759,18 @@ def _bounded_roots(cs: Sequence[int], interval: Interval):
     Returns (sf, lo, hi, head, leaves, tail).  head and tail hold a
     point for a root on the closed lower and upper end; leaves are the
     ``_vca`` leaves of the open (lo, hi), in unit coordinates, and sf
-    is the polynomial they isolate: a leaf interval holds exactly one
-    root of p, a simple root of sf.
+    is the polynomial they isolate, p with its end roots divided out or
+    that polynomial's squarefree part: a leaf interval holds exactly one
+    root of p, a simple root of sf, and sf has no other root there.
 
     An infinite end is replaced by the Cauchy bound, and roots on the
-    ends are divided out.  Descartes bisection then starts from the
-    window: its root node alone decides no root or one.  Otherwise it
-    runs on p when the mod-q check proves p squarefree, and only else on
-    the squarefree part chain[0] / chain[-1] of p's own Sturm chain.
+    ends are divided out.  Descartes bisection then runs from the
+    window on p itself, down to ``_VCA_DEPTH`` levels: a tree that
+    settles is exact whatever p's factorisation, so no squarefree proof
+    comes first.  Only when a branch passes that depth does it restart,
+    unbounded, on the squarefree part chain[0] / chain[-1] of p's own
+    Sturm chain.
     """
-    p_cs = cs
     lo, hi = interval.lo, interval.hi
     head: list[Interval] = []
     tail: list[Interval] = []
@@ -793,17 +793,11 @@ def _bounded_roots(cs: Sequence[int], interval: Interval):
         if not interval.hi_open:
             tail.append(Interval.point(hi))
         cs = _deflate_root(cs, hi)
-    q = _unit_transform(cs, lo, hi)
-    v = _descartes_bound(q)
-    if v > 1 and not _modp_squarefree(cs):
-        cs = _chain_squarefree(_sturm_chain_int(p_cs))
-        for end in (lo, hi):
-            if _int_sign_at(cs, end) == 0:
-                cs = _deflate_root(cs, end)
-        q = _unit_transform(cs, lo, hi)
-        v = _descartes_bound(q)
-    leaves: list[tuple[int, int, bool]] = []
-    _vca(q, v, 0, 0, leaves)
+    leaves = _vca(_unit_transform(cs, lo, hi), _VCA_DEPTH)
+    if leaves is None:
+        # cs has no root on either end, and neither has its squarefree part
+        cs = _chain_squarefree(_sturm_chain_int(cs))
+        leaves = _vca(_unit_transform(cs, lo, hi))
     return cs, lo, hi, head, leaves, tail
 
 
@@ -815,8 +809,8 @@ def sturm_count(p: UniPoly, interval: Interval) -> int:
     gcd(p, p'), and at the non-roots -oo and +oo its variations count
     distinct roots.  On an interval with a finite end the count is
     that of ``_bounded_roots``: a root on a closed end counts, and
-    Descartes bisection from the interval counts the rest, with no
-    Sturm chain unless p may have a repeated factor; no isolating
+    Descartes bisection on p from the interval counts the rest, with no
+    Sturm chain unless a branch passes its depth bound; no isolating
     interval is formed.
 
     >>> p = UniPoly("x", [0, -2, 5, -4, 1])   # x*(x - 1)^2*(x - 2)
@@ -962,11 +956,13 @@ def isolate_real_roots(p: UniPoly, max_width: RationalLike = Fraction(1, 16),
 
     On the whole real line, p's own Sturm chain splits from the Cauchy
     bound of the squarefree part until a subtree holds one root.  On an
-    interval with a finite end, Descartes bisection starts from the
+    interval with a finite end, Descartes bisection on p starts from the
     interval itself (``_bounded_roots``), so every returned interval
     lies inside it and its midpoints are those of the interval: on
-    [0, 1] every end is dyadic.  Either way a subtree with one root is
-    then bisected on the sign of the squarefree part alone.
+    [0, 1] every end is dyadic.  A squarefree part is formed there only
+    when a branch passes the bisection's depth bound.  Either way a
+    subtree with one root is then bisected on the sign alone of the
+    polynomial that isolated it, which has no other root there.
 
     >>> [iv.text() for iv in isolate_real_roots(UniPoly("x", [-2, 0, 1]), 1)]
     ['(-3/2, -3/4)', '(3/4, 3/2)']
@@ -1006,40 +1002,40 @@ def isolate_real_roots(p: UniPoly, max_width: RationalLike = Fraction(1, 16),
 def _isolate_line(cs: Sequence[int], max_width: RationalLike
                   ) -> list[Interval]:
     """``isolate_real_roots`` on the whole real line, for an integer
-    coefficient list of degree at least 1."""
+    coefficient list of degree at least 1.
+
+    The split tree is walked from an explicit stack, left half first,
+    so its depth is not limited by Python's recursion limit."""
     out: list[Interval] = []
-
-    def split(chain: list[list[int]], sf: Sequence[int], lo: Fraction,
-              hi: Fraction, vlo: int, vhi: int) -> None:
-        # lo and hi are non-roots of chain[0], with chain variations vlo,
-        # vhi; sf is the squarefree part of chain[0]
-        n = vlo - vhi
-        if n == 0:
-            return
-        if n == 1:
-            out.append(_bisect_one(sf, lo, hi, max_width))
-            return
-        mid = (lo + hi) / 2
-        if _int_sign_at(sf, mid) == 0:
-            # rational root hit exactly: emit it, deflate, recurse with a
-            # fresh chain so the endpoint invariant is restored
-            out.append(Interval.point(mid))
-            cs = _deflate_root(chain[0], mid)
-            if len(cs) <= 1:
-                return
-            chain = _sturm_chain_int(cs)
-            sf = _chain_squarefree(chain)
-            vlo, vhi = _chain_variations(chain, lo), _chain_variations(chain, hi)
-        vmid = _chain_variations(chain, mid)
-        split(chain, sf, lo, mid, vlo, vmid)
-        split(chain, sf, mid, hi, vmid, vhi)
-
     chain = _sturm_chain_int(cs)
     sf = _chain_squarefree(chain)
     bound = _cauchy_bound(sf)
     # the Cauchy bound is strict, so -bound and bound are never roots
-    split(chain, sf, -bound, bound, _chain_variations(chain, -bound),
-          _chain_variations(chain, bound))
+    todo = [(chain, sf, -bound, bound, _chain_variations(chain, -bound),
+             _chain_variations(chain, bound))]
+    while todo:
+        # lo and hi are non-roots of chain[0], with chain variations vlo,
+        # vhi; sf is the squarefree part of chain[0]
+        chain, sf, lo, hi, vlo, vhi = todo.pop()
+        n = vlo - vhi
+        if n == 1:
+            out.append(_bisect_one(sf, lo, hi, max_width))
+        elif n > 1:
+            mid = (lo + hi) / 2
+            if _int_sign_at(sf, mid) == 0:
+                # rational root hit exactly: emit it, deflate, and go on
+                # with a fresh chain so the endpoint invariant is restored
+                out.append(Interval.point(mid))
+                cs = _deflate_root(chain[0], mid)
+                if len(cs) <= 1:
+                    continue
+                chain = _sturm_chain_int(cs)
+                sf = _chain_squarefree(chain)
+                vlo = _chain_variations(chain, lo)
+                vhi = _chain_variations(chain, hi)
+            vmid = _chain_variations(chain, mid)
+            todo.append((chain, sf, mid, hi, vmid, vhi))
+            todo.append((chain, sf, lo, mid, vlo, vmid))
     out.sort(key=lambda iv: (iv.lo, iv.hi))
     return out
 

@@ -379,9 +379,10 @@ def test_certify_segment_refusal_builds_one_sturm_chain(monkeypatch, label,
 
 def test_certify_segment_refusal_builds_no_sturm_chain(monkeypatch):
     # every cross-type segment of perfbench/path_corpus.json: the zero
-    # count and the witness come from Descartes bisection on [0, 1] of a
-    # polynomial the mod-q check proves squarefree, so no chain is built;
-    # each witness is a dyadic subinterval of [0, 1] of width <= 1/128
+    # count and the witness come from Descartes bisection on [0, 1] of
+    # the segment polynomial itself, which settles within the depth
+    # bound, so no chain is built; each witness is a dyadic subinterval
+    # of [0, 1] of width <= 1/128
     built = []
     chain_int = exactpoly_mod._sturm_chain_int
 
@@ -403,6 +404,30 @@ def test_certify_segment_refusal_builds_no_sturm_chain(monkeypatch):
             assert sturm_count(res.polynomial, w) == 1
             refusals += 1
     assert refusals == 52
+    assert built == []
+
+
+def test_certify_segment_same_type_builds_no_sturm_chain(monkeypatch):
+    # the straight segment of every same-type pair of the corpus: the
+    # bisection settles on the segment polynomial itself whether the
+    # segment is certified or refused, so the squarefree restart never
+    # runs; a depth bound too small for these trees would build chains
+    built = []
+    chain_int = exactpoly_mod._sturm_chain_int
+
+    def counting(cs):
+        built.append(len(cs))
+        return chain_int(cs)
+
+    monkeypatch.setattr(exactpoly_mod, "_sturm_chain_int", counting)
+    kinds = []
+    for label, entry in CORPUS["classes"].items():
+        sc = SingularityClass.parse(label)
+        for _, a, b in entry["pairs"]:
+            res = certify_segment(sc, tuple(map(F, a)), tuple(map(F, b)))
+            kinds.append(type(res))
+    assert kinds.count(PathCertificate) == 239
+    assert kinds.count(SegmentFailure) == 13
     assert built == []
 
 

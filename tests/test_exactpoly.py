@@ -476,13 +476,26 @@ root_value = root_pool | st.fractions(min_value=-4, max_value=4,
 
 
 @st.composite
-def rooted_poly(draw):
+def rooted_poly(draw, window=None):
     """lead * prod (x - r)^m * prod (x^2 + c) with c > 0, degree <= 12.
 
     Returns the polynomial and its distinct real roots, known without
-    any root counting.
+    any root counting.  Given a window with two finite ends lo < hi,
+    roots are also drawn from its ends, its dyadic bisection points
+    lo + (hi - lo)*k/2^j, a non-dyadic point inside and points outside,
+    so repeated roots sit at each.
     """
-    roots = draw(st.lists(root_value, min_size=0, max_size=5))
+    values = root_value
+    if window is not None and None not in (window.lo, window.hi) \
+            and not window.is_point():
+        lo, w = window.lo, window.hi - window.lo
+        dyadic = st.integers(min_value=1, max_value=6).flatmap(
+            lambda j: st.integers(min_value=1, max_value=(1 << j) - 1).map(
+                lambda k: lo + w * F(k, 1 << j)))
+        values = (st.sampled_from([lo, lo + w, lo + w / 3, lo - w / 5,
+                                   lo + 2 * w])
+                  | dyadic | root_value)
+    roots = draw(st.lists(values, min_size=0, max_size=5))
     mults = [draw(st.integers(min_value=1, max_value=3)) for _ in roots]
     cs = draw(st.lists(st.fractions(min_value=F(1, 8), max_value=4,
                                     max_denominator=8), max_size=2))
@@ -552,7 +565,7 @@ def test_sturm_chain_and_signature_match_reference(cs):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(root_value, min_size=1, max_size=6), root_value,
-       st.sampled_from([1, -3, ep._MODP]))
+       st.sampled_from([1, -3, (1 << 61) - 1]))
 @example([F(1), F(2), F(3)], F(2), 1)
 @example([F(-1), F(1, 2), F(1, 2)], F(0), -3)
 def test_real_rooted_above_counts_with_multiplicity(roots, x, lead):
@@ -609,14 +622,14 @@ def window(draw):
 
 
 @st.composite
-def times_positive_quadratic(draw):
-    """rooted_poly() times a*((x - m)^2 + c), c > 0, which adds no real
-    root.  a = 2^61 - 1 puts that prime in the leading coefficient, so
-    the mod-q squarefree check cannot decide and the Sturm chain must."""
-    p, distinct = draw(rooted_poly())
+def times_positive_quadratic(draw, window=None):
+    """rooted_poly(window) times a*((x - m)^2 + c), c > 0, which adds no
+    real root.  a = 2^61 - 1 puts a large prime in the leading
+    coefficient."""
+    p, distinct = draw(rooted_poly(window))
     m = draw(root_value)
     c = draw(st.fractions(min_value=F(1, 8), max_value=2, max_denominator=8))
-    a = draw(st.sampled_from([1, 3, ep._MODP]))
+    a = draw(st.sampled_from([1, 3, (1 << 61) - 1]))
     return p * UniPoly("x", [a * (m * m + c), -2 * a * m, a]), distinct
 
 
@@ -625,15 +638,28 @@ def times_positive_quadratic(draw):
        st.sampled_from([F(1, 128), F(1, 16), F(1, 3), F(2)]))
 @example((poly_from_roots("x", [0, F(1, 2), F(1, 2), 1]), [0, F(1, 2), 1]),
          Interval.closed(0, 1), F(1, 128))
-@example((poly_from_roots("x", [F(1, 4), F(1, 2), F(3, 4)], ep._MODP),
+@example((poly_from_roots("x", [F(1, 4), F(1, 2), F(3, 4)], (1 << 61) - 1),
           [F(1, 4), F(1, 2), F(3, 4)]), Interval.open(0, 1), F(1, 128))
 @example((poly_from_roots("x", [F(1, 8), F(1, 2), F(2, 3)]),
           [F(1, 8), F(1, 2), F(2, 3)]), Interval.closed(0, 1), F(1, 128))
 def test_isolation_window_contract(pr, w, width):
+    _check_window_contract(*pr, w, width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), window(), st.sampled_from([F(1, 128), F(1, 3)]))
+def test_window_contract_with_repeated_roots_on_window_points(data, w, width):
+    # Descartes bisection runs on p itself: a repeated root on a dyadic
+    # bisection point of the window is hit exactly, one strictly inside
+    # elsewhere sends it to the squarefree restart, and one on an end or
+    # outside is not counted by any node's bound
+    _check_window_contract(*data.draw(times_positive_quadratic(w)), w, width)
+
+
+def _check_window_contract(p, distinct, w, width):
     # every interval lies in the window, holds exactly one root of p
     # there and no other root, and there is one interval per root in
     # the window: the count sturm_count gives
-    p, distinct = pr
     inside = [r for r in distinct if _in_window(w, r)]
     assert sturm_count(p, w) == len(inside)
     ivs = isolate_real_roots(p, width, w)
@@ -648,6 +674,50 @@ def test_isolation_window_contract(pr, w, width):
                 and (w.hi is None or iv.hi <= w.hi)
     for a, b in zip(ivs, ivs[1:]):
         assert a.hi <= b.lo
+
+
+@pytest.mark.parametrize("roots, count, chains, isolated", [
+    # a repeated root strictly inside that no bisection point hits:
+    # past the depth bound, one chain gives the squarefree part
+    ([F(1, 3), F(1, 3), F(3, 4)], 2, 1, ["(21/64, 43/128)", "[3/4, 3/4]"]),
+    # a repeated root on a bisection point is hit exactly
+    ([F(1, 2), F(1, 2), F(3, 4)], 2, 0, ["[1/2, 1/2]", "[3/4, 3/4]"]),
+    # a repeated root outside [0, 1] never keeps a bound at 2 or more
+    ([2, 2, F(1, 3)], 1, 0, ["(21/64, 43/128)"]),
+])
+def test_bounded_roots_build_a_chain_only_when_bisection_does_not_settle(
+        monkeypatch, roots, count, chains, isolated):
+    built = []
+    chain_int = ep._sturm_chain_int
+
+    def counting(cs):
+        built.append(len(cs))
+        return chain_int(cs)
+
+    monkeypatch.setattr(ep, "_sturm_chain_int", counting)
+    p = poly_from_roots("x", roots)
+    assert sturm_count(p, Interval.closed(0, 1)) == count
+    assert len(built) == chains
+    ivs = isolate_real_roots(p, F(1, 128), Interval.closed(0, 1))
+    assert [iv.text() for iv in ivs] == isolated
+    assert len(built) == 2 * chains
+
+
+def test_deep_bisection_trees_run_at_the_default_recursion_limit():
+    # x^5 - 2*(a*x - 1)^2, a = 2^1000, has two roots within 2^-3500 of
+    # 1/a, one on each side, so bisection from [0, 1] separates them only
+    # at depth 1000 and from the Cauchy bound 2*a^2 + 1 deeper still; a
+    # third root lies near (2*a^2)^(1/3)
+    a = 1 << 1000
+    p = UniPoly("x", [-2, 4 * a, -2 * a * a, 0, 0, 1])
+    assert sturm_count(p, Interval.closed(0, 1)) == 2
+    ivs = isolate_real_roots(p, F(1, 128), Interval.closed(0, 1))
+    assert [(iv.lo, iv.hi) for iv in ivs] == [(0, F(1, a)), (F(1, a), F(2, a))]
+    line = isolate_real_roots(p, F(1, 128))
+    assert len(line) == 3
+    for iv in ivs + line:
+        assert p(iv.lo) * p(iv.hi) < 0 and iv.hi - iv.lo <= F(1, 128)
+    assert line[1].hi < 1 < line[2].lo
 
 
 @settings(max_examples=200, deadline=None)
@@ -760,18 +830,6 @@ def _int_mul(p, q):
         for j, y in enumerate(q):
             out[i + j] += x * y
     return out
-
-
-@settings(max_examples=200, deadline=None)
-@given(int_poly(1, 5), int_poly(0, 4))
-@example([1, ep._MODP], [1])                # p = 1 mod q: lc q^2
-@example([1, 1], [ep._MODP, 0, ep._MODP])   # every coefficient q*k
-def test_modp_squarefree_never_passes_a_repeated_factor(f, g):
-    p = _int_mul(_int_mul(f, f), g)
-    assert not ep._modp_squarefree(p)
-    # and it proves squarefreeness where the reduction keeps it
-    assert ep._modp_squarefree(f) <= (
-        len(ep._int_gcd_poly(f, ep._int_derivative(f))) == 1)
 
 
 @st.composite
