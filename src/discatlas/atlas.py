@@ -539,6 +539,14 @@ def _proofs_to_certificate(sc: SingularityClass,
     return PathCertificate(sc.label(), tuple(way), tuple(proofs))
 
 
+def _labels(sc: SingularityClass, lam: Parameter) -> LowerSetType | None:
+    """``classify``, or None for an F4 point on the label wall."""
+    try:
+        return classify(sc, lam)
+    except NonGenericConfiguration:
+        return None
+
+
 def certify_path(sc: SingularityClass, start, end, rng_seed: int = 0,
                  budget: int = 48) -> PathCertificate:
     """Connect two same-type parameters by a certified polyline.
@@ -547,14 +555,16 @@ def certify_path(sc: SingularityClass, start, end, rng_seed: int = 0,
     the straight segment is tried first, else both endpoints' root
     configurations move onto the integer-rooted representative; for
     F4 straight, subdivided and through-catalogue routes are tried
-    under the segment budget.  NotFound is raised on exhaustion and
-    means only that this search gave up.
+    under the segment budget.  An F4 endpoint on the label wall is off
+    the discriminant but has no labels, so it skips the type check, and
+    the catalogue route goes through the other endpoint's
+    representative, or is not tried when neither has labels.  NotFound
+    is raised on exhaustion and means only that this search gave up.
     """
     start = Parameter.coerce(start)
     end = Parameter.coerce(end)
-    t0 = classify(sc, start)
-    t1 = classify(sc, end)
-    if type_key(t0) != type_key(t1):
+    t0, t1 = (_labels(sc, lam) for lam in (start, end))
+    if None not in (t0, t1) and type_key(t0) != type_key(t1):
         raise TypeMismatch(
             f"endpoint types differ: {type_key(t0)} vs {type_key(t1)}")
     if sc.family in ("B", "C"):
@@ -569,8 +579,9 @@ def certify_path(sc: SingularityClass, start, end, rng_seed: int = 0,
     radius = Fraction(1, 2)
     bud = [budget]
     proofs = _f4_route(sc, start, end, 4, bud, rng, radius)
-    if proofs is None and bud[0] > 0:
-        rep = _f4_seeds(sc)[canonical_type_id(t0)]
+    known = t1 if t0 is None else t0
+    if proofs is None and bud[0] > 0 and known is not None:
+        rep = _f4_seeds(sc)[canonical_type_id(known)]
         left = _f4_route(sc, start, rep, 3, bud, rng, radius)
         if left is not None:
             right = _f4_route(sc, rep, end, 3, bud, rng, radius)

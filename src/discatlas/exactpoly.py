@@ -16,29 +16,31 @@ point enters any decision.  Two polynomial carriers:
     terms keyed by exponent tuples, with nonzero ``Fraction``
     coefficients.
 
-Real root decisions are exact and integer-only.  On the whole real
-line one Sturm chain of the primitive polynomial itself decides: a
-signed pseudo-remainder sequence that strips integer content at every
-step, so coefficient growth stays linear rather than exponential, and
-ends in gcd(p, p'); at non-roots its variations count distinct roots,
-and isolation bisects from the Cauchy bound with it.  On an interval
-with a finite end, an infinite end is replaced by the Cauchy bound,
+Real root decisions are exact and integer-only, and every root count
+on an interval and every isolation runs one engine.  An infinite end,
+the whole real line included, is replaced by the strict Cauchy bound,
 and every rational root on an end is divided out to its full
-multiplicity instead of nudged by an epsilon.  Descartes bisection (Vincent-Collins-Akritas)
-then starts from the interval itself: Descartes' rule of signs on the
-Moebius transform (1+x)^n p((lo + hi*x)/(1+x)), built by integer
-Taylor shifts, proves no root or exactly one, and otherwise the
-interval is halved.  It runs on p itself: a tree that settles is exact
-whatever p's factorisation, and only a branch that passes a fixed
-depth, as one around a repeated root does, restarts the bisection on
-the squarefree part chain[0] / chain[-1] of p's Sturm chain.  Either
-way, once a subtree holds one root it is bisected on the sign alone
-of the polynomial that isolated it (on the whole line, the squarefree
-part), with both ends kept as integer numerators over one denominator
-that doubles with each halving, so a midpoint costs one homogeneous
-integer Horner sign and no Fraction.  Interval
-endpoints may be infinite; openness flags are honoured exactly.
-Polynomial text is written from integer numerators and denominators.
+multiplicity instead of nudged by an epsilon.  Descartes bisection
+(Vincent-Collins-Akritas) then starts from the window: Descartes' rule
+of signs on the Moebius transform (1+x)^n p((lo + hi*x)/(1+x)), built
+by integer Taylor shifts, proves no root or exactly one, and otherwise
+the window is halved.  It runs on p itself: a tree that settles is
+exact whatever p's factorisation, and only a branch that passes a
+fixed depth, as one around a repeated root does, restarts the
+bisection on the squarefree part chain[0] / chain[-1] of p's Sturm
+chain.  Once a subtree holds one root it is bisected on the sign alone
+of the polynomial that isolated it, with both ends kept as integer
+numerators over one denominator that doubles with each halving, so a
+midpoint costs one homogeneous integer Horner sign and no Fraction.
+Interval endpoints may be infinite; openness flags are honoured
+exactly.  Polynomial text is written from integer numerators and
+denominators.
+
+A Sturm chain is a signed pseudo-remainder sequence of the primitive
+polynomial that strips integer content at every step, so coefficient
+growth stays linear rather than exponential, and ends in gcd(p, p').
+Chains remain in three places: that restart, ``root_signature``, which
+reads one chain at -oo, 0 and +oo, and ``refine_root``.
 
 ``MultiPoly`` carries only ring operations, evaluation and restriction
 to a parameter segment: every stratum of the families is the
@@ -487,13 +489,6 @@ def _int_sign_at(cs: Sequence[int], x: Fraction) -> int:
     return _int_sign_hom(cs, x.numerator, x.denominator)
 
 
-def _int_sign_at_inf(cs: Sequence[int], positive: bool) -> int:
-    s = _sign(cs[-1])
-    if not positive and (len(cs) - 1) % 2 == 1:
-        s = -s
-    return s
-
-
 def _variations(signs: Iterable[int]) -> int:
     v, prev = 0, 0
     for s in signs:
@@ -503,17 +498,6 @@ def _variations(signs: Iterable[int]) -> int:
             v += 1
         prev = s
     return v
-
-
-def _chain_variations(chain: Sequence[Sequence[int]], x) -> int:
-    if x is None:
-        raise ValueError("use _chain_variations_inf")
-    n, d = x.numerator, x.denominator
-    return _variations(_int_sign_hom(p, n, d) for p in chain)
-
-
-def _chain_variations_inf(chain: Sequence[Sequence[int]], positive: bool) -> int:
-    return _variations(_int_sign_at_inf(p, positive) for p in chain)
 
 
 def _int_gcd_poly(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -753,8 +737,9 @@ def _vca(q: list[int], max_depth: int | None = None
 
 
 def _bounded_roots(cs: Sequence[int], interval: Interval):
-    """The distinct roots of p in an interval with a finite end, for
-    p's integer coefficient list cs, of degree at least 1.
+    """The distinct roots of p in an interval, for p's integer
+    coefficient list cs, of degree at least 1: the one engine behind
+    ``sturm_count`` and ``isolate_real_roots``.
 
     Returns (sf, lo, hi, head, leaves, tail).  head and tail hold a
     point for a root on the closed lower and upper end; leaves are the
@@ -763,8 +748,9 @@ def _bounded_roots(cs: Sequence[int], interval: Interval):
     that polynomial's squarefree part: a leaf interval holds exactly one
     root of p, a simple root of sf, and sf has no other root there.
 
-    An infinite end is replaced by the Cauchy bound, and roots on the
-    ends are divided out.  Descartes bisection then runs from the
+    An infinite end is replaced by the strict Cauchy bound, so the whole
+    real line becomes the window (-B, B), and roots on the ends are
+    divided out.  Descartes bisection then runs from the
     window on p itself, down to ``_VCA_DEPTH`` levels: a tree that
     settles is exact whatever p's factorisation, so no squarefree proof
     comes first.  Only when a branch passes that depth does it restart,
@@ -805,13 +791,11 @@ def sturm_count(p: UniPoly, interval: Interval) -> int:
     """Number of distinct real roots of p in the interval.
 
     Endpoint openness is honoured exactly.  Multiple roots count once.
-    On the whole real line p's own Sturm chain decides: it ends in
-    gcd(p, p'), and at the non-roots -oo and +oo its variations count
-    distinct roots.  On an interval with a finite end the count is
-    that of ``_bounded_roots``: a root on a closed end counts, and
-    Descartes bisection on p from the interval counts the rest, with no
-    Sturm chain unless a branch passes its depth bound; no isolating
-    interval is formed.
+    The count is that of ``_bounded_roots``, the whole real line
+    included: a root on a closed end counts, and Descartes bisection on
+    p from the interval, an infinite end replaced by the Cauchy bound,
+    counts the rest, with no Sturm chain unless a branch passes its
+    depth bound; no isolating interval is formed.
 
     >>> p = UniPoly("x", [0, -2, 5, -4, 1])   # x*(x - 1)^2*(x - 2)
     >>> sturm_count(p, Interval.closed(0, 2))
@@ -836,10 +820,6 @@ def _int_sturm_count(cs: Sequence[int], interval: Interval) -> int:
     """
     if len(cs) < 2:
         return 0
-    if interval.lo is None and interval.hi is None:
-        chain = _sturm_chain_int(cs)
-        return (_chain_variations_inf(chain, False)
-                - _chain_variations_inf(chain, True))
     _, _, _, head, leaves, tail = _bounded_roots(cs, interval)
     return len(head) + len(leaves) + len(tail)
 
@@ -954,15 +934,14 @@ def isolate_real_roots(p: UniPoly, max_width: RationalLike = Fraction(1, 16),
     the squarefree part.  A rational root found exactly, or on a closed
     end of the interval, is reported as a point interval.
 
-    On the whole real line, p's own Sturm chain splits from the Cauchy
-    bound of the squarefree part until a subtree holds one root.  On an
-    interval with a finite end, Descartes bisection on p starts from the
-    interval itself (``_bounded_roots``), so every returned interval
-    lies inside it and its midpoints are those of the interval: on
-    [0, 1] every end is dyadic.  A squarefree part is formed there only
-    when a branch passes the bisection's depth bound.  Either way a
-    subtree with one root is then bisected on the sign alone of the
-    polynomial that isolated it, which has no other root there.
+    Descartes bisection on p starts from the interval itself
+    (``_bounded_roots``), an infinite end replaced by the Cauchy bound
+    B of p, so every returned interval lies inside it and its midpoints
+    are those of the interval: on [0, 1] every end is dyadic, and the
+    whole real line is isolated as the window (-B, B) is.  A squarefree
+    part is formed only when a branch passes the bisection's depth
+    bound.  A subtree with one root is then bisected on the sign alone
+    of the polynomial that isolated it, which has no other root there.
 
     >>> [iv.text() for iv in isolate_real_roots(UniPoly("x", [-2, 0, 1]), 1)]
     ['(-3/2, -3/4)', '(3/4, 3/2)']
@@ -981,63 +960,18 @@ def isolate_real_roots(p: UniPoly, max_width: RationalLike = Fraction(1, 16),
         raise ZeroPolynomial("isolating roots of the zero polynomial")
     if p.degree() < 1:
         return []
-    if interval.lo is not None or interval.hi is not None:
-        sf, lo, hi, roots, leaves, tail = _bounded_roots(p._int_coeffs()[0],
-                                                         interval)
-        w = hi - lo
-        for c, k, hit in leaves:
-            a = lo + w * Fraction(c, 1 << k)
-            if hit:
-                # a leaf may end at this root: sf must not vanish there
-                sf = _deflate_root(sf, a)
-                roots.append(Interval.point(a))
-            else:
-                roots.append(
-                    Interval.open(a, lo + w * Fraction(c + 1, 1 << k)))
-        return [iv if iv.is_point() else _bisect_one(sf, iv.lo, iv.hi, max_width)
-                for iv in roots + tail]
-    return _isolate_line(p._int_coeffs()[0], max_width)
-
-
-def _isolate_line(cs: Sequence[int], max_width: RationalLike
-                  ) -> list[Interval]:
-    """``isolate_real_roots`` on the whole real line, for an integer
-    coefficient list of degree at least 1.
-
-    The split tree is walked from an explicit stack, left half first,
-    so its depth is not limited by Python's recursion limit."""
-    out: list[Interval] = []
-    chain = _sturm_chain_int(cs)
-    sf = _chain_squarefree(chain)
-    bound = _cauchy_bound(sf)
-    # the Cauchy bound is strict, so -bound and bound are never roots
-    todo = [(chain, sf, -bound, bound, _chain_variations(chain, -bound),
-             _chain_variations(chain, bound))]
-    while todo:
-        # lo and hi are non-roots of chain[0], with chain variations vlo,
-        # vhi; sf is the squarefree part of chain[0]
-        chain, sf, lo, hi, vlo, vhi = todo.pop()
-        n = vlo - vhi
-        if n == 1:
-            out.append(_bisect_one(sf, lo, hi, max_width))
-        elif n > 1:
-            mid = (lo + hi) / 2
-            if _int_sign_at(sf, mid) == 0:
-                # rational root hit exactly: emit it, deflate, and go on
-                # with a fresh chain so the endpoint invariant is restored
-                out.append(Interval.point(mid))
-                cs = _deflate_root(chain[0], mid)
-                if len(cs) <= 1:
-                    continue
-                chain = _sturm_chain_int(cs)
-                sf = _chain_squarefree(chain)
-                vlo = _chain_variations(chain, lo)
-                vhi = _chain_variations(chain, hi)
-            vmid = _chain_variations(chain, mid)
-            todo.append((chain, sf, mid, hi, vmid, vhi))
-            todo.append((chain, sf, lo, mid, vlo, vmid))
-    out.sort(key=lambda iv: (iv.lo, iv.hi))
-    return out
+    sf, lo, hi, roots, leaves, tail = _bounded_roots(p._cs, interval)
+    w = hi - lo
+    for c, k, hit in leaves:
+        a = lo + w * Fraction(c, 1 << k)
+        if hit:
+            # a leaf may end at this root: sf must not vanish there
+            sf = _deflate_root(sf, a)
+            roots.append(Interval.point(a))
+        else:
+            roots.append(Interval.open(a, lo + w * Fraction(c + 1, 1 << k)))
+    return [iv if iv.is_point() else _bisect_one(sf, iv.lo, iv.hi, max_width)
+            for iv in roots + tail]
 
 
 def refine_root(p: UniPoly, iv: Interval, max_width: RationalLike) -> Interval:

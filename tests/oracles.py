@@ -235,6 +235,33 @@ def reference_sturm_chain_int(cs):
     return chain
 
 
+def _variations(signs) -> int:
+    nonzero = [s for s in signs if s]
+    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
+
+
+def chain_variations(chain, x: Fraction) -> int:
+    """Sign variations of a Sturm chain at a rational x, each member's
+    sign from its homogeneous integer Horner sum."""
+    n, d = x.numerator, x.denominator
+
+    def sign(cs):
+        acc, dp = 0, 1
+        for c in reversed(cs):
+            acc, dp = acc * n + c * dp, dp * d
+        return (acc > 0) - (acc < 0)
+
+    return _variations(sign(q) for q in chain)
+
+
+def chain_variations_inf(chain, positive: bool) -> int:
+    """Sign variations of a Sturm chain at +oo (positive) or -oo: each
+    member has the sign of its lead, flipped at -oo for an odd degree."""
+    return _variations((1 if q[-1] > 0 else -1)
+                       * (1 if positive or len(q) % 2 else -1)
+                       for q in chain)
+
+
 def reference_root_signature(cs):
     """``_int_root_signature`` with one variation pass per point: the
     chain's signs at 0, at -oo and at +oo, each counted separately."""
@@ -242,10 +269,10 @@ def reference_root_signature(cs):
     while cs[k] == 0:
         k += 1
     chain = reference_sturm_chain_int(cs[k:])
-    v0 = ep._variations(ep._sign(q[0]) for q in chain)
+    v0 = _variations((q[0] > 0) - (q[0] < 0) for q in chain)
     return ep.RootSignature(
-        neg=ep._chain_variations_inf(chain, False) - v0,
-        pos=v0 - ep._chain_variations_inf(chain, True),
+        neg=chain_variations_inf(chain, False) - v0,
+        pos=v0 - chain_variations_inf(chain, True),
         zero_is_root=k > 0,
         is_squarefree=k <= 1 and len(chain[-1]) == 1,
     )
@@ -260,10 +287,12 @@ def reference_isolate(p: UniPoly, max_width, interval: Interval):
     """Whole-line isolation that evaluates the whole Sturm chain at every
     midpoint, pruned to the subtrees that meet ``interval``.
 
-    The runtime bisects a subtree that holds one root on the sign of
-    the squarefree part alone; this keeps the full-chain bisection it
-    replaced, so on the real line both must give the same intervals.
-    On a window it returns the whole-line intervals that meet it.
+    This is the Sturm split the runtime once ran on the whole line,
+    with the full chain read at every midpoint.  On a window it returns
+    the whole-line intervals that meet it.  The runtime bisects every
+    interval, the real line included, from its own window, so the two
+    isolate the same roots in the same order, in intervals that may
+    differ.
     """
     max_width = F(max_width)
     cs, _ = p._int_coeffs()
@@ -290,9 +319,9 @@ def reference_isolate(p: UniPoly, max_width, interval: Interval):
             if len(cs) <= 1:
                 return
             chain = ep._sturm_chain_int(cs)
-            vlo = ep._chain_variations(chain, lo)
-            vhi = ep._chain_variations(chain, hi)
-        vmid = ep._chain_variations(chain, mid)
+            vlo = chain_variations(chain, lo)
+            vhi = chain_variations(chain, hi)
+        vmid = chain_variations(chain, mid)
         split(cs, chain, lo, mid, vlo, vmid)
         split(cs, chain, mid, hi, vmid, vhi)
 
@@ -300,8 +329,8 @@ def reference_isolate(p: UniPoly, max_width, interval: Interval):
     g = chain[-1]
     bound = ep._cauchy_bound(chain[0] if len(g) == 1
                              else ep._int_divide_exact(chain[0], g))
-    split(chain[0], chain, -bound, bound, ep._chain_variations(chain, -bound),
-          ep._chain_variations(chain, bound))
+    split(chain[0], chain, -bound, bound, chain_variations(chain, -bound),
+          chain_variations(chain, bound))
     out.sort(key=lambda iv: (iv.lo, iv.hi))
     return out
 

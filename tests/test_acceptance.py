@@ -35,6 +35,7 @@ from discatlas.models import (
     SingularityClass,
     deformation_polynomial,
     discriminant_membership,
+    f4_reduce,
     f4_sigma0_eliminant,
     f4_sigma1_polynomial,
 )
@@ -113,23 +114,30 @@ def test_criterion_1_bc_component_counts(capsys):
 
 
 def test_criterion_2_f4_component_count(capsys):
-    sc = SingularityClass.parse("F4+")
-    t0 = time.perf_counter()
-    rep = enumerate_components(sc, SamplingConfig(random_count=100_000))
-    dt = time.perf_counter() - t0
-    c0 = sorted(k for k, v in rep.realized.items()
-                if v.get("representative_c0"))
-    side_ok = all(
-        canonical_type_id(classify(sc, lam)) == tid
-        and f"type{tid}" in rep.realized
-        for tid, lam in f4_side_seeds())
-    ok = (rep.match and len(rep.realized) == 8
-          and c0 == [f"type{i}" for i in range(1, 7)]
-          and side_ok and dt < 600.0)
-    emit(capsys, 2, ok,
-         f"F4+ realizes {len(rep.realized)}/8 types at 1e5 samples in "
-         f"{dt:.0f}s; {len(c0)} types have c=0 representatives; "
-         f"edge seeds reach types 7 and 8: {side_ok}")
+    # both signs under the same bounds; the F4- edge seeds are the
+    # f4_reduce images of the F4+ ones
+    ok, lines = True, []
+    for label in ("F4+", "F4-"):
+        sc = SingularityClass.parse(label)
+        t0 = time.perf_counter()
+        rep = enumerate_components(sc, SamplingConfig(random_count=100_000))
+        dt = time.perf_counter() - t0
+        c0 = sorted(k for k, v in rep.realized.items()
+                    if v.get("representative_c0"))
+        side = [(tid, lam if sc.sign > 0 else f4_reduce(lam))
+                for tid, lam in f4_side_seeds()]
+        side_ok = all(
+            canonical_type_id(classify(sc, lam)) == tid
+            and f"type{tid}" in rep.realized
+            for tid, lam in side)
+        ok = ok and (rep.match and len(rep.realized) == 8
+                     and c0 == [f"type{i}" for i in range(1, 7)]
+                     and side_ok and dt < 600.0)
+        lines.append(
+            f"{label} realizes {len(rep.realized)}/8 types at 1e5 samples "
+            f"in {dt:.0f}s; {len(c0)} types have c=0 representatives; "
+            f"edge seeds reach types 7 and 8: {side_ok}")
+    emit(capsys, 2, ok, "; ".join(lines))
     assert ok
 
 

@@ -431,6 +431,35 @@ def test_certify_segment_same_type_builds_no_sturm_chain(monkeypatch):
     assert built == []
 
 
+def test_bc_root_data_builds_no_sturm_chain(monkeypatch):
+    # both endpoints of every B/C same-type pair of the corpus: the
+    # whole-line isolation and the cofactor's whole-line count bisect
+    # from the Cauchy window, which settles on h itself, so no chain
+    # is built; the first rung of the bits ladder serves every one.
+    # The signatures come first, since classify reads one chain
+    ends = []
+    for label, entry in CORPUS["classes"].items():
+        sc = SingularityClass.parse(label)
+        if sc.family == "F4":
+            continue
+        for _, a, b in entry["pairs"]:
+            for lam in (a, b):
+                lam = Parameter(tuple(map(F, lam)))
+                ends.append((boundary_polynomial(sc, lam), classify(sc, lam)))
+    assert len(ends) == 376
+    built = []
+    chain_int = exactpoly_mod._sturm_chain_int
+
+    def counting(cs):
+        built.append(len(cs))
+        return chain_int(cs)
+
+    monkeypatch.setattr(exactpoly_mod, "_sturm_chain_int", counting)
+    for h, sig in ends:
+        assert atlas_mod._bc_root_data(h, sig, 24) is not None, h
+    assert built == []
+
+
 @pytest.mark.parametrize("label", ["F4+", "F4-"])
 def test_f4_census_builds_no_sturm_chain(monkeypatch, label):
     # an oval's two points come from g's critical points and the

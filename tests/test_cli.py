@@ -119,16 +119,20 @@ def test_certify_segment_failure_witness(capsys):
 
 # full certify --segment output of the known-defect pair (its witness is
 # the exact root t = 0) and of one refused cross-type segment each for
-# B, C and F4-, recorded before the root decisions were reworked
+# B, C and F4-, recorded before the root decisions were reworked; then,
+# with their exit code, two B endpoints on the discriminant that reach
+# the whole-line count of a multiple root, recorded before that count
+# left the Sturm chain
 SEGMENT_PINS = json.loads(
     (Path(__file__).parent / "certify_segment_pins.json").read_text())
 
 
-@pytest.mark.parametrize("pin", SEGMENT_PINS,
-                         ids=[p["argv"].split()[1] for p in SEGMENT_PINS])
+@pytest.mark.parametrize("pin", SEGMENT_PINS, ids=[
+    p["argv"].split()[1] + (f"-exit{p['exit']}" if "exit" in p else "")
+    for p in SEGMENT_PINS])
 def test_certify_segment_output_pinned(capsys, pin):
     code, out, err = invoke(capsys, *pin["argv"].split())
-    assert code == 0 and err == ""
+    assert code == pin.get("exit", 0) and err == ""
     assert out == pin["stdout"]
 
 
@@ -164,6 +168,31 @@ def test_certify_path_success(capsys):
     assert payload["waypoints"][0] == ["1", "-7", "-1", "6"]
 
 
+# f_x = a + c*y vanishes identically at a = c = 0, so classify gives no
+# labels to an F4 point there, though it is off the discriminant; the
+# path search certifies it against a type-6 point of its component and
+# gives up (exit 3) against a type-1 point
+@pytest.mark.parametrize("argv", [
+    "certify F4+ 0 -1 0 0 1 -1 0 0",
+    "certify F4- 0 -1 0 0 -1 -1 0 0",
+], ids=["F4+", "F4-"])
+def test_certify_path_from_the_label_wall(capsys, argv):
+    code, out, err = invoke(capsys, *argv.split())
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["certified"] is True
+    assert payload["waypoints"][0] == argv.split()[2:6]
+    assert payload["waypoints"][-1] == argv.split()[6:]
+    assert all(seg["roots_in_unit_interval"] == 0
+               for seg in payload["segments"])
+
+
+def test_certify_path_from_the_label_wall_to_another_type(capsys):
+    code, out, err = invoke(capsys, *"certify F4+ 0 -1 0 0 1 1 0 0".split())
+    assert code == 3 and err == ""
+    assert json.loads(out)["inconclusive"] is True
+
+
 def test_certify_discriminant_endpoint(capsys):
     code, out, _ = invoke(capsys, "certify", "B+2", "0", "0", "0", "-1",
                           "--segment")
@@ -181,7 +210,9 @@ def test_certify_discriminant_endpoint(capsys):
 # (C+4), and an integer F4+ box where 38 samples take the label-wall
 # nudge.  The census hashes are of the samples drawn from one generator
 # per census; drawing them so changed only the counts and rejection
-# tallies, never a realized type or representative
+# tallies, never a realized type or representative.  Last, B/C classify
+# calls on the measure-zero branch, where a multiple root of h is
+# counted on the whole line: complex ones (exit 0) and real ones (exit 2)
 CENSUS_PINS = json.loads(
     (Path(__file__).parent / "census_pins.json").read_text())
 

@@ -724,17 +724,20 @@ def test_deep_bisection_trees_run_at_the_default_recursion_limit():
 @given(rooted_poly(),
        st.sampled_from([F(1, 128), F(1, 2 ** 24), F(1, 2 ** 80), F(2)]),
        st.sampled_from(WINDOWS + [Interval.real_line()]))
+# x*(x - 1)*(x^2 + 5/8)^2: the whole-line reference hits the root 1 as
+# [1, 1], and bisection from the Cauchy window isolates it in
+# (2043/2048, 513/512)
+@example((UniPoly("x", [0, F(-25, 64), F(25, 64), F(-5, 4), F(5, 4), -1, 1]),
+          [0, 1]), F(1, 128), Interval.real_line())
 def test_isolation_matches_full_chain_reference(pr, width, w):
-    # on the real line the intervals are the full-chain bisection's; on
-    # a window the reference keeps every interval that meets it, and the
-    # windowed isolation holds the same roots: those of the reference
-    # intervals whose root lies in the window, in the same order
+    # the reference keeps every whole-line interval that meets the
+    # window, and the isolation, which bisects the real line from its
+    # Cauchy window like any other window, holds the same roots: those
+    # of the reference intervals whose root lies in the window, in the
+    # same order
     p, distinct = pr
     ref = reference_isolate(p, width, w)
     got = isolate_real_roots(p, width, w)
-    if w == Interval.real_line():
-        assert got == ref
-        return
 
     def root_of(iv):
         if iv.is_point():
@@ -745,6 +748,20 @@ def test_isolation_matches_full_chain_reference(pr, width, w):
 
     assert [root_of(iv) for iv in got] \
         == [r for r in map(root_of, ref) if _in_window(w, r)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rooted_poly(),
+       st.sampled_from([F(1, 128), F(1, 2 ** 24), F(1, 2 ** 80), F(2)]))
+def test_real_line_is_the_cauchy_window(pr, width):
+    # one engine: the whole real line is counted and isolated as the
+    # open window (-B, B), B the strict Cauchy bound of p's integer
+    # coefficients
+    p, distinct = pr
+    bound = ep._cauchy_bound(p._int_coeffs()[0])
+    assert isolate_real_roots(p, width) \
+        == isolate_real_roots(p, width, Interval.open(-bound, bound))
+    assert sturm_count(p, Interval.real_line()) == len(distinct)
 
 
 @st.composite
