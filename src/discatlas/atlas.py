@@ -25,9 +25,11 @@ zero sets of those polynomials, a zero count proves the segment, both
 ends included, stays off the discriminant; the certificate can be
 replayed by any exact root counter, and the path search tests
 membership only at the F4 jitter points it draws, by the signs of the
-integer stratum kernel.  Only ``certify_segment`` tests its endpoints and
-isolates a witness: the first root in [0, 1], as a point or a dyadic
-subinterval of [0, 1] of width at most 1/128.
+integer stratum kernel.  Only ``certify_segment`` tests its endpoints,
+B and C ones by the segment polynomial's values at 0 and 1 unless one
+is zero, and isolates a witness: the first root in [0, 1], as a point
+or a dyadic subinterval of [0, 1] of width at most 1/128, from a
+bisection that stops at that root.
 
 For every family the segment polynomial is the product Sigma0 * Sigma1
 of the two stratum polynomials ``models.segment_strata`` gives along
@@ -100,6 +102,7 @@ from .exactpoly import (
     _int_pseudo_quo,
     _int_reduced,
     _int_taylor_shift,
+    _isolate,
     isolate_real_roots,
     sturm_count,
 )
@@ -317,10 +320,12 @@ def _segment_polynomial(sc: SingularityClass, a: Parameter, b: Parameter
     return UniPoly._of_ints("t", _int_mul(c0, c1), d0 * d1)
 
 
-def _segment_proof(sc: SingularityClass, a: Parameter, b: Parameter
-                   ) -> SegmentProof:
-    # the count is on the closed [0, 1], so zero also clears a and b
-    poly = _segment_polynomial(sc, a, b)
+def _segment_proof(sc: SingularityClass, a: Parameter, b: Parameter,
+                   poly: UniPoly | None = None) -> SegmentProof:
+    # the count is on the closed [0, 1], so zero also clears a and b;
+    # poly, when given, is _segment_polynomial(sc, a, b)
+    if poly is None:
+        poly = _segment_polynomial(sc, a, b)
     if poly.is_zero():
         # only disc(h_t) of B or C can vanish identically between
         # nonsingular endpoints: h_t keeps a complex double root
@@ -344,12 +349,19 @@ def certify_segment(sc: SingularityClass, start, end
                     ) -> PathCertificate | SegmentFailure:
     """Certify one straight parameter segment, or isolate a crossing.
 
-    Success means the segment-restricted product of the stratum-defining
-    polynomials has Sturm count zero on the closed unit interval.  On
-    failure the witness is an isolating interval (in t) of the first
-    crossing: a point or a dyadic subinterval of [0, 1].
+    Success means the segment-restricted product p of the
+    stratum-defining polynomials has root count zero on the closed unit
+    interval.  On failure the witness is an isolating interval (in t) of
+    the first crossing: a point or a dyadic subinterval of [0, 1].
     DiscriminantEndpoint is raised for an endpoint on the discriminant,
     NotFound when the polynomial vanishes identically.
+
+    p(0) and p(1) are products of the stratum values at the ends, so a
+    B or C endpoint where p is nonzero is off the discriminant; only a
+    zero there, which a complex double root also gives, and every F4
+    endpoint are tested in full.  Where p(0) and p(1) differ in sign no
+    count is made.  The witness comes from one Descartes walk on [0, 1]
+    that stops at the first root.
 
     >>> sc = SingularityClass.parse("B+2")
     >>> c = certify_segment(sc, Parameter.of(0, -1), Parameter.of(0, -4))
@@ -358,20 +370,24 @@ def certify_segment(sc: SingularityClass, start, end
     """
     start = Parameter.coerce(start)
     end = Parameter.coerce(end)
-    for lam in (start, end):
-        m = discriminant_membership(sc, lam)
-        if m is not Membership.NON_SINGULAR:
-            raise DiscriminantEndpoint(
-                f"segment endpoint lies on {m.value}")
-    proof = _segment_proof(sc, start, end)
-    if proof.roots_in_segment == 0:
-        return PathCertificate(sc.label(), (start, end), (proof,))
-    poly = proof.polynomial
-    crossings = isolate_real_roots(poly, Fraction(1, 128),
-                                   Interval.closed(0, 1))
+    poly = _segment_polynomial(sc, start, end)
+    cs = poly._int_coeffs()[0]
+    # p(0) and p(1) times a positive denominator
+    at0, at1 = (cs[0] if cs else 0), sum(cs)
+    for lam, value in ((start, at0), (end, at1)):
+        if value == 0 or sc.family == "F4":
+            m = discriminant_membership(sc, lam)
+            if m is not Membership.NON_SINGULAR:
+                raise DiscriminantEndpoint(
+                    f"segment endpoint lies on {m.value}")
+    if at0 * at1 >= 0:
+        proof = _segment_proof(sc, start, end, poly)
+        if proof.roots_in_segment == 0:
+            return PathCertificate(sc.label(), (start, end), (proof,))
+    crossings = _isolate(cs, Fraction(1, 128), Interval.closed(0, 1), True)
     if not crossings:
-        raise NotFound(f"{proof.roots_in_segment} crossings in [0, 1] but "
-                       "none isolated there")
+        raise NotFound("the segment polynomial has a root in [0, 1] but "
+                       "none was isolated there")
     return SegmentFailure(start, end, poly, crossings[0])
 
 

@@ -686,7 +686,7 @@ def _real_rooted_above(cs: Sequence[int], num: int, den: int) -> int:
 _VCA_DEPTH = 32
 
 
-def _vca(q: list[int], max_depth: int | None = None
+def _vca(q: list[int], max_depth: int | None = None, first: bool = False
          ) -> list[tuple[int, int, bool]] | None:
     """Isolate the roots of q in (0, 1) by Descartes bisection.
 
@@ -703,13 +703,15 @@ def _vca(q: list[int], max_depth: int | None = None
     ``max_depth`` whose bound is still 2 or more makes the call return
     None; with no max_depth, q must be squarefree.  The tree is walked
     from an explicit stack, so its depth is not limited by Python's
-    recursion limit.
+    recursion limit.  The walk is depth-first and left to right, so with
+    ``first`` it stops at the first leaf, the leftmost root, and never
+    visits the nodes to its right.
     """
     out: list[tuple[int, int, bool]] = []
     # (node polynomial, c, k); None in place of the polynomial marks a
     # root hit at c/2^k, emitted between the two halves it separates
     todo: list[tuple[list[int] | None, int, int]] = [(q, 0, 0)]
-    while todo:
+    while todo and not (first and out):
         q, c, k = todo.pop()
         if q is None:
             out.append((c, k, True))
@@ -736,7 +738,8 @@ def _vca(q: list[int], max_depth: int | None = None
     return out
 
 
-def _bounded_roots(cs: Sequence[int], interval: Interval):
+def _bounded_roots(cs: Sequence[int], interval: Interval,
+                   first: bool = False):
     """The distinct roots of p in an interval, for p's integer
     coefficient list cs, of degree at least 1: the one engine behind
     ``sturm_count`` and ``isolate_real_roots``.
@@ -755,7 +758,9 @@ def _bounded_roots(cs: Sequence[int], interval: Interval):
     settles is exact whatever p's factorisation, so no squarefree proof
     comes first.  Only when a branch passes that depth does it restart,
     unbounded, on the squarefree part chain[0] / chain[-1] of p's own
-    Sturm chain.
+    Sturm chain.  With ``first`` the walk stops at the leftmost root: a
+    root on the closed lower end returns before any bisection, and
+    otherwise ``_vca`` stops at its first leaf.
     """
     lo, hi = interval.lo, interval.hi
     head: list[Interval] = []
@@ -774,16 +779,18 @@ def _bounded_roots(cs: Sequence[int], interval: Interval):
     if _int_sign_at(cs, lo) == 0:
         if not interval.lo_open:
             head.append(Interval.point(lo))
+            if first:
+                return cs, lo, hi, head, [], tail
         cs = _deflate_root(cs, lo)
     if _int_sign_at(cs, hi) == 0:
         if not interval.hi_open:
             tail.append(Interval.point(hi))
         cs = _deflate_root(cs, hi)
-    leaves = _vca(_unit_transform(cs, lo, hi), _VCA_DEPTH)
+    leaves = _vca(_unit_transform(cs, lo, hi), _VCA_DEPTH, first)
     if leaves is None:
         # cs has no root on either end, and neither has its squarefree part
         cs = _chain_squarefree(_sturm_chain_int(cs))
-        leaves = _vca(_unit_transform(cs, lo, hi))
+        leaves = _vca(_unit_transform(cs, lo, hi), None, first)
     return cs, lo, hi, head, leaves, tail
 
 
@@ -960,7 +967,23 @@ def isolate_real_roots(p: UniPoly, max_width: RationalLike = Fraction(1, 16),
         raise ZeroPolynomial("isolating roots of the zero polynomial")
     if p.degree() < 1:
         return []
-    sf, lo, hi, roots, leaves, tail = _bounded_roots(p._cs, interval)
+    return _isolate(p._cs, max_width, interval)
+
+
+def _isolate(cs: Sequence[int], max_width: Fraction, interval: Interval,
+             first: bool = False) -> list[Interval]:
+    """``isolate_real_roots`` of an integer coefficient list of degree at
+    least 1.  With ``first`` the walk stops at the leftmost root and
+    only its interval is returned, or none: the first interval of the
+    full isolation, unless the full walk alone passes the depth bound
+    further right and restarts on the squarefree part, whose tree may
+    isolate the same root differently.
+
+    >>> [iv.text() for iv in _isolate([-1, 0, 3], Fraction(1, 8),
+    ...                               Interval.closed(-1, 1), True)]
+    ['(-5/8, -1/2)']
+    """
+    sf, lo, hi, roots, leaves, tail = _bounded_roots(cs, interval, first)
     w = hi - lo
     for c, k, hit in leaves:
         a = lo + w * Fraction(c, 1 << k)
@@ -970,8 +993,11 @@ def isolate_real_roots(p: UniPoly, max_width: RationalLike = Fraction(1, 16),
             roots.append(Interval.point(a))
         else:
             roots.append(Interval.open(a, lo + w * Fraction(c + 1, 1 << k)))
+    roots += tail
+    if first:
+        del roots[1:]
     return [iv if iv.is_point() else _bisect_one(sf, iv.lo, iv.hi, max_width)
-            for iv in roots + tail]
+            for iv in roots]
 
 
 def refine_root(p: UniPoly, iv: Interval, max_width: RationalLike) -> Interval:

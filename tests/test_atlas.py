@@ -347,10 +347,13 @@ def test_bits_ladder_decides_each_segment_once(monkeypatch, capsys):
 
 
 def test_certify_segment_unisolated_crossing_is_inconclusive(monkeypatch):
-    monkeypatch.setattr(atlas_mod, "isolate_real_roots",
-                        lambda poly, width, window: [])
-    with pytest.raises(NotFound):
-        certify_segment(B2, (0, -1), (0, 1))
+    # p = -4*(2t - 1)^2 is -4 at both ends, so the crossing is counted
+    # first; on the second segment p goes from -4 to 5 and no count runs
+    monkeypatch.setattr(atlas_mod, "_isolate",
+                        lambda cs, width, window, first: [])
+    for end in ((0, 1), (3, 1)):
+        with pytest.raises(NotFound, match="none was isolated"):
+            certify_segment(B2, (0, -1), end)
 
 
 @pytest.mark.parametrize("label, a, b", [
@@ -429,6 +432,45 @@ def test_certify_segment_same_type_builds_no_sturm_chain(monkeypatch):
     assert kinds.count(PathCertificate) == 239
     assert kinds.count(SegmentFailure) == 13
     assert built == []
+
+
+def test_certify_segment_refusal_does_each_job_once(monkeypatch):
+    # every cross-type segment of the corpus: a B/C endpoint is read off
+    # the segment polynomial's nonzero end value, so only F4 endpoints
+    # reach the full membership test; the count runs only where p(0) and
+    # p(1) do not differ in sign, and the witness comes from the walk that
+    # stops at the first root, never from the full isolation
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(atlas_mod, "discriminant_membership",
+                        counted("membership", discriminant_membership))
+    monkeypatch.setattr(atlas_mod, "sturm_count",
+                        counted("count", sturm_count))
+    for mod in (atlas_mod, exactpoly_mod):
+        monkeypatch.setattr(mod, "isolate_real_roots", counted(
+            "isolate", exactpoly_mod.isolate_real_roots))
+    refusals, sign_changes = 0, 0
+    for label, entry in CORPUS["classes"].items():
+        sc = SingularityClass.parse(label)
+        for _, _, a, b in entry["cross"]:
+            calls.clear()
+            res = certify_segment(sc, tuple(map(F, a)), tuple(map(F, b)))
+            assert isinstance(res, SegmentFailure), (label, a, b)
+            p = res.polynomial
+            changes = p(0) * p(1) < 0
+            sign_changes += changes
+            assert calls.count("membership") == (
+                2 if sc.family == "F4" else 0), (label, a, b)
+            assert calls.count("count") == (0 if changes else 1), (label, a, b)
+            assert "isolate" not in calls
+            refusals += 1
+    assert (refusals, sign_changes) == (52, 46)
 
 
 def test_bc_root_data_builds_no_sturm_chain(monkeypatch):

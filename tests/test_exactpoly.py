@@ -14,6 +14,7 @@ import pickle
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -701,6 +702,54 @@ def test_bounded_roots_build_a_chain_only_when_bisection_does_not_settle(
     ivs = isolate_real_roots(p, F(1, 128), Interval.closed(0, 1))
     assert [iv.text() for iv in ivs] == isolated
     assert len(built) == 2 * chains
+
+
+UNIT = Interval.closed(0, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rooted_poly(UNIT) | times_positive_quadratic(UNIT))
+@example((poly_from_roots("x", [0, 0, F(1, 3)]), [0, F(1, 3)]))
+@example((poly_from_roots("x", [F(2, 3), 1, 1], -1), [F(2, 3), 1]))
+@example((poly_from_roots("x", [F(1, 2), F(1, 2), F(3, 4)]),
+          [F(1, 2), F(3, 4)]))
+# the walk on p hits the repeated 1/256 exactly; the repeated 1/3 to
+# its right sends the full isolation to the squarefree part, whose tree
+# isolates 1/256 in (0, 1/128)
+@example((poly_from_roots("x", [F(1, 256)] * 2 + [F(1, 3)] * 2),
+          [F(1, 256), F(1, 3)]))
+def test_first_root_walk_isolates_the_first_root_in_the_unit_interval(pr):
+    # the walk behind certify_segment's witness stops at the first leaf:
+    # nothing exactly when the count is 0, else the first interval of the
+    # full isolation, unless the full walk alone passes the depth bound
+    # and restarts on the squarefree part; then it still isolates the
+    # first root within the isolate_real_roots contract
+    p, distinct = pr
+    inside = [r for r in distinct if 0 <= r <= 1]
+    width = F(1, 128)
+    cs = p._int_coeffs()[0]
+    # the walk itself stops: one end root or one leaf at most
+    _, _, _, head, leaves, _ = ep._bounded_roots(cs, UNIT, True)
+    assert len(head) + len(leaves) <= 1
+    with mock.patch.object(ep, "_sturm_chain_int",
+                           wraps=ep._sturm_chain_int) as chains:
+        got = ep._isolate(cs, width, UNIT, True)
+        first_chains = chains.call_count
+        full = isolate_real_roots(p, width, UNIT)
+        full_chains = chains.call_count - first_chains
+    assert (got == []) == (sturm_count(p, UNIT) == 0) == (inside == [])
+    if full_chains == 0 or first_chains:
+        assert got == full[:1]
+    if not got:
+        return
+    [iv] = got
+    if iv.is_point():
+        assert iv.lo == inside[0]
+    else:
+        assert [r for r in distinct if iv.lo < r < iv.hi] == inside[:1]
+        assert 0 <= iv.lo < iv.hi <= 1 and iv.hi - iv.lo <= width
+        for end in (iv.lo, iv.hi):
+            assert end.denominator & (end.denominator - 1) == 0
 
 
 def test_deep_bisection_trees_run_at_the_default_recursion_limit():
